@@ -1,9 +1,9 @@
 """Exact best responses, equilibrium verification, and strategy classification.
 
 The workhorse is a budget dynamic program over (battlefield, remaining units)
-that maximizes a separable value function, so best responses against any
-marginal profile cost O(K * N^2) instead of a scan over all C(N+K-1, K-1)
-bid vectors.  Because payoffs between independent mixers depend only on
+that maximizes a separable value function (:func:`blotto_lab.kernels.best_split`),
+so best responses against any marginal profile cost O(K * N^2) instead of a
+scan over all C(N+K-1, K-1) bid vectors.  Because payoffs between independent mixers depend only on
 marginals, checking deviations against marginals is sufficient for
 equilibrium verification.  Everything returns exact rationals; a gap of zero
 means zero.
@@ -25,6 +25,7 @@ from .core import (
     WrongRegimeError,
     exact_fraction,
 )
+from .kernels import best_split
 from .mixed import (
     MarginalProfile,
     MixedStrategy,
@@ -64,47 +65,12 @@ def best_response(m_opp: MarginalProfile, spec: GameSpec) -> BestResponseResult:
         for v in row:
             den = math.lcm(den, v.denominator)
     scaled = [[int(v * den) for v in row] for row in tables]
-    value, argmax = _budget_dp(scaled, n, maximize=True)
+    value, argmax = best_split(scaled, n)
     return BestResponseResult(
         value=Fraction(value, den),
         argmax=argmax,
         value_table=tuple(tuple(row) for row in tables),
     )
-
-
-def _budget_dp(
-    tables: "list[list[int]]", budget: int, maximize: bool
-) -> "tuple[int, tuple[int, ...]]":
-    """Optimize sum of per-field table values over exact-budget allocations.
-
-    Returns the optimum and its lexicographically smallest witness.  Suffix
-    table ``suffix[j][r]`` holds the optimum over fields j.. with ``r`` units
-    left; every budget is reachable since bids may be zero or take the rest.
-    """
-    k = len(tables)
-    suffix = [None] * k
-    suffix[k - 1] = list(tables[k - 1][: budget + 1])
-    for j in range(k - 2, -1, -1):
-        row, prev = tables[j], suffix[j + 1]
-        cur = []
-        for r in range(budget + 1):
-            if maximize:
-                best = max(row[x] + prev[r - x] for x in range(r + 1))
-            else:
-                best = min(row[x] + prev[r - x] for x in range(r + 1))
-            cur.append(best)
-        suffix[j] = cur
-    bids = []
-    r = budget
-    for j in range(k - 1):
-        row, prev, target = tables[j], suffix[j + 1], suffix[j][r]
-        for x in range(r + 1):
-            if row[x] + prev[r - x] == target:
-                bids.append(x)
-                r -= x
-                break
-    bids.append(r)
-    return suffix[0][budget], tuple(bids)
 
 
 @dataclass(frozen=True)
@@ -260,7 +226,7 @@ def weakly_dominates(
 
     The payoff difference against an opponent ``t`` is separable across
     battlefields, so its minimum and maximum over all opponent bid vectors
-    come from the same budget DP (run once minimizing, once maximizing) -
+    come from the same budget DP (run once on the negated tables, once as is) -
     no enumeration of the opponent space.
     """
     candidate = spec.validate_allocation(candidate)
@@ -283,10 +249,10 @@ def weakly_dominates(
         tables.append(
             [scaled_value(c_bid, b) - scaled_value(t_bid, b) for b in range(spec.budget + 1)]
         )
-    lo, lo_witness = _budget_dp(tables, spec.budget, maximize=False)
-    hi, hi_witness = _budget_dp(tables, spec.budget, maximize=True)
+    neg_lo, lo_witness = best_split([[-v for v in row] for row in tables], spec.budget)
+    hi, hi_witness = best_split(tables, spec.budget)
     return DominanceReport(
-        min_gap=Fraction(lo, q2),
+        min_gap=Fraction(-neg_lo, q2),
         max_gap=Fraction(hi, q2),
         min_witness=lo_witness,
         max_witness=hi_witness,
@@ -298,7 +264,20 @@ def no_dominance_regime(spec: GameSpec) -> bool:
     return spec.tie_value < Fraction(2, spec.battlefields)
 
 
-def psne_check(s: Sequence[int], spec: GameSpec) -> bool:
+@dataclass(frozen=True)
+class PsneReport:
+    """Payoff of staying at ``s`` against a point mass at ``s``, and the best deviation."""
+
+    stay_payoff: Fraction
+    best_deviation: Fraction
+    deviation: "tuple[int, ...]"
+
+    @property
+    def is_psne(self) -> bool:
+        return self.best_deviation <= self.stay_payoff
+
+
+def psne_check(s: Sequence[int], spec: GameSpec) -> PsneReport:
     """Is (s, s) a pure-strategy Nash equilibrium?
 
     Exact test: the best deviation against a point mass at ``s`` must not
@@ -306,7 +285,11 @@ def psne_check(s: Sequence[int], spec: GameSpec) -> bool:
     """
     s = spec.validate_allocation(s)
     br = best_response(MarginalProfile.point_mass(spec, s), spec)
-    return br.value <= spec.battlefields * spec.half_tie
+    return PsneReport(
+        stay_payoff=spec.battlefields * spec.half_tie,
+        best_deviation=br.value,
+        deviation=br.argmax,
+    )
 
 
 _PROFILE_BUILDERS: "dict[str, Callable[[GameSpec], MixedStrategy]]" = {

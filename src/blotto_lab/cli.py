@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import IO, Sequence
@@ -240,19 +239,19 @@ def cmd_scan_alpha(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def cmd_psne(args: argparse.Namespace, argv: Sequence[str]) -> int:
     spec = build_spec(args)
-    s = parse_bids(args.s)
-    result = analysis.psne_check(s, spec)
-    stay = spec.battlefields * spec.half_tie
-    br = analysis.best_response(
-        analysis.MarginalProfile.point_mass(spec, s), spec
-    )
+    report = analysis.psne_check(parse_bids(args.s), spec)
     obj = {
-        "is_psne": result,
-        "stay_payoff": frac(stay),
-        "best_deviation": frac(br.value),
-        "deviation": list(br.argmax),
+        "is_psne": report.is_psne,
+        "stay_payoff": frac(report.stay_payoff),
+        "best_deviation": frac(report.best_deviation),
+        "deviation": list(report.deviation),
     }
-    emit(args, obj, f"psne={result} stay={frac(stay)} deviation={frac(br.value)}")
+    emit(
+        args,
+        obj,
+        f"psne={report.is_psne} stay={frac(report.stay_payoff)} "
+        f"deviation={frac(report.best_deviation)}",
+    )
     return 0
 
 
@@ -326,12 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact laboratory for discrete Colonel Blotto games with flexible tie-breaking.",
     )
     parser.add_argument("--version", action="version", version=f"blotto-lab {__version__}")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cap internal parallelism (default: BLOTTO_THREADS or no cap)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count pure strategies in both representations")
@@ -419,29 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def apply_thread_cap(threads: "int | None") -> None:
-    cap = threads
-    if cap is None:
-        env = os.environ.get("BLOTTO_THREADS", "").strip()
-        cap = int(env) if env else None
-    if cap is None:
-        return
-    if cap < 1:
-        raise PreconditionError(f"--threads must be >= 1, got {cap}")
-    try:
-        import numba
-
-        numba.set_num_threads(min(cap, numba.config.NUMBA_NUM_THREADS))
-    except ImportError:
-        pass
-
-
 def main(argv: "Sequence[str] | None" = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        apply_thread_cap(args.threads)
         return args.func(args, argv)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -67,6 +67,11 @@ def exact_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _is_int(value: object) -> bool:
+    """True for ints proper; ``bool`` is an int subclass but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """A Blotto game: integer budget, number of battlefields, tie value.
@@ -83,9 +88,9 @@ class GameSpec:
     allow_any_tie_value: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.budget, int) or self.budget < 1:
+        if not _is_int(self.budget) or self.budget < 1:
             raise PreconditionError(f"budget must be a positive integer, got {self.budget!r}")
-        if not isinstance(self.battlefields, int) or self.battlefields < 2:
+        if not _is_int(self.battlefields) or self.battlefields < 2:
             raise PreconditionError(
                 f"need at least 2 battlefields, got {self.battlefields!r}"
             )
@@ -122,7 +127,7 @@ class GameSpec:
             raise InvalidAllocationError(
                 f"expected {self.battlefields} bids, got {len(vec)}"
             )
-        if any(not isinstance(b, int) or b < 0 for b in vec):
+        if any(not _is_int(b) or b < 0 for b in vec):
             raise InvalidAllocationError(f"bids must be nonnegative integers: {vec}")
         if sum(vec) != self.budget:
             raise InvalidAllocationError(

@@ -1,68 +1,68 @@
-"""Budget-DP kernels for the fictitious-play inner loop.
+"""The budget DP: maximize a separable value over exact-budget splits.
 
-Fictitious play over the Lotto space reduces each round to maximizing
-``sum_k values[bid_k]`` subject to the exact budget, with one shared value
-table because all battlefields look alike under the empirical belief.  That
-DP is the hot loop, so it ships in three interchangeable backends:
+Every exact best response and every fictitious-play round reduces to
+maximizing ``sum_k tables[k][bid_k]`` over bid vectors that spend the budget
+exactly.  The DP comes in two implementations:
 
-* ``numba``  - @njit kernels, the default when numba imports;
-* ``numpy``  - vectorized max-plus stages via sliding windows;
-* ``python`` - plain loops on Python ints (arbitrary precision, used as the
-  big-integer fallback when scaled values could overflow int64).
+* Python ints (:func:`best_split`, :func:`br_sampled_python`) - never
+  overflow.  ``best_split`` takes one table per battlefield and serves the
+  exact side (best responses, dominance); with one shared table it is also
+  the big-integer fallback of fictitious play.
+* numpy int64 (:func:`br_lex_numpy`, :func:`br_sampled_numpy`) - one shared
+  value table, max-plus stages through sliding windows.  Fictitious play uses
+  them whenever its overflow guard shows scaled values fit in int64.
 
-Set ``BLOTTO_KERNEL=numba|numpy|python`` to pin a backend.  All backends
-return bit-identical results; ``benchmarks/fp_bench.py`` compares their
-throughput.
+Both return bit-identical results on shared tables (tested).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    HAVE_NUMBA = False
-
-ENV_VAR = "BLOTTO_KERNEL"
 NEG = -(1 << 61)  # sentinel for unreachable states; values are guarded below 2**60
 
 BestReply = "tuple[int, tuple[int, ...]]"
 
 
 # ---------------------------------------------------------------------------
-# python backend: lists of Python ints, never overflows
+# Python ints: never overflows
 # ---------------------------------------------------------------------------
 
 
-def br_lex_python(values: Sequence[int], budget: int, fields: int) -> BestReply:
-    """Optimal value and lexicographically smallest optimal bid vector."""
-    values = list(values)
-    suffix = [values[: budget + 1]]  # suffix[c-1][r]: best over c fields, budget r
-    for _ in range(1, fields):
-        prev = suffix[-1]
-        suffix.append(
-            [max(values[x] + prev[r - x] for x in range(r + 1)) for r in range(budget + 1)]
-        )
+def best_split(tables: Sequence[Sequence[int]], budget: int) -> BestReply:
+    """Maximize ``sum_k tables[k][bid_k]`` over bid vectors summing to ``budget``.
+
+    Returns the optimum and the lexicographically smallest optimal bid
+    vector.  To minimize, pass negated tables and negate the optimum: the
+    minimizers are exactly the maximizers of the negation, so the witness is
+    the lexicographically smallest minimizer.
+    """
+    k = len(tables)
+    # tail[j][r]: optimum over fields j.. with r units left; every r is
+    # reachable since bids may be zero or take the rest.
+    tail = [None] * k
+    tail[k - 1] = list(tables[k - 1][: budget + 1])
+    for j in range(k - 2, 0, -1):
+        row, prev = tables[j], tail[j + 1]
+        tail[j] = [max(map(add, row, prev[r::-1])) for r in range(budget + 1)]
     bids = []
     r = budget
-    for c in range(fields - 1, 0, -1):
-        target = suffix[c][r]
-        prev = suffix[c - 1]
-        for x in range(r + 1):
-            if values[x] + prev[r - x] == target:
-                bids.append(x)
-                r -= x
-                break
+    for j in range(k - 1):
+        cand = list(map(add, tables[j], tail[j + 1][r::-1]))
+        x = cand.index(max(cand))
+        bids.append(x)
+        r -= x
     bids.append(r)
-    return suffix[fields - 1][budget], tuple(bids)
+    return sum(row[x] for row, x in zip(tables, bids)), tuple(bids)
+
+
+def br_lex_python(values: Sequence[int], budget: int, fields: int) -> BestReply:
+    """Shared-table form of :func:`best_split`, the signature of ``br_lex_numpy``."""
+    return best_split([list(values)] * fields, budget)
 
 
 def br_sampled_python(
@@ -109,7 +109,7 @@ def br_sampled_python(
 
 
 # ---------------------------------------------------------------------------
-# numpy backend: stage-wise max-plus products through sliding windows
+# numpy int64: stage-wise max-plus products through sliding windows
 # ---------------------------------------------------------------------------
 
 
@@ -179,98 +179,6 @@ def br_sampled_numpy(
     return int(stages[fields - 1][budget]), tuple(bids)
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _br_lex_jit(values, budget, fields):  # pragma: no cover - numba
-        n = budget
-        stages = np.empty((fields, n + 1), dtype=np.int64)
-        for r in range(n + 1):
-            stages[0, r] = values[r]
-        for c in range(1, fields):
-            for r in range(n + 1):
-                best = values[0] + stages[c - 1, r]
-                for x in range(1, r + 1):
-                    cand = values[x] + stages[c - 1, r - x]
-                    if cand > best:
-                        best = cand
-                stages[c, r] = best
-        bids = np.zeros(fields, dtype=np.int64)
-        r = n
-        for i in range(fields - 1):
-            c = fields - 1 - i
-            target = stages[c, r]
-            for x in range(r + 1):
-                if values[x] + stages[c - 1, r - x] == target:
-                    bids[i] = x
-                    r -= x
-                    break
-        bids[fields - 1] = r
-        return stages[fields - 1, n], bids
-
-    @njit(cache=True)
-    def _br_sampled_jit(values, budget, fields, uniforms):  # pragma: no cover - numba
-        n = budget
-        stages = np.empty((fields, n + 1), dtype=np.int64)
-        counts = np.empty((fields, n + 1), dtype=np.int64)
-        for r in range(n + 1):
-            stages[0, r] = values[r]
-            counts[0, r] = 1
-        for c in range(1, fields):
-            for r in range(n + 1):
-                best = values[0] + stages[c - 1, r]
-                for x in range(1, r + 1):
-                    cand = values[x] + stages[c - 1, r - x]
-                    if cand > best:
-                        best = cand
-                total = 0
-                for x in range(r + 1):
-                    if values[x] + stages[c - 1, r - x] == best:
-                        total += counts[c - 1, r - x]
-                stages[c, r] = best
-                counts[c, r] = total
-        bids = np.zeros(fields, dtype=np.int64)
-        r = n
-        for i in range(fields - 1):
-            c = fields - 1 - i
-            target = stages[c, r]
-            total = counts[c, r]
-            want = np.int64(uniforms[i] * total)
-            if want > total - 1:
-                want = total - 1
-            acc = 0
-            for x in range(r + 1):
-                if values[x] + stages[c - 1, r - x] == target:
-                    acc += counts[c - 1, r - x]
-                    if acc > want:
-                        bids[i] = x
-                        r -= x
-                        break
-        bids[fields - 1] = r
-        return stages[fields - 1, n], bids
-
-    def br_lex_numba(values: Sequence[int], budget: int, fields: int) -> BestReply:
-        v = np.asarray(values, dtype=np.int64)
-        total, bids = _br_lex_jit(v, budget, fields)
-        return int(total), tuple(int(b) for b in bids)
-
-    def br_sampled_numba(
-        values: Sequence[int], budget: int, fields: int, uniforms: Sequence[float]
-    ) -> BestReply:
-        v = np.asarray(values, dtype=np.int64)
-        u = np.asarray(uniforms, dtype=np.float64)
-        total, bids = _br_sampled_jit(v, budget, fields, u)
-        return int(total), tuple(int(b) for b in bids)
-
-else:  # pragma: no cover - exercised only without numba
-    br_lex_numba = None
-    br_sampled_numba = None
-
-
 @dataclass(frozen=True)
 class KernelSet:
     name: str
@@ -278,29 +186,12 @@ class KernelSet:
     sampled: Callable
 
 
-_BACKENDS = {
-    "python": KernelSet("python", br_lex_python, br_sampled_python),
+_KERNELS = {
     "numpy": KernelSet("numpy", br_lex_numpy, br_sampled_numpy),
+    "python": KernelSet("python", br_lex_python, br_sampled_python),
 }
-if HAVE_NUMBA:
-    _BACKENDS["numba"] = KernelSet("numba", br_lex_numba, br_sampled_numba)
 
 
-def available_backends() -> "tuple[str, ...]":
-    return tuple(sorted(_BACKENDS))
-
-
-def default_backend() -> str:
-    choice = os.environ.get(ENV_VAR, "").strip().lower()
-    if choice:
-        if choice not in _BACKENDS:
-            raise ValueError(
-                f"{ENV_VAR}={choice!r} not available; choose from {available_backends()}"
-            )
-        return choice
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def get_kernels(name: "str | None" = None) -> KernelSet:
-    """Resolve a kernel backend by name, env var, or availability."""
-    return _BACKENDS[name if name is not None else default_backend()]
+def get_kernels(name: str = "numpy") -> KernelSet:
+    """The shared-table kernels: ``"numpy"`` (int64) or ``"python"`` (Python ints)."""
+    return _KERNELS[name]

@@ -17,6 +17,7 @@ byte-identical across identical runs.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -150,7 +151,6 @@ def fp_run(
     checkpoint_path: "str | None" = None,
     checkpoint_every: "int | None" = None,
     resume: "str | None" = None,
-    backend: "str | None" = None,
     progress: "Callable[[int, int], None] | None" = None,
 ) -> FPState:
     """Run fictitious play to ``rounds`` total rounds and return the state.
@@ -180,10 +180,8 @@ def fp_run(
 
     p = spec.tie_value.numerator
     q2 = 2 * spec.tie_value.denominator
-    kern = get_kernels(backend)
     bigint = k * (q2 + abs(p)) * rounds * k >= _INT64_SAFE
-    if bigint:
-        kern = get_kernels("python")
+    kern = get_kernels("python" if bigint else "numpy")
 
     rng = None
     if state.tie_break == "random":
@@ -344,12 +342,25 @@ def _state_payload(state: FPState) -> dict:
 
 
 def save_checkpoint(state: FPState, path: str) -> None:
-    """Write a versioned, byte-deterministic binary checkpoint."""
+    """Write a versioned, byte-deterministic binary checkpoint.
+
+    The bytes go to ``path + ".tmp"`` and reach the disk before that file
+    replaces ``path``, so a write that fails or crashes partway leaves the
+    previous checkpoint intact.
+    """
     body = json.dumps(_state_payload(state), sort_keys=True, separators=(",", ":"))
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(body.encode("ascii"))
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(body.encode("ascii"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _hist_from_counts(counts: dict, budget: int) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Enumeration and counting of pure strategies.
 
 Ordered bid vectors (the Blotto strategy space) are counted by a binomial
-coefficient; their multiset quotient (the Lotto space of partitions) by the
-classic two-term recursion for partitions into exactly k positive parts.
+coefficient; their multiset quotient (the Lotto space of partitions) by a
+bottom-up table of partitions into exactly k positive parts.
 Enumerators are generators so desk-scale oracles can stream without
 materializing anything, and they refuse to start when the count exceeds a cap
 rather than silently truncating.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .core import (
@@ -29,12 +28,12 @@ def count_ordered(spec: GameSpec) -> int:
     return math.comb(spec.budget + spec.battlefields - 1, spec.battlefields - 1)
 
 
-@lru_cache(maxsize=None)
 def count_partitions(n: int, k: int) -> int:
     """Number of partitions of ``n`` into exactly ``k`` positive parts.
 
-    Uses p(n, k) = p(n-1, k-1) + p(n-k, k) with p(n, 1) = 1 and p(n, k) = 0
-    for k > n.  The Lotto strategy count of a game is
+    Removing one unit from each part leaves a partition of ``n - k`` into
+    parts of size at most ``k``, counted bottom-up by adding the allowed part
+    sizes one at a time.  The Lotto strategy count of a game is
     ``count_partitions(N + K, K)``: shifting every part up by one absorbs
     the zero parts.
     """
@@ -42,9 +41,12 @@ def count_partitions(n: int, k: int) -> int:
         return 1 if n == 0 and k == 0 else 0
     if k > n:
         return 0
-    if k == 1:
-        return 1
-    return count_partitions(n - 1, k - 1) + count_partitions(n - k, k)
+    rest = n - k
+    ways = [1] + [0] * rest  # ways[m]: partitions of m into parts of size <= part
+    for part in range(1, min(k, rest) + 1):
+        for m in range(part, rest + 1):
+            ways[m] += ways[m - part]
+    return ways[rest]
 
 
 def count_unordered(spec: GameSpec) -> int:

@@ -192,7 +192,7 @@ def test_criterion_10_pure_equilibrium_threshold():
         for i in range(0, 41):
             alpha = Fraction(i, 20)
             sp = GameSpec(k, k, alpha)
-            all_pure = all(psne_check(s, sp) for s in pool)
+            all_pure = all(psne_check(s, sp).is_psne for s in pool)
             assert all_pure == (alpha >= cutoff), (k, alpha)
     passline(10, "pure equilibria for every strategy iff tie value >= 2(K-1)/K", time.perf_counter() - start, 60.0)
 

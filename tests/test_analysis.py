@@ -257,26 +257,26 @@ class TestPsne:
             alpha = Fraction(2 * (k - 1), k)
             sp = GameSpec(k, k, alpha)
             for s in enumerate_allocations(sp):
-                assert psne_check(s, sp), (s, k)
+                assert psne_check(s, sp).is_psne, (s, k)
 
     def test_even_split_not_psne_without_tie_value(self):
         sp = GameSpec(6, 3, Fraction(0))
-        assert not psne_check((2, 2, 2), sp)
+        assert not psne_check((2, 2, 2), sp).is_psne
 
     def test_saturated_tie_value(self):
         sp = GameSpec(8, 4, Fraction(2))
         for s in [(8, 0, 0, 0), (2, 2, 2, 2), (5, 1, 1, 1)]:
-            assert psne_check(s, sp)
+            assert psne_check(s, sp).is_psne
 
     def test_concentrated_fails_below_threshold(self):
         k = 4
         sp = GameSpec(4, 4, Fraction(2 * (k - 1), k) - Fraction(1, 20))
-        assert not psne_check((4, 0, 0, 0), sp)
+        assert not psne_check((4, 0, 0, 0), sp).is_psne
 
     def test_override_admits_superefficient_ties(self):
         sp = GameSpec(8, 4, Fraction(5, 2), allow_any_tie_value=True)
         for s in [(8, 0, 0, 0), (2, 2, 2, 2)]:
-            assert psne_check(s, sp)
+            assert psne_check(s, sp).is_psne
 
 
 class TestScan:

@@ -44,6 +44,11 @@ class TestCount:
         assert code == 0
         assert json.loads(out) == {"ordered": 28, "unordered": 7}
 
+    def test_large_budget_two_fields(self, capsys):
+        code, out, _ = run(capsys, "count", "--n", "2000", "--k", "2")
+        assert code == 0
+        assert out.split() == ["2001", "1001"]
+
 
 class TestPayoff:
     def test_example_values(self, capsys):

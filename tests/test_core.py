@@ -29,6 +29,10 @@ class TestGameSpec:
             GameSpec(0, 3)
         with pytest.raises(PreconditionError):
             GameSpec(5, 1)
+        with pytest.raises(PreconditionError):
+            GameSpec(True, 2)
+        with pytest.raises(PreconditionError):
+            GameSpec(6, True)
 
     def test_two_battlefields_allowed(self):
         assert GameSpec(6, 2).battlefields == 2
@@ -56,6 +60,8 @@ class TestGameSpec:
             sp.validate_allocation([1, 2, 4])
         with pytest.raises(InvalidAllocationError):
             sp.validate_allocation([7, -1, 0])
+        with pytest.raises(InvalidAllocationError):
+            spec(2, 2).validate_allocation([True, True])
 
 
 class TestBattlefieldValue:

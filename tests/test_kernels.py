@@ -1,16 +1,77 @@
-"""The three DP backends must agree bit-for-bit."""
+"""The budget DP: Python-int reference against brute force, numpy against Python."""
+
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blotto_lab import GameSpec, MarginalProfile, best_response
-from blotto_lab.kernels import available_backends, get_kernels
+from blotto_lab.kernels import (
+    best_split,
+    br_lex_numpy,
+    br_sampled_numpy,
+    br_sampled_python,
+    get_kernels,
+)
 
-BACKENDS = available_backends()
+BACKENDS = ("numpy", "python")
 
 
 def random_values(rng, n, lo=-50, hi=500):
     return rng.integers(lo, hi, size=n + 1).astype(np.int64)
+
+
+def allocations(n, k):
+    """Every bid vector of ``k`` fields spending ``n``, in lexicographic order."""
+    for cuts in combinations_with_replacement(range(n + 1), k - 1):
+        bounds = (0,) + cuts + (n,)
+        yield tuple(bounds[i + 1] - bounds[i] for i in range(k))
+
+
+@st.composite
+def small_games(draw, shared):
+    """(tables, budget) with N <= 10, K <= 4 and a value range narrow enough for ties."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(2, 4))
+    top = draw(st.sampled_from([1, 3, 100]))
+    row = st.lists(st.integers(-top, top), min_size=n + 1, max_size=n + 1)
+    if shared:
+        return [draw(row)] * k, n
+    return [draw(row) for _ in range(k)], n
+
+
+@settings(max_examples=200, deadline=None)
+@given(game=small_games(shared=False), sign=st.sampled_from([1, -1]))
+def test_best_split_matches_enumeration(game, sign):
+    # sign -1 minimizes: the DP runs on negated tables and negates the optimum
+    tables, n = game
+    value, bids = best_split([[sign * v for v in row] for row in tables], n)
+    scored = [(sum(row[x] for row, x in zip(tables, s)), s) for s in allocations(n, len(tables))]
+    optimum = max(v for v, _ in scored) if sign == 1 else min(v for v, _ in scored)
+    assert sign * value == optimum
+    assert bids == min(s for v, s in scored if v == optimum)
+
+
+@settings(max_examples=200, deadline=None)
+@given(game=small_games(shared=True))
+def test_numpy_lex_matches_best_split(game):
+    tables, n = game
+    assert br_lex_numpy(tables[0], n, len(tables)) == best_split(tables, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(game=small_games(shared=True), data=st.data())
+def test_numpy_sampler_matches_python_sampler(game, data):
+    tables, n = game
+    k = len(tables)
+    uniforms = data.draw(
+        st.lists(st.floats(0, 1, exclude_max=True), min_size=k - 1, max_size=k - 1)
+    )
+    assert br_sampled_numpy(tables[0], n, k, uniforms) == br_sampled_python(
+        tables[0], n, k, uniforms
+    )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -24,14 +85,7 @@ def test_lex_against_exhaustive_search(backend):
             assert sum(bids) == n and len(bids) == k
             best = None
             best_bids = None
-            from itertools import combinations_with_replacement
-
-            def allocations():
-                for cuts in combinations_with_replacement(range(n + 1), k - 1):
-                    bounds = (0,) + cuts + (n,)
-                    yield tuple(bounds[i + 1] - bounds[i] for i in range(k))
-
-            for s in allocations():
+            for s in allocations(n, k):
                 v = sum(int(values[x]) for x in s)
                 if best is None or v > best or (v == best and s < best_bids):
                     best, best_bids = v, s
@@ -89,26 +143,6 @@ def test_python_backend_handles_big_integers():
     total, bids = kern.lex(huge, 10, 2)
     assert total == 100 * 10**30
     assert bids == (0, 10)
-
-
-def test_numba_backend_is_default_when_available(monkeypatch):
-    monkeypatch.delenv("BLOTTO_KERNEL", raising=False)
-    from blotto_lab.kernels import HAVE_NUMBA, default_backend
-
-    if HAVE_NUMBA:
-        assert default_backend() == "numba"
-    else:
-        assert default_backend() == "numpy"
-
-
-def test_env_flag_selects_backend(monkeypatch):
-    monkeypatch.setenv("BLOTTO_KERNEL", "numpy")
-    from blotto_lab.kernels import default_backend
-
-    assert default_backend() == "numpy"
-    monkeypatch.setenv("BLOTTO_KERNEL", "bogus")
-    with pytest.raises(ValueError):
-        default_backend()
 
 
 def test_kernel_agrees_with_exact_best_response():
