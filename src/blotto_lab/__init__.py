@@ -34,13 +34,10 @@ from .mixed import (
     MarginalProfile,
     MixedStrategy,
     PairCoupledUniform,
-    ParityPairUniform,
     SwappedPairsWitness,
     expected_payoff_marginal,
     expected_payoff_pure_vs_mixed,
-    marginals,
     read_strategy,
-    sample,
     write_strategy,
 )
 from .constructors import (
@@ -75,7 +72,6 @@ from .learning import (
     RankRow,
     TraceRow,
     balanced_partition,
-    fp_convergence_trace,
     fp_run,
     load_checkpoint,
     rank_report,

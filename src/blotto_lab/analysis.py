@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     GameSpec,
@@ -292,13 +292,10 @@ def psne_check(s: Sequence[int], spec: GameSpec) -> PsneReport:
     )
 
 
-_PROFILE_BUILDERS: "dict[str, Callable[[GameSpec], MixedStrategy]]" = {
-    "uniform": constructors.canonical_pair_equilibrium,
-    "odd": lambda spec: constructors.parity_strategy(spec, "odd"),
-    "even": lambda spec: constructors.parity_strategy(spec, "even"),
-}
+# scan-alpha output label -> constructors.FAMILIES name
+SCAN_FAMILIES = {"uniform": "canonical", "odd": "parity-odd", "even": "parity-even"}
 
-DEFAULT_SCAN_PROFILES = (
+SCAN_PROFILES = (
     ("uniform", "uniform"),
     ("odd", "even"),
     ("even", "even"),
@@ -315,9 +312,7 @@ class ScanRow:
 
 
 def alpha_robustness_scan(
-    spec: GameSpec,
-    tie_values: Iterable[RationalLike],
-    profiles: "Sequence[tuple[str, str]]" = DEFAULT_SCAN_PROFILES,
+    spec: GameSpec, tie_values: Iterable[RationalLike]
 ) -> "list[ScanRow]":
     """Verify the named profiles across a grid of tie values.
 
@@ -328,9 +323,9 @@ def alpha_robustness_scan(
     rows = []
     for value in tie_values:
         grid_spec = replace(spec, tie_value=exact_fraction(value))
-        for name_a, name_b in profiles:
-            sigma_a = _PROFILE_BUILDERS[name_a](grid_spec)
-            sigma_b = _PROFILE_BUILDERS[name_b](grid_spec)
+        for name_a, name_b in SCAN_PROFILES:
+            sigma_a = constructors.FAMILIES[SCAN_FAMILIES[name_a]](grid_spec, None)
+            sigma_b = constructors.FAMILIES[SCAN_FAMILIES[name_b]](grid_spec, None)
             rows.append(
                 ScanRow(
                     tie_value=grid_spec.tie_value,

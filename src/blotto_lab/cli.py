@@ -2,19 +2,20 @@
 
 One subcommand per operation family; all outputs are deterministic functions
 of the arguments (plus the seed where one applies).  Rationals are printed in
-lowest terms as "num/den".  Precondition violations exit with status 2,
-internal failures with 1.  File outputs start with a provenance comment line
+lowest terms as "num/den".  Precondition violations and file errors exit
+with status 2, internal failures with 1.  File outputs start with a provenance comment line
 carrying the tool version and the full invocation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
 from fractions import Fraction
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 from . import __version__
 from .core import BlottoError, GameSpec, PreconditionError
@@ -84,12 +85,15 @@ def provenance(argv: Sequence[str]) -> str:
     return f"blotto-lab {__version__} :: blotto " + " ".join(argv)
 
 
-def open_output(path: "str | None", argv: Sequence[str]) -> IO[str]:
+@contextlib.contextmanager
+def open_output(path: "str | None", argv: Sequence[str]) -> Iterator[IO[str]]:
+    """stdout for no path or "-", else the file, opened with a provenance line."""
     if path is None or path == "-":
-        return sys.stdout
-    fh = open(path, "w", newline="")
-    fh.write(f"# {provenance(argv)}\n")
-    return fh
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {provenance(argv)}\n")
+        yield fh
 
 
 def emit(args: argparse.Namespace, obj: dict, text: str) -> None:
@@ -124,42 +128,24 @@ def cmd_payoff(args: argparse.Namespace, argv: Sequence[str]) -> int:
     return 0
 
 
-def build_family(name: str, spec: GameSpec, args: argparse.Namespace):
-    if name == "canonical":
-        return constructors.canonical_pair_equilibrium(spec)
-    if name == "pairs":
-        return constructors.pairwise_fixed_sum_equilibrium(spec, args.pair_budget)
-    if name == "independent":
-        return constructors.independent_pairs_strategy(spec)
-    if name == "parity-odd":
-        return constructors.parity_strategy(spec, "odd")
-    if name == "parity-even":
-        return constructors.parity_strategy(spec, "even")
-    if name == "witness":
-        if args.s is None:
-            raise PreconditionError("--family witness requires --s")
-        return constructors.good_strategy_witness(parse_bids(args.s), spec)
-    if name == "solver":
-        return constructors.uniform_marginal_solver(spec)
-    raise PreconditionError(f"unknown family {name!r}")
+def parse_target(args: argparse.Namespace) -> "tuple[int, ...] | None":
+    """The --s bids that the witness family needs, if given."""
+    return None if args.s is None else parse_bids(args.s)
 
 
 def cmd_construct(args: argparse.Namespace, argv: Sequence[str]) -> int:
     spec = build_spec(args)
-    sigma = build_family(args.family, spec, args)
-    fh = open_output(args.output, argv)
-    try:
+    sigma = constructors.FAMILIES[args.family](spec, parse_target(args))
+    with open_output(args.output, argv) as fh:
         write_strategy(sigma, fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
 def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     spec = build_spec(args)
-    sigma_a = build_family(args.family, spec, args)
-    sigma_b = build_family(args.family_b or args.family, spec, args)
+    s = parse_target(args)
+    sigma_a = constructors.FAMILIES[args.family](spec, s)
+    sigma_b = constructors.FAMILIES[args.family_b or args.family](spec, s)
     report = analysis.verify_equilibrium(sigma_a, sigma_b, spec)
     obj = {
         "is_equilibrium": report.is_equilibrium,
@@ -291,31 +277,23 @@ def cmd_fp(args: argparse.Namespace, argv: Sequence[str]) -> int:
         progress=progress,
     )
     report = learning.rank_report(state, args.report_top)
-    fh = open_output(args.output, argv)
-    try:
+    with open_output(args.output, argv) as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "partition", "probability", "first_round"])
         for row in report.rows:
             writer.writerow(
                 [row.rank, "-".join(map(str, row.partition)), frac(row.probability), row.first_round]
             )
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     print(
         f"support={report.support_size} rounds={report.rounds_played}",
         file=sys.stderr,
     )
     if args.trace:
-        fh = open_output(args.trace, argv)
-        try:
+        with open_output(args.trace, argv) as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "tv_to_uniform", "br_gap"])
             for row in state.trace:
                 writer.writerow([row.round_index, frac(row.tv_to_uniform), frac(row.br_gap)])
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
     return 0
 
 
@@ -341,18 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="write a named strategy in the text format")
     add_spec_arguments(p)
-    p.add_argument("--family", choices=constructors.FAMILY_NAMES, required=True)
+    p.add_argument("--family", choices=constructors.FAMILIES, required=True)
     p.add_argument("--s", help="target bids for --family witness")
-    p.add_argument("--pair-budget", type=int, default=None)
     p.add_argument("--output", "-o", default=None, help="file path (default stdout)")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="exact equilibrium check for a profile")
     add_spec_arguments(p)
-    p.add_argument("--family", choices=constructors.FAMILY_NAMES, required=True)
-    p.add_argument("--family-b", choices=constructors.FAMILY_NAMES, default=None)
+    p.add_argument("--family", choices=constructors.FAMILIES, required=True)
+    p.add_argument("--family-b", choices=constructors.FAMILIES, default=None)
     p.add_argument("--s", help="target bids when a side is the witness family")
-    p.add_argument("--pair-budget", type=int, default=None)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_verify)
 
@@ -418,7 +394,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except PreconditionError as exc:
+    except (PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BlottoError as exc:

@@ -4,14 +4,15 @@ The pair-based families cover an even number of battlefields; the exact
 linear-feasibility solver handles the general case (including odd counts) by
 searching for a battlefield-symmetric strategy, one weight per partition
 orbit, whose marginals are exactly uniform.  Battlefield pairing is fixed as
-(1,2), (3,4), ... so that outputs are deterministic.
+(1,2), (3,4), ... so that outputs are deterministic.  ``FAMILIES`` is the one
+table of family names, read by the CLI and the tie-value scan.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     GameSpec,
@@ -24,21 +25,9 @@ from .mixed import (
     IndependentPairsUniform,
     MixedStrategy,
     PairCoupledUniform,
-    ParityPairUniform,
     SwappedPairsWitness,
 )
 from .space import enumerate_partitions
-
-FAMILY_NAMES = (
-    "canonical",
-    "pairs",
-    "independent",
-    "parity-odd",
-    "parity-even",
-    "witness",
-    "solver",
-)
-
 
 def canonical_pair_equilibrium(spec: GameSpec) -> MixedStrategy:
     """Perfectly correlated uniform pair splits; marginals uniform on {0..2m}."""
@@ -54,11 +43,9 @@ def canonical_pair_equilibrium(spec: GameSpec) -> MixedStrategy:
     return PairCoupledUniform(spec)
 
 
-def pairwise_fixed_sum_equilibrium(
-    spec: GameSpec, pair_budget: "int | None" = None
-) -> MixedStrategy:
+def pairwise_fixed_sum_equilibrium(spec: GameSpec) -> MixedStrategy:
     """Correlated pair splits needing only the pair count to divide the budget."""
-    return PairCoupledUniform(spec, pair_budget=pair_budget)
+    return PairCoupledUniform(spec)
 
 
 def independent_pairs_strategy(spec: GameSpec) -> MixedStrategy:
@@ -88,7 +75,27 @@ def good_strategy_witness(s: Sequence[int], spec: GameSpec) -> MixedStrategy:
 
 def parity_strategy(spec: GameSpec, parity: str) -> MixedStrategy:
     """Correlated pair splits over odd or even levels only."""
-    return ParityPairUniform(spec, parity)
+    return PairCoupledUniform(spec, parity)
+
+
+def _witness(spec: GameSpec, s: "Sequence[int] | None") -> MixedStrategy:
+    if s is None:
+        raise PreconditionError("the witness family needs a target strategy s")
+    return good_strategy_witness(s, spec)
+
+
+# Every named family: name -> builder(spec, s), where ``s`` is the target bid
+# vector (used by "witness" only).  The entries look the builders up by global
+# name at call time, so a builder replaced on this module is the one called.
+FAMILIES: "dict[str, Callable[[GameSpec, Sequence[int] | None], MixedStrategy]]" = {
+    "canonical": lambda spec, s: canonical_pair_equilibrium(spec),
+    "pairs": lambda spec, s: pairwise_fixed_sum_equilibrium(spec),
+    "independent": lambda spec, s: independent_pairs_strategy(spec),
+    "parity-odd": lambda spec, s: parity_strategy(spec, "odd"),
+    "parity-even": lambda spec, s: parity_strategy(spec, "even"),
+    "witness": _witness,
+    "solver": lambda spec, s: uniform_marginal_solver(spec),
+}
 
 
 def uniform_marginal_solver(

@@ -163,6 +163,9 @@ def fp_run(
     """
     if rounds < 1:
         raise PreconditionError(f"rounds must be >= 1, got {rounds}")
+    for name, every in (("trace_every", trace_every), ("checkpoint_every", checkpoint_every)):
+        if every is not None and every < 1:
+            raise PreconditionError(f"{name} must be >= 1, got {every}")
     if resume is not None:
         state = load_checkpoint(resume)
         spec = state.spec
@@ -247,20 +250,6 @@ def _trace_row(state: FPState, kern: KernelSet, p: int, q2: int, bigint: bool) -
     vb = values_b if bigint else [int(v) for v in values_b]
     pay = Fraction(sum(a * v for a, v in zip(ha, vb)), q2 * rk * rk)
     return TraceRow(round_index=r, tv_to_uniform=tv, br_gap=br_value - pay)
-
-
-def fp_convergence_trace(
-    spec: GameSpec,
-    rounds: int,
-    every: int,
-    init: "Sequence[int] | None" = None,
-    mode: str = "two-sided",
-    seed: int = 0,
-    **kwargs,
-) -> "list[TraceRow]":
-    """Run fictitious play and return the convergence series directly."""
-    state = fp_run(spec, rounds, init, mode, seed, trace_every=every, **kwargs)
-    return state.trace
 
 
 # ---------------------------------------------------------------------------

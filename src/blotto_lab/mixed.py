@@ -2,10 +2,10 @@
 
 Because the two players randomize independently, expected payoffs depend only
 on the per-battlefield marginal distributions.  Everything here keeps those
-marginals as exact rationals; the structured families (pair-coupled uniform,
-independent pairs, the swapped-pair variant, parity pairs) answer marginal and
-probability queries analytically so their supports never need to be
-materialized.
+marginals as exact rationals; the structured families (pair-coupled uniform
+over all levels or over the odd or even ones, independent pairs, the
+swapped-pair variant) answer marginal and probability queries analytically so
+their supports never need to be materialized.
 
 Sampling is seeded and reproducible: every ``sample`` call builds a fresh
 ``numpy.random.Generator`` over PCG64 from the given 64-bit seed, so identical
@@ -101,22 +101,23 @@ class MarginalProfile:
         return cls(spec, fields)
 
     @classmethod
-    def uniform(cls, spec: GameSpec) -> "MarginalProfile":
-        """Uniform on {0, ..., 2 * fair_share} at every battlefield."""
-        top = 2 * spec.fair_share
-        w = Fraction(1, top + 1)
-        vec = [w] * (top + 1) + [ZERO] * (spec.budget - top)
-        return cls.constant(spec, vec)
-
-    @classmethod
-    def parity(cls, spec: GameSpec, parity: str) -> "MarginalProfile":
-        """Uniform on the odd or even levels within {0, ..., 2 * fair_share}."""
-        levels = parity_levels(spec, parity)
+    def on_levels(cls, spec: GameSpec, levels: Sequence[int]) -> "MarginalProfile":
+        """Uniform on the given bid levels at every battlefield."""
         w = Fraction(1, len(levels))
         vec = [ZERO] * (spec.budget + 1)
         for x in levels:
             vec[x] = w
         return cls.constant(spec, vec)
+
+    @classmethod
+    def uniform(cls, spec: GameSpec) -> "MarginalProfile":
+        """Uniform on {0, ..., 2 * fair_share} at every battlefield."""
+        return cls.on_levels(spec, range(2 * spec.fair_share + 1))
+
+    @classmethod
+    def parity(cls, spec: GameSpec, parity: str) -> "MarginalProfile":
+        """Uniform on the odd or even levels within {0, ..., 2 * fair_share}."""
+        return cls.on_levels(spec, parity_levels(spec, parity))
 
 
 def parity_levels(spec: GameSpec, parity: str) -> "tuple[int, ...]":
@@ -216,6 +217,11 @@ class _PairFamily(MixedStrategy):
         self.spec = spec
         self.pairs = spec.battlefields // 2
 
+    def atoms(self) -> Iterator["tuple[tuple[int, ...], Fraction]"]:
+        w = Fraction(1, self.support_size())
+        for i in range(self.support_size()):
+            yield self.atom(i), w
+
     @staticmethod
     def _interleave(firsts: Sequence[int], pair_sum: int) -> "tuple[int, ...]":
         out = []
@@ -228,52 +234,49 @@ class _PairFamily(MixedStrategy):
 class PairCoupledUniform(_PairFamily):
     """One uniform split, perfectly correlated across all pairs.
 
-    Atoms are (j, c-j, j, c-j, ...) for j in {0, ..., c} where c is the
-    per-pair budget.  Every marginal is uniform on {0, ..., c}.
+    Atoms are (j, c-j, j, c-j, ...) with c the per-pair budget, for every j
+    in {0, ..., c}, or with ``parity`` only the odd or even j.  Every marginal
+    is uniform on those levels.  The parity variants need an evenly divisible
+    budget (so that c = 2 * fair_share) and support the payoff-inequivalent
+    equilibria of the constant-sum regime.
     """
 
-    def __init__(self, spec: GameSpec, pair_budget: "int | None" = None):
+    def __init__(self, spec: GameSpec, parity: "str | None" = None):
         super().__init__(spec)
-        c = spec.budget // self.pairs if spec.budget % self.pairs == 0 else None
-        if c is None:
-            raise PreconditionError(
-                f"budget {spec.budget} is not divisible by the {self.pairs} battlefield pairs"
-            )
-        if pair_budget is not None and pair_budget != c:
-            raise PreconditionError(
-                f"pair budget must be {c} for this game, got {pair_budget}"
-            )
-        self.pair_budget = c
+        if parity is None:
+            if spec.budget % self.pairs:
+                raise PreconditionError(
+                    f"budget {spec.budget} is not divisible by the {self.pairs} battlefield pairs"
+                )
+            self.pair_sum = spec.budget // self.pairs
+            self.levels: "Sequence[int]" = range(self.pair_sum + 1)
+        else:
+            self.pair_sum = 2 * spec.fair_share
+            self.levels = parity_levels(spec, parity)
+            if not self.levels:
+                raise PreconditionError(f"no {parity} levels available for {spec}")
 
     def support_size(self) -> int:
-        return self.pair_budget + 1
+        return len(self.levels)
 
     def atom(self, index: int) -> "tuple[int, ...]":
-        if not 0 <= index <= self.pair_budget:
+        if not 0 <= index < len(self.levels):
             raise IndexError(index)
-        return self._interleave([index] * self.pairs, self.pair_budget)
-
-    def atoms(self) -> Iterator["tuple[tuple[int, ...], Fraction]"]:
-        w = Fraction(1, self.support_size())
-        for j in range(self.pair_budget + 1):
-            yield self.atom(j), w
+        return self._interleave([self.levels[index]] * self.pairs, self.pair_sum)
 
     def probability(self, bids: Sequence[int]) -> Fraction:
         bids = tuple(bids)
         j = bids[0]
-        if 0 <= j <= self.pair_budget and bids == self.atom(j):
+        if j in self.levels and bids == self._interleave([j] * self.pairs, self.pair_sum):
             return Fraction(1, self.support_size())
         return ZERO
 
     def marginals(self) -> MarginalProfile:
-        c = self.pair_budget
-        w = Fraction(1, c + 1)
-        vec = [w] * (c + 1) + [ZERO] * (self.spec.budget - c)
-        return MarginalProfile.constant(self.spec, vec)
+        return MarginalProfile.on_levels(self.spec, self.levels)
 
     def sample(self, seed: int, count: int) -> "list[tuple[int, ...]]":
-        js = _rng(seed).integers(0, self.pair_budget + 1, size=count)
-        return [self.atom(int(j)) for j in js]
+        idx = _rng(seed).integers(0, self.support_size(), size=count)
+        return [self.atom(int(i)) for i in idx]
 
 
 class IndependentPairsUniform(_PairFamily):
@@ -317,11 +320,6 @@ class IndependentPairsUniform(_PairFamily):
         if not 0 <= index < self.support_size():
             raise IndexError(index)
         return self._atom_for_digits(self._digits(index))
-
-    def atoms(self) -> Iterator["tuple[tuple[int, ...], Fraction]"]:
-        w = Fraction(1, self.support_size())
-        for i in range(self.support_size()):
-            yield self.atom(i), w
 
     def probability(self, bids: Sequence[int]) -> Fraction:
         if self._digits_of(bids) is None:
@@ -387,62 +385,31 @@ class SwappedPairsWitness(IndependentPairsUniform):
             return ZERO
         return super().probability(bids)
 
+    def marginals(self) -> MarginalProfile:
+        """The independent-pairs marginals with the four swapped atoms applied.
+
+        Derived from the atoms actually removed and added rather than assumed
+        uniform, so a swap that breaks uniformity shows up here.
+        """
+        w = Fraction(1, self.support_size())
+        level = Fraction(1, self.base)
+        fields = [
+            [level] * self.base + [ZERO] * (self.spec.budget - self.pair_sum)
+            for _ in range(self.spec.battlefields)
+        ]
+        for bids, delta in (
+            (self.removed_a, -w),
+            (self.removed_b, -w),
+            (self.target, w),
+            (self.added_b, w),
+        ):
+            for k, b in enumerate(bids):
+                fields[k][b] += delta
+        return MarginalProfile(self.spec, fields)
+
     def sample(self, seed: int, count: int) -> "list[tuple[int, ...]]":
         mat = _rng(seed).integers(0, self.base, size=(count, self.pairs))
         return [self._swap(self._atom_for_digits([int(d) for d in row])) for row in mat]
-
-
-class ParityPairUniform(_PairFamily):
-    """Pair-coupled uniform restricted to odd or even splits.
-
-    Marginals are uniform on the odd (or even) levels within
-    {0, ..., 2 * fair_share}; the two parities support the payoff-inequivalent
-    equilibria of the constant-sum regime.
-    """
-
-    def __init__(self, spec: GameSpec, parity: str):
-        super().__init__(spec)
-        self.pair_sum = 2 * spec.fair_share
-        self.parity = parity
-        self.levels = parity_levels(spec, parity)
-        if not self.levels:
-            raise PreconditionError(f"no {parity} levels available for {spec}")
-
-    def support_size(self) -> int:
-        return len(self.levels)
-
-    def atom(self, index: int) -> "tuple[int, ...]":
-        j = self.levels[index]
-        return self._interleave([j] * self.pairs, self.pair_sum)
-
-    def atoms(self) -> Iterator["tuple[tuple[int, ...], Fraction]"]:
-        w = Fraction(1, self.support_size())
-        for i in range(self.support_size()):
-            yield self.atom(i), w
-
-    def probability(self, bids: Sequence[int]) -> Fraction:
-        bids = tuple(bids)
-        j = bids[0]
-        if j in self.levels and bids == self._interleave([j] * self.pairs, self.pair_sum):
-            return Fraction(1, self.support_size())
-        return ZERO
-
-    def marginals(self) -> MarginalProfile:
-        return MarginalProfile.parity(self.spec, self.parity)
-
-    def sample(self, seed: int, count: int) -> "list[tuple[int, ...]]":
-        idx = _rng(seed).integers(0, len(self.levels), size=count)
-        return [self.atom(int(i)) for i in idx]
-
-
-def marginals(sigma: MixedStrategy) -> MarginalProfile:
-    """Marginal bid distribution of ``sigma`` at every battlefield."""
-    return sigma.marginals()
-
-
-def sample(sigma: MixedStrategy, seed: int, count: int) -> "list[tuple[int, ...]]":
-    """Draw ``count`` pure strategies from ``sigma``, deterministic in ``seed``."""
-    return sigma.sample(seed, count)
 
 
 def expected_payoff_marginal(
@@ -492,20 +459,28 @@ def write_strategy(sigma: MixedStrategy, stream: IO[str], comment: "str | None" 
         stream.write(" ".join(cells) + "\n")
 
 
+def _int_cells(line: str, width: int, den_at: int, what: str) -> "list[int]":
+    """The ``width`` integers of one line, the one at ``den_at`` a nonzero denominator."""
+    cells = line.split()
+    if len(cells) != width:
+        raise InvalidAllocationError(f"bad {what}: {line!r}")
+    try:
+        ints = [int(cell) for cell in cells]
+    except ValueError as exc:
+        raise InvalidAllocationError(f"bad {what}: {line!r}") from exc
+    if ints[den_at] == 0:
+        raise InvalidAllocationError(f"zero denominator in {what}: {line!r}")
+    return ints
+
+
 def read_strategy(stream: IO[str], allow_any_tie_value: bool = False) -> ExplicitMixed:
     lines = [ln.strip() for ln in stream if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise InvalidAllocationError("empty strategy file")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise InvalidAllocationError(f"bad header: {lines[0]!r}")
-    n, k, num, den = map(int, head)
+    n, k, num, den = _int_cells(lines[0], 4, 3, "header")
     spec = GameSpec(n, k, Fraction(num, den), allow_any_tie_value=allow_any_tie_value)
     weights = {}
     for ln in lines[1:]:
-        cells = ln.split()
-        if len(cells) != 2 + k:
-            raise InvalidAllocationError(f"bad atom line: {ln!r}")
-        p_num, p_den, *bids = map(int, cells)
+        p_num, p_den, *bids = _int_cells(ln, 2 + k, 1, "atom line")
         weights[tuple(bids)] = Fraction(p_num, p_den)
     return ExplicitMixed(spec, weights)

@@ -26,7 +26,8 @@ from blotto_lab import (
     verify_equilibrium,
     weakly_dominates,
 )
-from oracles import brute_best_response, brute_dominance_gaps
+from blotto_lab import constructors
+from oracles import brute_best_response, brute_dominance_gaps, brute_marginals
 
 FULL_GAME = GameSpec(120, 6, Fraction(0))
 
@@ -170,6 +171,23 @@ class TestClassify:
         assert verdict.verdict is Verdict.GOOD
         assert verdict.witness is not None
         assert verdict.witness.probability((40, 40, 40, 0, 0, 0)) > 0
+
+    def test_corrupted_swap_is_not_good(self, monkeypatch):
+        sp = GameSpec(12, 4)
+        s = (6, 1, 3, 2)
+        assert classify(s, sp).verdict is Verdict.GOOD
+        build = constructors.good_strategy_witness
+
+        def wrong_mirror(target, spec):
+            witness = build(target, spec)
+            witness.added_b = tuple(reversed(witness.added_b))
+            return witness
+
+        monkeypatch.setattr(constructors, "good_strategy_witness", wrong_mirror)
+        witness = constructors.good_strategy_witness(s, sp)
+        assert witness.marginals() == brute_marginals(witness, sp)
+        assert witness.marginals() != MarginalProfile.uniform(sp)
+        assert classify(s, sp).verdict is Verdict.UNKNOWN
 
     def test_never_good_disabled_at_constant_sum(self):
         sp = GameSpec(120, 6, Fraction(1))

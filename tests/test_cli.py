@@ -1,12 +1,14 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import argparse
 import io
 import json
 
 import pytest
 
-from blotto_lab import read_strategy
-from blotto_lab.cli import main, parse_alpha
+from blotto_lab import GameSpec, read_strategy
+from blotto_lab.cli import build_parser, main, parse_alpha
+from blotto_lab.constructors import FAMILIES
 from blotto_lab.core import PreconditionError
 
 
@@ -106,6 +108,32 @@ class TestConstruct:
         code, out, _ = run(capsys, "construct", "--n", "6", "--k", "3", "--family", "solver")
         assert code == 0
         assert read_strategy(io.StringIO(out)).support_size() == 13
+
+
+class TestFamilies:
+    GAMES = {"witness": (12, 4, (6, 1, 3, 2)), "solver": (6, 3, None)}
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_construct_round_trips(self, capsys, tmp_path, family):
+        n, k, s = self.GAMES.get(family, (12, 4, None))
+        path = tmp_path / f"{family}.txt"
+        argv = ["construct", "--n", str(n), "--k", str(k), "--family", family, "-o", str(path)]
+        if s is not None:
+            argv += ["--s", ",".join(map(str, s))]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        back = read_strategy(io.StringIO(path.read_text()))
+        assert back.spec == GameSpec(n, k)
+        assert dict(back.atoms()) == dict(FAMILIES[family](GameSpec(n, k), s).atoms())
+
+    def test_family_choices_are_the_registry(self):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for command, dests in (("construct", ("family",)), ("verify", ("family", "family_b"))):
+            actions = {a.dest: a for a in sub.choices[command]._actions}
+            for dest in dests:
+                assert list(actions[dest].choices) == list(FAMILIES)
 
 
 class TestVerify:
@@ -273,6 +301,29 @@ class TestFp:
                             "--resume", str(ckpt))
         _, straight, _ = run(capsys, "fp", "--n", "12", "--k", "4", "--rounds", "400")
         assert resumed == straight
+
+    @pytest.mark.parametrize(
+        "path_flag, every_flag",
+        [("--checkpoint", "--checkpoint-every"), ("--trace", "--trace-every")],
+    )
+    def test_zero_interval_exits_2(self, capsys, tmp_path, path_flag, every_flag):
+        code, _, err = run(
+            capsys, "fp", "--n", "12", "--k", "4", "--rounds", "10",
+            path_flag, str(tmp_path / "out"), every_flag, "0",
+        )
+        assert code == 2
+        assert "must be >= 1" in err
+
+    @pytest.mark.parametrize(
+        "flag, name",
+        [("--resume", "nope.fp"), ("--checkpoint", "nodir/c.fp"), ("--output", "nodir/x.csv")],
+    )
+    def test_file_errors_exit_2(self, capsys, tmp_path, flag, name):
+        code, _, err = run(
+            capsys, "fp", "--n", "12", "--k", "4", "--rounds", "10", flag, str(tmp_path / name)
+        )
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestUsageErrors:

@@ -58,8 +58,6 @@ class TestPairwiseFixedSum:
     def test_divisibility_precondition(self):
         with pytest.raises(PreconditionError):
             pairwise_fixed_sum_equilibrium(GameSpec(5, 4))
-        with pytest.raises(PreconditionError):
-            pairwise_fixed_sum_equilibrium(GameSpec(6, 4), pair_budget=2)
 
 
 class TestIndependentPairs:
@@ -114,6 +112,7 @@ class TestWitness:
             sigma = good_strategy_witness(s, sp)
             assert sigma.probability(s) > 0
             assert brute_marginals(sigma, sp) == MarginalProfile.uniform(sp)
+            assert sigma.marginals() == brute_marginals(sigma, sp)
 
     def test_swap_touches_exactly_two_atoms(self):
         sp = GameSpec(8, 4)

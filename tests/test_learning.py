@@ -11,7 +11,6 @@ from blotto_lab import (
     PreconditionError,
     balanced_partition,
     enumerate_partitions,
-    fp_convergence_trace,
     fp_run,
     load_checkpoint,
     lotto_payoff,
@@ -225,17 +224,17 @@ class TestRankReport:
 
 class TestTrace:
     def test_round_one_tv_is_point_mass_distance(self):
-        trace = fp_convergence_trace(SMALL, 5, every=100)
+        trace = fp_run(SMALL, 5, trace_every=100).trace
         first = trace[0]
         top = 2 * SMALL.fair_share
         assert first.round_index == 1
         assert first.tv_to_uniform == 1 - Fraction(1, top + 1)
 
     def test_gaps_nonnegative_and_tv_shrinks(self):
-        trace = fp_convergence_trace(DESK, 3000, every=500)
+        trace = fp_run(DESK, 3000, trace_every=500).trace
         assert all(row.br_gap >= 0 for row in trace)
         assert trace[-1].tv_to_uniform < trace[0].tv_to_uniform
 
     def test_requires_divisible_budget(self):
         with pytest.raises(PreconditionError):
-            fp_convergence_trace(GameSpec(7, 3), 10, every=5)
+            fp_run(GameSpec(7, 3), 10, trace_every=5)

@@ -9,6 +9,7 @@ import pytest
 from blotto_lab import (
     ExplicitMixed,
     GameSpec,
+    InvalidAllocationError,
     MarginalProfile,
     PreconditionError,
     canonical_pair_equilibrium,
@@ -183,4 +184,13 @@ class TestSerialization:
     def test_rejects_bad_totals(self):
         text = "4 2 1 1\n1 2 4 0\n"
         with pytest.raises(PreconditionError):
+            read_strategy(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2 2 0 1\nhalf 2 1 1\n", "2 2 0 1\n1 0 1 1\n", "2 2 0 0\n"],
+        ids=["non-integer", "zero-atom-denominator", "zero-tie-denominator"],
+    )
+    def test_malformed_cells_are_invalid_allocations(self, text):
+        with pytest.raises(InvalidAllocationError):
             read_strategy(io.StringIO(text))
