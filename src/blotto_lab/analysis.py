@@ -98,8 +98,13 @@ def verify_equilibrium(
     each player's marginals: no joint-distribution deviation can beat the
     best pure response to the opponent's marginals.
     """
-    m_a = sigma_a.marginals()
-    m_b = sigma_b.marginals()
+    return verify_marginals(sigma_a.marginals(), sigma_b.marginals(), spec)
+
+
+def verify_marginals(
+    m_a: MarginalProfile, m_b: MarginalProfile, spec: GameSpec
+) -> EquilibriumReport:
+    """:func:`verify_equilibrium` for independent mixers with marginals ``m_a``, ``m_b``."""
     pay_a = expected_payoff_marginal(m_a, m_b, spec)
     pay_b = expected_payoff_marginal(m_b, m_a, spec)
     br_a = best_response(m_b, spec)
@@ -182,11 +187,11 @@ def classify(s: Sequence[int], spec: GameSpec) -> GoodnessVerdict:
         and max(s) <= 2 * spec.fair_share
     ):
         witness = constructors.good_strategy_witness(s, spec)
-        report = verify_equilibrium(witness, witness, spec)
+        m = witness.marginals()
         if (
-            report.is_equilibrium
-            and witness.probability(s) > 0
-            and witness.marginals() == MarginalProfile.uniform(spec)
+            witness.probability(s) > 0
+            and m == MarginalProfile.uniform(spec)
+            and verify_marginals(m, m, spec).is_equilibrium
         ):
             return GoodnessVerdict(Verdict.GOOD, witness, threshold, active)
     return GoodnessVerdict(Verdict.UNKNOWN, None, threshold, active)

@@ -128,14 +128,22 @@ def cmd_payoff(args: argparse.Namespace, argv: Sequence[str]) -> int:
     return 0
 
 
-def parse_target(args: argparse.Namespace) -> "tuple[int, ...] | None":
-    """The --s bids that the witness family needs, if given."""
-    return None if args.s is None else parse_bids(args.s)
+def parse_target(args: argparse.Namespace, *families: "str | None") -> "tuple[int, ...] | None":
+    """The --s bids that the witness family needs, if given.
+
+    ``--s`` means nothing to the other families, so it is an error unless
+    one of ``families`` is the witness.
+    """
+    if args.s is None:
+        return None
+    if "witness" not in families:
+        raise PreconditionError("--s applies only to --family witness")
+    return parse_bids(args.s)
 
 
 def cmd_construct(args: argparse.Namespace, argv: Sequence[str]) -> int:
     spec = build_spec(args)
-    sigma = constructors.FAMILIES[args.family](spec, parse_target(args))
+    sigma = constructors.FAMILIES[args.family](spec, parse_target(args, args.family))
     with open_output(args.output, argv) as fh:
         write_strategy(sigma, fh)
     return 0
@@ -143,7 +151,7 @@ def cmd_construct(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     spec = build_spec(args)
-    s = parse_target(args)
+    s = parse_target(args, args.family, args.family_b)
     sigma_a = constructors.FAMILIES[args.family](spec, s)
     sigma_b = constructors.FAMILIES[args.family_b or args.family](spec, s)
     report = analysis.verify_equilibrium(sigma_a, sigma_b, spec)

@@ -10,7 +10,10 @@ exactly.  The DP comes in two implementations:
   the big-integer fallback of fictitious play.
 * numpy int64 (:func:`br_lex_numpy`, :func:`br_sampled_numpy`) - one shared
   value table, max-plus stages through sliding windows.  Fictitious play uses
-  them whenever its overflow guard shows scaled values fit in int64.
+  them whenever its overflow guard shows scaled values fit in int64.  Both
+  reuse one cached workspace of buffers for the last budget they saw, so they
+  are not reentrant: no two calls may run at once (the package starts no
+  threads).
 
 Both return bit-identical results on shared tables (tested).
 """
@@ -18,6 +21,7 @@ Both return bit-identical results on shared tables (tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
 from typing import Callable, Sequence
 
@@ -113,70 +117,88 @@ def br_sampled_python(
 # ---------------------------------------------------------------------------
 
 
-def _stages_numpy(values: np.ndarray, budget: int, fields: int) -> np.ndarray:
-    n = budget
-    stages = np.empty((fields, n + 1), dtype=np.int64)
-    stages[0] = values[: n + 1]
-    pad = np.empty(2 * n + 1, dtype=np.int64)
-    pad[:n] = NEG
-    head = values[: n + 1, None]
-    for c in range(1, fields):
-        pad[n:] = stages[c - 1]
-        windows = np.lib.stride_tricks.sliding_window_view(pad, n + 1)
-        stages[c] = (head + windows[::-1]).max(axis=0)
-    return stages
+class _Workspace:
+    """The buffers of one budget ``n``, reused by every numpy kernel call.
+
+    ``windows[x, r]`` reads ``pad[n - x + r]``: the previous stage at
+    ``r - x`` for ``x <= r`` and NEG (or a zero count) above the diagonal.
+    Calls write only ``pad[n:]`` and ``pad_counts[n:]``, so the padding
+    stays constant.
+    """
+
+    def __init__(self, n: int) -> None:
+        view = np.lib.stride_tricks.sliding_window_view
+        self.n = n
+        self.pad = np.full(2 * n + 1, NEG, dtype=np.int64)
+        self.windows = view(self.pad, n + 1)[::-1]
+        self.pad_counts = np.zeros(2 * n + 1, dtype=np.int64)
+        self.count_windows = view(self.pad_counts, n + 1)[::-1]
+        self.buf = np.empty((n + 1, n + 1), dtype=np.int64)
+        self.optimal = np.empty((n + 1, n + 1), dtype=bool)
+
+
+@lru_cache(maxsize=1)
+def _workspace(n: int) -> _Workspace:
+    return _Workspace(n)
+
+
+def _stage(ws: _Workspace, head: np.ndarray, prev: np.ndarray, out: np.ndarray) -> None:
+    """``out[r] = max_x head[x] + prev[r - x]``; leaves the sums in ``ws.buf``."""
+    ws.pad[ws.n :] = prev
+    np.add(head, ws.windows, out=ws.buf)
+    ws.buf.max(axis=0, out=out)
 
 
 def br_lex_numpy(values: Sequence[int], budget: int, fields: int) -> BestReply:
-    v = np.asarray(values, dtype=np.int64)
-    stages = _stages_numpy(v, budget, fields)
+    ws = _workspace(budget)
+    v = np.asarray(values, dtype=np.int64)[: budget + 1]
+    head = v[:, None]
+    # the walk back from the full budget reads stages 0 .. fields - 2 only
+    stages = np.empty((fields, budget + 1), dtype=np.int64)
+    stages[0] = v
+    for c in range(1, fields - 1):
+        _stage(ws, head, stages[c - 1], stages[c])
     bids = []
     r = budget
     for c in range(fields - 1, 0, -1):
-        cand = v[: r + 1] + stages[c - 1][r::-1]
-        x = int(np.nonzero(cand == stages[c][r])[0][0])
+        x = int((v[: r + 1] + stages[c - 1][r::-1]).argmax())
         bids.append(x)
         r -= x
     bids.append(r)
-    return int(stages[fields - 1][budget]), tuple(bids)
+    return int(v[bids].sum()), tuple(bids)
 
 
 def br_sampled_numpy(
     values: Sequence[int], budget: int, fields: int, uniforms: Sequence[float]
 ) -> BestReply:
     n = budget
-    v = np.asarray(values, dtype=np.int64)
-    reach = np.tri(n + 1, n + 1, 0, dtype=bool).T  # reach[x, r]: x <= r
+    ws = _workspace(n)
+    v = np.asarray(values, dtype=np.int64)[: n + 1]
+    head = v[:, None]
     stages = np.empty((fields, n + 1), dtype=np.int64)
     counts = np.empty((fields, n + 1), dtype=np.int64)
-    stages[0] = v[: n + 1]
+    stages[0] = v
     counts[0] = 1
-    pad = np.empty(2 * n + 1, dtype=np.int64)
-    pad[:n] = NEG
-    pad_counts = np.zeros(2 * n + 1, dtype=np.int64)
-    head = v[: n + 1, None]
-    for c in range(1, fields):
-        pad[n:] = stages[c - 1]
-        pad_counts[n:] = counts[c - 1]
-        windows = np.lib.stride_tricks.sliding_window_view(pad, n + 1)[::-1]
-        count_windows = np.lib.stride_tricks.sliding_window_view(pad_counts, n + 1)[::-1]
-        totals = head + windows
-        stages[c] = totals.max(axis=0)
-        optimal = (totals == stages[c][None, :]) & reach
-        counts[c] = (count_windows * optimal).sum(axis=0)
+    # as in br_lex_numpy, the walk back reads stages 0 .. fields - 2 only
+    for c in range(1, fields - 1):
+        _stage(ws, head, stages[c - 1], stages[c])
+        ws.pad_counts[n:] = counts[c - 1]
+        np.equal(ws.buf, stages[c], out=ws.optimal)
+        # above the diagonal the zero count padding drops every term
+        np.multiply(ws.count_windows, ws.optimal, out=ws.buf)
+        ws.buf.sum(axis=0, out=counts[c])
     bids = []
     r = budget
     for c in range(fields - 1, 0, -1):
         cand = v[: r + 1] + stages[c - 1][r::-1]
-        optimal = cand == stages[c][r]
-        branch = np.where(optimal, counts[c - 1][r::-1], 0)
-        total = int(counts[c][r])
+        branch = np.where(cand == cand.max(), counts[c - 1][r::-1], 0).cumsum()
+        total = int(branch[-1])
         want = min(int(uniforms[fields - 1 - c] * total), total - 1)
-        x = int(np.searchsorted(np.cumsum(branch), want + 1))
+        x = int(np.searchsorted(branch, want + 1))
         bids.append(x)
         r -= x
     bids.append(r)
-    return int(stages[fields - 1][budget]), tuple(bids)
+    return int(v[bids].sum()), tuple(bids)
 
 
 @dataclass(frozen=True)

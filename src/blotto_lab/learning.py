@@ -360,8 +360,35 @@ def _hist_from_counts(counts: dict, budget: int) -> np.ndarray:
     return hist
 
 
+def _check_side(
+    spec: GameSpec, rounds: int, counts: dict, discovery: dict, path: str, side: str
+) -> None:
+    """The invariants every saved side holds, so a corrupted payload is refused."""
+    for partition in counts:
+        try:
+            spec.validate_partition(partition)
+        except PreconditionError as exc:
+            raise PreconditionError(
+                f"{path}: counts_{side} holds a bad partition: {exc}"
+            ) from exc
+    total = sum(counts.values())
+    if total != rounds:
+        raise PreconditionError(
+            f"{path}: counts_{side} sum to {total}, not rounds_played {rounds}"
+        )
+    if discovery.keys() != counts.keys():
+        raise PreconditionError(
+            f"{path}: discovery_{side} and counts_{side} name different partitions"
+        )
+
+
 def load_checkpoint(path: str) -> FPState:
-    """Load a checkpoint; histograms are recomputed from the counts."""
+    """Load a checkpoint; histograms are recomputed from the counts.
+
+    Raises ``PreconditionError`` unless each side's counts sum to
+    ``rounds_played``, every counted key is a partition of the game, and the
+    discovery keys equal the count keys.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -381,14 +408,17 @@ def load_checkpoint(path: str) -> FPState:
     def parse_counts(rows: Iterable[Sequence[int]]) -> dict:
         return {tuple(row[:k]): row[k] for row in rows}
 
+    rounds = payload["rounds_played"]
     counts_a = parse_counts(payload["counts_a"])
     discovery_a = parse_counts(payload["discovery_a"])
+    _check_side(spec, rounds, counts_a, discovery_a, path, "a")
     hist_a = _hist_from_counts(counts_a, spec.budget)
     if payload["mode"] == "self-play":
         counts_b, discovery_b, hist_b = counts_a, discovery_a, hist_a
     else:
         counts_b = parse_counts(payload["counts_b"])
         discovery_b = parse_counts(payload["discovery_b"])
+        _check_side(spec, rounds, counts_b, discovery_b, path, "b")
         hist_b = _hist_from_counts(counts_b, spec.budget)
     trace = [
         TraceRow(row[0], Fraction(row[1], row[2]), Fraction(row[3], row[4]))
@@ -400,7 +430,7 @@ def load_checkpoint(path: str) -> FPState:
         tie_break=payload["tie_break"],
         seed=payload["seed"],
         init=tuple(payload["init"]),
-        rounds_played=payload["rounds_played"],
+        rounds_played=rounds,
         counts_a=counts_a,
         counts_b=counts_b,
         hist_a=hist_a,

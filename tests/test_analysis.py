@@ -189,6 +189,25 @@ class TestClassify:
         assert witness.marginals() != MarginalProfile.uniform(sp)
         assert classify(s, sp).verdict is Verdict.UNKNOWN
 
+    def test_good_verdict_computes_witness_marginals_once(self, monkeypatch):
+        build = constructors.good_strategy_witness
+        calls = []
+
+        def counted(target, spec):
+            witness = build(target, spec)
+            marginals = witness.marginals
+
+            def count():
+                calls.append(target)
+                return marginals()
+
+            witness.marginals = count
+            return witness
+
+        monkeypatch.setattr(constructors, "good_strategy_witness", counted)
+        assert classify((40, 40, 40, 0, 0, 0), FULL_GAME).verdict is Verdict.GOOD
+        assert len(calls) == 1
+
     def test_never_good_disabled_at_constant_sum(self):
         sp = GameSpec(120, 6, Fraction(1))
         verdict = classify((120, 0, 0, 0, 0, 0), sp)

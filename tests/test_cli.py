@@ -158,6 +158,30 @@ class TestVerify:
         assert json.loads(out)["is_equilibrium"] is False
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--family", "canonical"),
+            ("verify", "--family", "canonical", "--family-b", "pairs"),
+            ("construct", "--family", "canonical"),
+        ],
+    )
+    def test_stray_target_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--n", "12", "--k", "4", "--s", "1,2,3,6")
+        assert code == 2
+        assert out == ""
+        assert "--s" in err
+
+    def test_target_for_one_witness_side(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "verify", "--n", "12", "--k", "4", "--family", "canonical",
+            "--family-b", "witness", "--s", "6,1,3,2",
+        )
+        assert code == 0
+        assert json.loads(out)["is_equilibrium"] is True
+
+
 class TestClassify:
     def test_never_good_two_fields(self, capsys):
         code, out, _ = run(

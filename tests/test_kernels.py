@@ -74,6 +74,26 @@ def test_numpy_sampler_matches_python_sampler(game, data):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_numpy_kernels_carry_nothing_between_budgets(data):
+    # the numpy kernels share one cached per-budget workspace: switching
+    # budgets N1, N2, N1 in one example must not leak a stage from one call
+    # into the next
+    n1, n2 = data.draw(st.lists(st.integers(1, 10), min_size=2, max_size=2, unique=True))
+    for n in (n1, n2, n1):
+        k = data.draw(st.integers(1, 4))
+        top = data.draw(st.sampled_from([1, 2, 100]))
+        values = data.draw(st.lists(st.integers(-top, top), min_size=n + 1, max_size=n + 1))
+        uniforms = data.draw(
+            st.lists(st.floats(0, 1, exclude_max=True), min_size=k - 1, max_size=k - 1)
+        )
+        assert br_lex_numpy(values, n, k) == best_split([values] * k, n)
+        assert br_sampled_numpy(values, n, k, uniforms) == br_sampled_python(
+            values, n, k, uniforms
+        )
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_lex_against_exhaustive_search(backend):
     kern = get_kernels(backend)

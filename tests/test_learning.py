@@ -1,6 +1,7 @@
 """Fictitious play: protocol, determinism, checkpoints, diagnostics."""
 
 import io
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -196,6 +197,42 @@ class TestCheckpoints:
         path = tmp_path / "bogus.fp"
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(PreconditionError):
+            load_checkpoint(str(path))
+
+    @staticmethod
+    def _overcount(payload, side):
+        payload[f"counts_{side}"][0][-1] += 1
+
+    @staticmethod
+    def _off_budget_key(payload, side):
+        # the same key in counts and discovery, so only the partition is wrong
+        counted = payload[f"counts_{side}"][0]
+        found = next(r for r in payload[f"discovery_{side}"] if r[:-1] == counted[:-1])
+        for row in (counted, found):
+            row[0] += 1
+
+    @staticmethod
+    def _undiscovered_key(payload, side):
+        payload[f"discovery_{side}"].pop()
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            ("_overcount", "not rounds_played"),
+            ("_off_budget_key", "bad partition"),
+            ("_undiscovered_key", "different partitions"),
+        ],
+    )
+    def test_rejects_corrupted_payload(self, tmp_path, corrupt, message, side):
+        path = tmp_path / "bad.fp"
+        fp_run(DESK, 60, checkpoint_path=str(path))
+        blob = path.read_bytes()
+        head = len(learning.CHECKPOINT_MAGIC) + 4
+        payload = json.loads(blob[head:])
+        getattr(self, corrupt)(payload, side)
+        path.write_bytes(blob[:head] + json.dumps(payload).encode("ascii"))
+        with pytest.raises(PreconditionError, match=message):
             load_checkpoint(str(path))
 
 
