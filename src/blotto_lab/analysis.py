@@ -3,15 +3,17 @@
 The workhorse is a budget dynamic program over (battlefield, remaining units)
 that maximizes a separable value function (:func:`blotto_lab.kernels.best_split`),
 so best responses against any marginal profile cost O(K * N^2) instead of a
-scan over all C(N+K-1, K-1) bid vectors.  Because payoffs between independent mixers depend only on
-marginals, checking deviations against marginals is sufficient for
-equilibrium verification.  Everything returns exact rationals; a gap of zero
-means zero.
+scan over all C(N+K-1, K-1) bid vectors.  Because payoffs between independent
+mixers depend only on marginals, checking deviations against marginals is
+sufficient for equilibrium verification.  The DP runs on integers: the
+opponent's marginals over one common denominator
+(:meth:`MarginalProfile.scaled`), turned into one integer value row per
+battlefield (:func:`blotto_lab.core.value_row`).  Everything returns exact
+rationals; a gap of zero means zero.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -24,6 +26,7 @@ from .core import (
     RationalLike,
     WrongRegimeError,
     exact_fraction,
+    value_row,
 )
 from .kernels import best_split
 from .mixed import (
@@ -38,39 +41,19 @@ from . import constructors
 class BestResponseResult:
     """Exact maximum payoff against a marginal profile and its witness.
 
-    ``argmax`` is the lexicographically smallest maximizing bid vector;
-    ``value_table[k][x]`` is the expected value of bidding ``x`` on
-    battlefield ``k``.
+    ``argmax`` is the lexicographically smallest maximizing bid vector.
     """
 
     value: Fraction
     argmax: "tuple[int, ...]"
-    value_table: "tuple[tuple[Fraction, ...], ...]"
 
 
 def best_response(m_opp: MarginalProfile, spec: GameSpec) -> BestResponseResult:
     """Maximize the expected payoff of a pure strategy against ``m_opp``."""
-    n = spec.budget
-    tables = []
-    for k in range(spec.battlefields):
-        opp = m_opp.field(k)
-        below = Fraction(0)
-        row = []
-        for x in range(n + 1):
-            row.append(below + spec.half_tie * opp[x])
-            below += opp[x]
-        tables.append(row)
-    den = 1
-    for row in tables:
-        for v in row:
-            den = math.lcm(den, v.denominator)
-    scaled = [[int(v * den) for v in row] for row in tables]
-    value, argmax = best_split(scaled, n)
-    return BestResponseResult(
-        value=Fraction(value, den),
-        argmax=argmax,
-        value_table=tuple(tuple(row) for row in tables),
-    )
+    den, weights = m_opp.scaled()
+    p, q2 = spec.tie_scale
+    value, argmax = best_split([value_row(w, p, q2) for w in weights], spec.budget)
+    return BestResponseResult(value=Fraction(value, q2 * den), argmax=argmax)
 
 
 @dataclass(frozen=True)
@@ -238,9 +221,7 @@ def weakly_dominates(
     target = spec.validate_allocation(target)
     if candidate == target:
         raise InvalidComparisonError("cannot compare a strategy against itself")
-    # Scale battlefield values by 2 * denominator(tie value) to stay integer.
-    q2 = 2 * spec.tie_value.denominator
-    p = spec.tie_value.numerator
+    p, q2 = spec.tie_scale
 
     def scaled_value(x: int, b: int) -> int:
         if x > b:

@@ -6,9 +6,11 @@ tied battlefield pays ``tie_value / 2`` to each player.  ``tie_value = 1``
 gives the classical constant-sum game, ``tie_value = 0`` the variant where
 tied battlefields are lost by both sides.
 
-All payoff arithmetic is exact (:class:`fractions.Fraction`), so an
-equilibrium gap that is truly zero can be distinguished from one that is
-merely tiny.
+All payoff arithmetic is exact, so an equilibrium gap that is truly zero can
+be distinguished from one that is merely tiny.  Single matchups are scored in
+:class:`fractions.Fraction`; sums over bid distributions go through
+:func:`value_row`, the tie rule in integers (:attr:`GameSpec.tie_scale`), so
+the budget DPs never touch a Fraction.
 """
 
 from __future__ import annotations
@@ -120,6 +122,11 @@ class GameSpec:
         """Payoff to each player at a tied battlefield."""
         return self.tie_value / 2
 
+    @property
+    def tie_scale(self) -> "tuple[int, int]":
+        """``(p, q2)``: a battlefield pays ``q2`` won, ``p`` tied, 0 lost (units of ``1/q2``)."""
+        return self.tie_value.numerator, 2 * self.tie_value.denominator
+
     def validate_allocation(self, bids: Sequence[int]) -> "tuple[int, ...]":
         """Return ``bids`` as a tuple after checking it is a pure strategy."""
         vec = tuple(bids)
@@ -164,6 +171,20 @@ def battlefield_value(a: int, b: int, spec: GameSpec) -> Fraction:
     if a == b:
         return spec.half_tie
     return Fraction(0)
+
+
+def value_row(weights: Sequence[int], p: int, q2: int) -> "list[int]":
+    """``q2 * (weight below x) + p * (weight at x)`` for every bid ``x``.
+
+    Divided by ``q2 * sum(weights)``, with ``(p, q2) = spec.tie_scale``,
+    entry ``x`` is the expected value of bidding ``x`` against bids drawn by
+    ``weights``.
+    """
+    row, below = [], 0
+    for w in weights:
+        row.append(q2 * below + p * w)
+        below += w
+    return row
 
 
 def battle_outcome(s: Sequence[int], t: Sequence[int], spec: GameSpec) -> BattlefieldOutcome:

@@ -7,11 +7,12 @@ payoff of playing partition p is ``sum_j v(p_j)`` with
 ``v(x) = sum_b hist(b) * value(x, b) / (rounds * K)``, so a best reply is one
 budget DP over that shared table (see :mod:`blotto_lab.kernels`).
 
-Values are kept as integers scaled by ``2 * denominator(tie_value) * rounds
-* K``; when the scaled range could overflow int64 the run falls back to the
-pure-Python kernel on arbitrary-precision ints.  Runs are deterministic given
-(init, mode, seed) and serialize to a versioned binary checkpoint that is
-byte-identical across identical runs.
+That table is the integer value row of the opponent's bid histogram
+(:func:`blotto_lab.core.value_row`), in units of ``1 / (q2 * rounds * K)``
+with ``(p, q2) = spec.tie_scale``; when the scaled range could overflow int64
+the run falls back to the pure-Python kernel on arbitrary-precision ints.
+Runs are deterministic given (init, mode, seed) and serialize to a versioned
+binary checkpoint that is byte-identical across identical runs.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ import os
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import GameSpec, PreconditionError, as_partition
+from .core import GameSpec, PreconditionError, as_partition, value_row
 from .kernels import KernelSet, get_kernels
 
 CHECKPOINT_MAGIC = b"BLOTTOFP"
@@ -132,9 +132,8 @@ def _record(state: FPState, side: str, partition: "tuple[int, ...]", round_index
 def _belief_values(hist: np.ndarray, p: int, q2: int, bigint: bool):
     """Scaled value table: q2 * (#bids below x) + p * (#bids at x)."""
     if bigint:
-        hl = hist.tolist()
-        below = [0] + list(accumulate(hl[:-1]))
-        return [q2 * lo + p * h for lo, h in zip(below, hl)]
+        return value_row(hist.tolist(), p, q2)
+    # the int64 fast path of value_row
     below = np.concatenate(([np.int64(0)], np.cumsum(hist[:-1], dtype=np.int64)))
     return q2 * below + p * hist
 
@@ -168,7 +167,8 @@ def fp_run(
             raise PreconditionError(f"{name} must be >= 1, got {every}")
     if resume is not None:
         state = load_checkpoint(resume)
-        spec = state.spec
+        if state.spec != spec:
+            raise PreconditionError(f"{resume} continues {state.spec}, not {spec}")
         if rounds < state.rounds_played:
             raise PreconditionError(
                 f"checkpoint already has {state.rounds_played} rounds > target {rounds}"
@@ -181,8 +181,7 @@ def fp_run(
     if rounds * k >= (1 << 62):
         raise PreconditionError(f"{rounds} rounds would overflow the bid counters")
 
-    p = spec.tie_value.numerator
-    q2 = 2 * spec.tie_value.denominator
+    p, q2 = spec.tie_scale
     bigint = k * (q2 + abs(p)) * rounds * k >= _INT64_SAFE
     kern = get_kernels("python" if bigint else "numpy")
 
@@ -360,43 +359,54 @@ def _hist_from_counts(counts: dict, budget: int) -> np.ndarray:
     return hist
 
 
-def _check_side(
-    spec: GameSpec, rounds: int, counts: dict, discovery: dict, path: str, side: str
-) -> None:
+def _check_side(spec: GameSpec, rounds: int, counts: dict, discovery: dict, side: str) -> None:
     """The invariants every saved side holds, so a corrupted payload is refused."""
     for partition in counts:
         try:
             spec.validate_partition(partition)
         except PreconditionError as exc:
-            raise PreconditionError(
-                f"{path}: counts_{side} holds a bad partition: {exc}"
-            ) from exc
+            raise PreconditionError(f"counts_{side} holds a bad partition: {exc}") from exc
     total = sum(counts.values())
     if total != rounds:
-        raise PreconditionError(
-            f"{path}: counts_{side} sum to {total}, not rounds_played {rounds}"
-        )
+        raise PreconditionError(f"counts_{side} sum to {total}, not rounds_played {rounds}")
     if discovery.keys() != counts.keys():
         raise PreconditionError(
-            f"{path}: discovery_{side} and counts_{side} name different partitions"
+            f"discovery_{side} and counts_{side} name different partitions"
         )
 
 
 def load_checkpoint(path: str) -> FPState:
     """Load a checkpoint; histograms are recomputed from the counts.
 
-    Raises ``PreconditionError`` unless each side's counts sum to
-    ``rounds_played``, every counted key is a partition of the game, and the
-    discovery keys equal the count keys.
+    Raises ``PreconditionError`` naming ``path`` unless the file parses as a
+    checkpoint with a known mode and tie-break and a restorable RNG state,
+    each side's counts sum to ``rounds_played``, every counted key is a
+    partition of the game, and the discovery keys equal the count keys.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise PreconditionError(f"{path} is not a fictitious-play checkpoint")
+    try:
+        return _parse_checkpoint(blob)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{path}: {exc}") from exc
+    except (LookupError, TypeError, ValueError, ArithmeticError, struct.error) as exc:
+        raise PreconditionError(
+            f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _parse_checkpoint(blob: bytes) -> FPState:
     (version,) = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))
     if version != CHECKPOINT_VERSION:
         raise PreconditionError(f"unsupported checkpoint version {version}")
     payload = json.loads(blob[len(CHECKPOINT_MAGIC) + 4 :].decode("ascii"))
+    for key, allowed in (("mode", MODES), ("tie_break", TIE_BREAKS)):
+        if payload[key] not in allowed:
+            raise PreconditionError(f"{key} must be one of {allowed}, got {payload[key]!r}")
+    if payload["rng_state"] is not None:  # as fp_run restores it; raises if it cannot
+        np.random.PCG64(payload["seed"]).state = payload["rng_state"]
     spec = GameSpec(
         payload["spec"]["budget"],
         payload["spec"]["battlefields"],
@@ -411,14 +421,14 @@ def load_checkpoint(path: str) -> FPState:
     rounds = payload["rounds_played"]
     counts_a = parse_counts(payload["counts_a"])
     discovery_a = parse_counts(payload["discovery_a"])
-    _check_side(spec, rounds, counts_a, discovery_a, path, "a")
+    _check_side(spec, rounds, counts_a, discovery_a, "a")
     hist_a = _hist_from_counts(counts_a, spec.budget)
     if payload["mode"] == "self-play":
         counts_b, discovery_b, hist_b = counts_a, discovery_a, hist_a
     else:
         counts_b = parse_counts(payload["counts_b"])
         discovery_b = parse_counts(payload["discovery_b"])
-        _check_side(spec, rounds, counts_b, discovery_b, path, "b")
+        _check_side(spec, rounds, counts_b, discovery_b, "b")
         hist_b = _hist_from_counts(counts_b, spec.budget)
     trace = [
         TraceRow(row[0], Fraction(row[1], row[2]), Fraction(row[3], row[4]))

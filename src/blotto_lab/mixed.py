@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ from .core import (
     InvalidAllocationError,
     PreconditionError,
     exact_fraction,
+    value_row,
 )
 
 ZERO = Fraction(0)
@@ -76,6 +78,13 @@ class MarginalProfile:
 
     def __hash__(self) -> int:
         return hash((self.spec, self._fields))
+
+    def scaled(self) -> "tuple[int, tuple[tuple[int, ...], ...]]":
+        """``(den, weights)``: every field as ints over ``den``, the lcm of all denominators."""
+        den = math.lcm(*{x.denominator for vec in self._fields for x in vec})
+        return den, tuple(
+            tuple(x.numerator * (den // x.denominator) for x in vec) for vec in self._fields
+        )
 
     def expected_total(self) -> Fraction:
         """Sum over battlefields of the expected bid."""
@@ -408,24 +417,18 @@ class SwappedPairsWitness(IndependentPairsUniform):
         return MarginalProfile(self.spec, fields)
 
     def sample(self, seed: int, count: int) -> "list[tuple[int, ...]]":
-        mat = _rng(seed).integers(0, self.base, size=(count, self.pairs))
-        return [self._swap(self._atom_for_digits([int(d) for d in row])) for row in mat]
+        return [self._swap(bids) for bids in super().sample(seed, count)]
 
 
 def expected_payoff_marginal(
     m_self: MarginalProfile, m_opp: MarginalProfile, spec: GameSpec
 ) -> Fraction:
     """Expected payoff between independent players from marginals alone."""
-    total = ZERO
-    for k in range(spec.battlefields):
-        own = m_self.field(k)
-        opp = m_opp.field(k)
-        below = ZERO
-        for x in range(spec.budget + 1):
-            if own[x]:
-                total += own[x] * (below + spec.half_tie * opp[x])
-            below += opp[x]
-    return total
+    den_self, own = m_self.scaled()
+    den_opp, opp = m_opp.scaled()
+    p, q2 = spec.tie_scale
+    total = sum(sum(map(mul, o, value_row(w, p, q2))) for o, w in zip(own, opp))
+    return Fraction(total, q2 * den_self * den_opp)
 
 
 def expected_payoff_pure_vs_mixed(

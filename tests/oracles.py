@@ -38,6 +38,16 @@ def brute_expected_payoff(sigma_a, sigma_b, spec: GameSpec) -> Fraction:
     return total
 
 
+def brute_marginal_payoff(m_self, m_opp, spec: GameSpec) -> Fraction:
+    """Expected payoff between independent mixers: every bid pair on every field."""
+    total = Fraction(0)
+    for own, opp in zip(m_self, m_opp):
+        for x, p_x in enumerate(own):
+            for b, p_b in enumerate(opp):
+                total += p_x * p_b * battlefield_value(x, b, spec)
+    return total
+
+
 def brute_marginals(sigma, spec: GameSpec) -> MarginalProfile:
     """Marginals accumulated atom by atom (ignores any analytic shortcut)."""
     acc = [[Fraction(0)] * (spec.budget + 1) for _ in range(spec.battlefields)]

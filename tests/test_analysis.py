@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blotto_lab import (
     GameSpec,
@@ -18,6 +20,7 @@ from blotto_lab import (
     concentration_bounds,
     concentration_threshold,
     enumerate_allocations,
+    expected_payoff_marginal,
     expected_payoff_pure_vs_mixed,
     no_dominance_regime,
     parity_strategy,
@@ -27,7 +30,13 @@ from blotto_lab import (
     weakly_dominates,
 )
 from blotto_lab import constructors
-from oracles import brute_best_response, brute_dominance_gaps, brute_marginals
+from blotto_lab.core import value_row
+from oracles import (
+    brute_best_response,
+    brute_dominance_gaps,
+    brute_marginal_payoff,
+    brute_marginals,
+)
 
 FULL_GAME = GameSpec(120, 6, Fraction(0))
 
@@ -102,12 +111,48 @@ class TestBestResponse:
         ]
         assert res.argmax == min(brute)
 
-    def test_value_table_exposed(self):
+
+def random_marginals(draw, spec, dens):
+    """One random probability vector per field, field k over denominator ``dens[k]``."""
+    fields = []
+    for den in dens:
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=spec.budget,
+                                    max_size=spec.budget)))
+        fields.append([Fraction(hi - lo, den) for lo, hi in zip([0, *cuts], [*cuts, den])])
+    return MarginalProfile(spec, fields)
+
+
+class TestIntegerValueRows:
+    """best_response and expected_payoff_marginal run on value_row; check them by brute force."""
+
+    def test_value_row_against_uniform(self):
         sp = GameSpec(8, 4, Fraction(1))
-        res = best_response(MarginalProfile.uniform(sp), sp)
+        den, weights = MarginalProfile.uniform(sp).scaled()
+        p, q2 = sp.tie_scale
+        row = value_row(weights[0], p, q2)
         # bidding 2m + 1 = 5 against the uniform marginal wins for sure
-        assert res.value_table[0][5] == 1
-        assert res.value_table[0][0] == Fraction(1, 2) * Fraction(1, 5)
+        assert Fraction(row[5], q2 * den) == 1
+        assert Fraction(row[0], q2 * den) == Fraction(1, 2) * Fraction(1, 5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 8),
+        k=st.integers(2, 3),
+        alpha=st.sampled_from(
+            [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2), Fraction(-1, 2)]
+        ),
+    )
+    def test_match_brute_force_on_small_games(self, data, n, k, alpha):
+        sp = GameSpec(n, k, alpha, allow_any_tie_value=not 0 <= alpha <= 2)
+        dens = st.lists(st.integers(1, 30), min_size=k, max_size=k, unique=True)
+        m_self = random_marginals(data.draw, sp, data.draw(dens))
+        m_opp = random_marginals(data.draw, sp, data.draw(dens))
+        res = best_response(m_opp, sp)
+        assert (res.value, res.argmax) == brute_best_response(m_opp, sp)
+        assert expected_payoff_marginal(m_self, m_opp, sp) == brute_marginal_payoff(
+            m_self, m_opp, sp
+        )
 
 
 class TestVerifyEquilibrium:

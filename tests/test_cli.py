@@ -349,6 +349,21 @@ class TestFp:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "damage, extra",
+        [(lambda blob: blob[:-5], ()), (lambda blob: blob, ("--alpha", "1/3"))],
+        ids=["truncated-body", "other-game"],
+    )
+    def test_bad_resume_exits_2(self, capsys, tmp_path, damage, extra):
+        ckpt = tmp_path / "run.fp"
+        run(capsys, "fp", "--n", "12", "--k", "4", "--rounds", "50", "--checkpoint", str(ckpt))
+        ckpt.write_bytes(damage(ckpt.read_bytes()))
+        code, _, err = run(
+            capsys, "fp", "--n", "12", "--k", "4", "--rounds", "100", "--resume", str(ckpt), *extra
+        )
+        assert code == 2
+        assert err.startswith(f"error: {ckpt}")
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blotto_lab import GameSpec, MarginalProfile, best_response
+from blotto_lab.core import value_row
 from blotto_lab.kernels import (
     best_split,
     br_lex_numpy,
@@ -166,18 +167,16 @@ def test_python_backend_handles_big_integers():
 
 
 def test_kernel_agrees_with_exact_best_response():
-    # shared-table DP must match the exact Fraction DP used by analysis
-    import math
+    # the shared-table DP on one value row must match the per-field exact DP
     from fractions import Fraction
 
     sp = GameSpec(12, 4, Fraction(1, 3))
     profile = MarginalProfile.uniform(sp)
     exact = best_response(profile, sp)
-    den = 1
-    for v in exact.value_table[0]:
-        den = math.lcm(den, v.denominator)
-    values = [int(v * den) for v in exact.value_table[0]]
+    den, weights = profile.scaled()
+    p, q2 = sp.tie_scale
+    values = value_row(weights[0], p, q2)
     for backend in BACKENDS:
         total, bids = get_kernels(backend).lex(values, sp.budget, sp.battlefields)
-        assert Fraction(total, den) == exact.value
+        assert Fraction(total, q2 * den) == exact.value
         assert bids == exact.argmax

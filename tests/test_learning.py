@@ -2,6 +2,7 @@
 
 import io
 import json
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -215,6 +216,37 @@ class TestCheckpoints:
     def _undiscovered_key(payload, side):
         payload[f"discovery_{side}"].pop()
 
+    @staticmethod
+    def _missing_field(payload, side):
+        del payload["rounds_played"]
+
+    @staticmethod
+    def _short_row(payload, side):
+        payload[f"counts_{side}"][0].pop()  # K bids, no count
+
+    @staticmethod
+    def _unknown_mode(payload, side):
+        payload["mode"] = "round-robin"
+
+    @staticmethod
+    def _unknown_tie_break(payload, side):
+        payload["tie_break"] = "coin"
+
+    @staticmethod
+    def _bad_rng_state(payload, side):
+        payload["rng_state"] = {"bit_generator": "PCG64", "state": 5}
+
+    # the two below replace the whole file rather than edit the payload
+
+    @staticmethod
+    def _not_json(payload, side):
+        version = struct.pack("<I", learning.CHECKPOINT_VERSION)
+        return learning.CHECKPOINT_MAGIC + version + b'{"rounds_played": '
+
+    @staticmethod
+    def _short_header(payload, side):
+        return learning.CHECKPOINT_MAGIC + b"\x01\x00"
+
     @pytest.mark.parametrize("side", ["a", "b"])
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -222,6 +254,13 @@ class TestCheckpoints:
             ("_overcount", "not rounds_played"),
             ("_off_budget_key", "bad partition"),
             ("_undiscovered_key", "different partitions"),
+            ("_missing_field", "malformed checkpoint"),
+            ("_short_row", "malformed checkpoint"),
+            ("_unknown_mode", "mode must be one of"),
+            ("_unknown_tie_break", "tie_break must be one of"),
+            ("_bad_rng_state", "malformed checkpoint"),
+            ("_not_json", "malformed checkpoint"),
+            ("_short_header", "malformed checkpoint"),
         ],
     )
     def test_rejects_corrupted_payload(self, tmp_path, corrupt, message, side):
@@ -230,10 +269,28 @@ class TestCheckpoints:
         blob = path.read_bytes()
         head = len(learning.CHECKPOINT_MAGIC) + 4
         payload = json.loads(blob[head:])
-        getattr(self, corrupt)(payload, side)
-        path.write_bytes(blob[:head] + json.dumps(payload).encode("ascii"))
-        with pytest.raises(PreconditionError, match=message):
+        damaged = getattr(self, corrupt)(payload, side)
+        if damaged is None:
+            damaged = blob[:head] + json.dumps(payload).encode("ascii")
+        path.write_bytes(damaged)
+        with pytest.raises(PreconditionError, match=message) as exc:
             load_checkpoint(str(path))
+        assert str(exc.value).startswith(str(path))
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            GameSpec(60, 3),
+            GameSpec(12, 3),
+            GameSpec(12, 4, Fraction(1, 3)),
+            GameSpec(12, 4, allow_any_tie_value=True),
+        ],
+    )
+    def test_resume_rejects_a_different_game(self, tmp_path, other):
+        path = tmp_path / "desk.fp"
+        fp_run(DESK, 30, checkpoint_path=str(path))
+        with pytest.raises(PreconditionError, match="continues"):
+            fp_run(other, 60, resume=str(path))
 
 
 class TestRankReport:
