@@ -7,9 +7,12 @@ scan over all C(N+K-1, K-1) bid vectors.  Because payoffs between independent
 mixers depend only on marginals, checking deviations against marginals is
 sufficient for equilibrium verification.  The DP runs on integers: the
 opponent's marginals over one common denominator
-(:meth:`MarginalProfile.scaled`), turned into one integer value row per
-battlefield (:func:`blotto_lab.core.value_row`).  Everything returns exact
-rationals; a gap of zero means zero.
+(:meth:`MarginalProfile.scaled`, kept by the profile), turned into one
+integer value row per battlefield (:func:`blotto_lab.core.value_row`).  The
+rows go to the int64 form of the DP whenever ``K * max|entry| < 2**60``, and
+to the Python-int form otherwise; both give the same optimum and the same
+lexicographically smallest argmax.  Everything returns exact rationals; a gap
+of zero means zero.
 """
 
 from __future__ import annotations
@@ -81,17 +84,25 @@ def verify_equilibrium(
     each player's marginals: no joint-distribution deviation can beat the
     best pure response to the opponent's marginals.
     """
-    return verify_marginals(sigma_a.marginals(), sigma_b.marginals(), spec)
+    m_a = sigma_a.marginals()
+    m_b = m_a if sigma_b is sigma_a else sigma_b.marginals()
+    return verify_marginals(m_a, m_b, spec)
 
 
 def verify_marginals(
     m_a: MarginalProfile, m_b: MarginalProfile, spec: GameSpec
 ) -> EquilibriumReport:
-    """:func:`verify_equilibrium` for independent mixers with marginals ``m_a``, ``m_b``."""
+    """:func:`verify_equilibrium` for independent mixers with marginals ``m_a``, ``m_b``.
+
+    A symmetric profile (``m_a == m_b``) computes one side and reuses it.
+    """
     pay_a = expected_payoff_marginal(m_a, m_b, spec)
-    pay_b = expected_payoff_marginal(m_b, m_a, spec)
     br_a = best_response(m_b, spec)
-    br_b = best_response(m_a, spec)
+    if m_a == m_b:
+        pay_b, br_b = pay_a, br_a
+    else:
+        pay_b = expected_payoff_marginal(m_b, m_a, spec)
+        br_b = best_response(m_a, spec)
     return EquilibriumReport(
         gap_a=br_a.value - pay_a,
         gap_b=br_b.value - pay_b,

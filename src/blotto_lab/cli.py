@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -153,7 +154,10 @@ def cmd_verify(args: argparse.Namespace, argv: Sequence[str]) -> int:
     spec = build_spec(args)
     s = parse_target(args, args.family, args.family_b)
     sigma_a = constructors.FAMILIES[args.family](spec, s)
-    sigma_b = constructors.FAMILIES[args.family_b or args.family](spec, s)
+    if args.family_b in (None, args.family):
+        sigma_b = sigma_a
+    else:
+        sigma_b = constructors.FAMILIES[args.family_b](spec, s)
     report = analysis.verify_equilibrium(sigma_a, sigma_b, spec)
     obj = {
         "is_equilibrium": report.is_equilibrium,
@@ -379,10 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fp", help="fictitious play over the Lotto space")
     add_spec_arguments(p)
     p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--mode", choices=learning.MODES, default="two-sided")
-    p.add_argument("--init", default=None, help="first-round partition, comma separated")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tie-break", choices=learning.TIE_BREAKS, default="lex")
+    resumed = "; with --resume, the checkpoint's"
+    p.add_argument("--mode", choices=learning.MODES, help=f"default two-sided{resumed}")
+    p.add_argument(
+        "--init", help=f"first-round partition, comma separated (default most even{resumed})"
+    )
+    p.add_argument("--seed", type=int, help=f"default 0{resumed}")
+    p.add_argument("--tie-break", choices=learning.TIE_BREAKS, help=f"default lex{resumed}")
     p.add_argument("--report-top", type=int, default=20)
     p.add_argument("--output", "-o", default=None, help="rank report CSV (default stdout)")
     p.add_argument("--trace", default=None, help="convergence trace CSV path")
@@ -396,10 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv: "Sequence[str] | None" = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, argv)
     except (PreconditionError, OSError) as exc:

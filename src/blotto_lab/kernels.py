@@ -2,20 +2,24 @@
 
 Every exact best response and every fictitious-play round reduces to
 maximizing ``sum_k tables[k][bid_k]`` over bid vectors that spend the budget
-exactly.  The DP comes in two implementations:
+exactly.  The DP comes in two forms on two kinds of input:
 
-* Python ints (:func:`best_split`, :func:`br_sampled_python`) - never
-  overflow.  ``best_split`` takes one table per battlefield and serves the
-  exact side (best responses, dominance); with one shared table it is also
-  the big-integer fallback of fictitious play.
-* numpy int64 (:func:`br_lex_numpy`, :func:`br_sampled_numpy`) - one shared
-  value table, max-plus stages through sliding windows.  Fictitious play uses
-  them whenever its overflow guard shows scaled values fit in int64.  Both
-  reuse one cached workspace of buffers for the last budget they saw, so they
-  are not reentrant: no two calls may run at once (the package starts no
-  threads).
+* One table per battlefield (:func:`best_split`) serves the exact side (best
+  responses, dominance).  Its int64 form (:func:`best_split_numpy`) runs
+  whenever ``K * max|entry| < 2**60``, so no sum can overflow; otherwise the
+  Python-int form (:func:`best_split_python`) runs, which never overflows and
+  is the oracle the numpy form is tested against.  That guard alone picks the
+  form: no option selects it.
+* One shared table serves fictitious play.  It runs the int64 kernels
+  (:func:`br_lex_numpy`, :func:`br_sampled_numpy`, max-plus stages through
+  sliding windows) whenever its own overflow guard shows scaled values fit,
+  and the Python-int forms (:func:`br_lex_python`, :func:`br_sampled_python`)
+  otherwise.  The two numpy kernels reuse one cached workspace of buffers
+  for the last budget they saw, so they are not reentrant: no two calls may
+  run at once (the package starts no threads).  :func:`best_split_numpy`
+  keeps nothing between calls.
 
-Both return bit-identical results on shared tables (tested).
+Every pair of forms returns bit-identical results (tested).
 """
 
 from __future__ import annotations
@@ -28,8 +32,27 @@ from typing import Callable, Sequence
 import numpy as np
 
 NEG = -(1 << 61)  # sentinel for unreachable states; values are guarded below 2**60
+_INT64_GUARD = 1 << 60  # best_split runs in int64 while K * max|entry| stays below
+ROW_BLOCK = 64  # rows of the remaining-budget axis per block of best_split_numpy
 
 BestReply = "tuple[int, tuple[int, ...]]"
+
+
+def best_split(tables: Sequence[Sequence[int]], budget: int) -> BestReply:
+    """Maximize ``sum_k tables[k][bid_k]`` over bid vectors summing to ``budget``.
+
+    Returns the optimum and the lexicographically smallest optimal bid
+    vector.  Each table holds at least ``budget + 1`` entries.  To minimize,
+    pass negated tables and negate the optimum: the minimizers are exactly
+    the maximizers of the negation, so the witness is the lexicographically
+    smallest minimizer.  Runs :func:`best_split_numpy` when every sum of
+    ``K`` entries stays below ``2**60`` in magnitude, else
+    :func:`best_split_python`.
+    """
+    top = max(max(max(row), -min(row)) for row in tables)
+    if len(tables) * top < _INT64_GUARD:
+        return best_split_numpy(tables, budget)
+    return best_split_python(tables, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -37,14 +60,8 @@ BestReply = "tuple[int, tuple[int, ...]]"
 # ---------------------------------------------------------------------------
 
 
-def best_split(tables: Sequence[Sequence[int]], budget: int) -> BestReply:
-    """Maximize ``sum_k tables[k][bid_k]`` over bid vectors summing to ``budget``.
-
-    Returns the optimum and the lexicographically smallest optimal bid
-    vector.  To minimize, pass negated tables and negate the optimum: the
-    minimizers are exactly the maximizers of the negation, so the witness is
-    the lexicographically smallest minimizer.
-    """
+def best_split_python(tables: Sequence[Sequence[int]], budget: int) -> BestReply:
+    """:func:`best_split` on Python ints: never overflows."""
     k = len(tables)
     # tail[j][r]: optimum over fields j.. with r units left; every r is
     # reachable since bids may be zero or take the rest.
@@ -65,8 +82,8 @@ def best_split(tables: Sequence[Sequence[int]], budget: int) -> BestReply:
 
 
 def br_lex_python(values: Sequence[int], budget: int, fields: int) -> BestReply:
-    """Shared-table form of :func:`best_split`, the signature of ``br_lex_numpy``."""
-    return best_split([list(values)] * fields, budget)
+    """Shared-table form of :func:`best_split_python`, the signature of ``br_lex_numpy``."""
+    return best_split_python([list(values)] * fields, budget)
 
 
 def br_sampled_python(
@@ -115,6 +132,44 @@ def br_sampled_python(
 # ---------------------------------------------------------------------------
 # numpy int64: stage-wise max-plus products through sliding windows
 # ---------------------------------------------------------------------------
+
+
+def best_split_numpy(tables: Sequence[Sequence[int]], budget: int) -> BestReply:
+    """:func:`best_split` in int64; the caller keeps every sum of K entries below 2**60.
+
+    Stage ``j`` fills ``tail[j][r] = max_{x <= r} row[x] + tail[j + 1][r - x]``
+    in blocks of ``ROW_BLOCK`` values of ``r``.  A block reads the columns
+    ``x < r1`` only, so the scratch is ``ROW_BLOCK x (budget + 1)`` and only
+    the block's own diagonal reaches above the triangle ``x <= r``, where the
+    NEG padding keeps it from winning.
+    """
+    n = budget
+    t = np.array([row[: n + 1] for row in tables], dtype=np.int64)
+    k = len(t)
+    tail = np.empty((k, n + 1), dtype=np.int64)
+    tail[k - 1] = t[k - 1]
+    # windows[n - r, x] reads pad[n - r + x]: tail[j + 1][r - x], NEG for x > r.
+    # A plain strided view: some thousands of sliding_window_view calls raise
+    # the peak RSS by 1 MB once (numpy 2.4).
+    pad = np.full(2 * n + 1, NEG, dtype=np.int64)
+    windows = np.ndarray((n + 1, n + 1), np.int64, buffer=pad, strides=pad.strides * 2)
+    block = ROW_BLOCK
+    scratch = np.empty((min(block, n + 1), n + 1), dtype=np.int64)
+    for j in range(k - 2, 0, -1):
+        pad[: n + 1] = tail[j + 1][::-1]
+        for r0 in range(0, n + 1, block):
+            r1 = min(r0 + block, n + 1)
+            sums = scratch[: r1 - r0, :r1]
+            np.add(t[j, :r1], windows[n - r1 + 1 : n - r0 + 1][::-1, :r1], out=sums)
+            sums.max(axis=1, out=tail[j, r0:r1])
+    bids = []
+    r = n
+    for j in range(k - 1):
+        x = int((t[j, : r + 1] + tail[j + 1, r::-1]).argmax())  # the first maximizer
+        bids.append(x)
+        r -= x
+    bids.append(r)
+    return int(t[np.arange(k), bids].sum()), tuple(bids)
 
 
 class _Workspace:

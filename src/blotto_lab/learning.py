@@ -142,10 +142,10 @@ def fp_run(
     spec: GameSpec,
     rounds: int,
     init: "Sequence[int] | None" = None,
-    mode: str = "two-sided",
-    seed: int = 0,
+    mode: "str | None" = None,
+    seed: "int | None" = None,
     *,
-    tie_break: str = "lex",
+    tie_break: "str | None" = None,
     trace_every: "int | None" = None,
     checkpoint_path: "str | None" = None,
     checkpoint_every: "int | None" = None,
@@ -159,6 +159,10 @@ def fp_run(
     applied simultaneously.  With ``resume`` the run continues a checkpoint
     up to the new total.  Deterministic for tie_break='lex'; 'random' draws
     uniformly among all maximizers, reproducibly from ``seed``.
+
+    ``init``, ``mode``, ``seed`` and ``tie_break`` left at ``None`` mean the
+    most even split, 'two-sided', 0 and 'lex' on a fresh run, and the
+    checkpoint's values on a resume, where a given value must match them.
     """
     if rounds < 1:
         raise PreconditionError(f"rounds must be >= 1, got {rounds}")
@@ -173,8 +177,24 @@ def fp_run(
             raise PreconditionError(
                 f"checkpoint already has {state.rounds_played} rounds > target {rounds}"
             )
+        if init is not None:
+            init = spec.validate_allocation(as_partition(init))
+        for name, given, saved in (
+            ("init", init, state.init),
+            ("mode", mode, state.mode),
+            ("seed", seed, state.seed),
+            ("tie_break", tie_break, state.tie_break),
+        ):
+            if given is not None and given != saved:
+                raise PreconditionError(f"{resume} was run with {name} {saved!r}, not {given!r}")
     else:
-        state = _fresh_state(spec, mode, tie_break, seed, init)
+        state = _fresh_state(
+            spec,
+            "two-sided" if mode is None else mode,
+            "lex" if tie_break is None else tie_break,
+            0 if seed is None else seed,
+            init,
+        )
     n, k = spec.budget, spec.battlefields
     if trace_every is not None and not spec.divisible:
         raise PreconditionError("convergence traces need an evenly divisible budget")

@@ -15,7 +15,9 @@ seeds give identical draws across processes and releases.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import IO, Iterator, Mapping, Sequence
 
@@ -41,27 +43,39 @@ class MarginalProfile:
     """One exact bid-level distribution per battlefield.
 
     ``field(k)`` is a tuple of ``budget + 1`` Fractions summing to one.
+    The profile is validated on, and keeps, its integer form
+    (:meth:`scaled`), which also decides equality.
     """
 
-    __slots__ = ("spec", "_fields")
+    __slots__ = ("spec", "_fields", "_scaled")
 
     def __init__(self, spec: GameSpec, per_field: Sequence[Sequence[Fraction]]):
         if len(per_field) != spec.battlefields:
             raise PreconditionError(
                 f"expected {spec.battlefields} marginal vectors, got {len(per_field)}"
             )
-        fields = []
+        fields = []  # (Fractions, their lcm denominator, ints over it) per field
         for k, vec in enumerate(per_field):
-            vec = tuple(Fraction(x) for x in vec)
+            if k and vec is per_field[k - 1]:  # the same field again: checked already
+                fields.append(fields[-1])
+                continue
+            vec = tuple([x if isinstance(x, Fraction) else Fraction(x) for x in vec])
             if len(vec) != spec.budget + 1:
                 raise PreconditionError(
                     f"marginal {k} has {len(vec)} levels, expected {spec.budget + 1}"
                 )
-            if any(x < 0 for x in vec) or sum(vec) != 1:
+            ratios = [x.as_integer_ratio() for x in vec]
+            den = math.lcm(*{d for _, d in ratios})
+            weights = tuple([n * (den // d) for n, d in ratios])
+            if min(weights) < 0 or sum(weights) != den:
                 raise PreconditionError(f"marginal {k} is not a probability vector")
-            fields.append(vec)
+            fields.append((vec, den, weights))
+        den = math.lcm(*(d for _, d, _ in fields))
         self.spec = spec
-        self._fields = tuple(fields)
+        self._fields = tuple(vec for vec, _, _ in fields)
+        self._scaled = den, tuple(
+            w if d == den else tuple(x * (den // d) for x in w) for _, d, w in fields
+        )
 
     def field(self, k: int) -> "tuple[Fraction, ...]":
         return self._fields[k]
@@ -70,21 +84,19 @@ class MarginalProfile:
         return iter(self._fields)
 
     def __eq__(self, other: object) -> bool:
+        # one common denominator in lowest terms: equal ints iff equal Fractions
         return (
             isinstance(other, MarginalProfile)
             and self.spec == other.spec
-            and self._fields == other._fields
+            and self._scaled == other._scaled
         )
 
     def __hash__(self) -> int:
-        return hash((self.spec, self._fields))
+        return hash((self.spec, self._scaled))
 
     def scaled(self) -> "tuple[int, tuple[tuple[int, ...], ...]]":
         """``(den, weights)``: every field as ints over ``den``, the lcm of all denominators."""
-        den = math.lcm(*{x.denominator for vec in self._fields for x in vec})
-        return den, tuple(
-            tuple(x.numerator * (den // x.denominator) for x in vec) for vec in self._fields
-        )
+        return self._scaled
 
     def expected_total(self) -> Fraction:
         """Sum over battlefields of the expected bid."""
@@ -208,10 +220,35 @@ class ExplicitMixed(MixedStrategy):
     def sample(self, seed: int, count: int) -> "list[tuple[int, ...]]":
         support = list(self._table)
         den = math.lcm(*(p.denominator for p in self._table.values()))
-        weights = np.cumsum([p.numerator * (den // p.denominator) for p in self._table.values()])
-        draws = _rng(seed).integers(0, den, size=count)
-        idx = np.searchsorted(weights, draws, side="right")
+        weights = [p.numerator * (den // p.denominator) for p in self._table.values()]
+        if den < 1 << 63:
+            draws = _rng(seed).integers(0, den, size=count)
+            idx = np.searchsorted(np.cumsum(weights), draws, side="right")
+        else:  # past int64: exact draws, and bisection on Python ints
+            cum = list(accumulate(weights))
+            draws = _big_integers(_rng(seed).bit_generator, den, count)
+            idx = [bisect_right(cum, d) for d in draws]
         return [support[i] for i in idx]
+
+
+def _big_integers(bitgen: np.random.BitGenerator, high: int, count: int) -> "list[int]":
+    """``count`` exact uniform draws from ``[0, high)`` for any ``high >= 1``.
+
+    Each candidate takes the top ``bits`` bits of as many raw 64-bit words of
+    ``bitgen`` as ``high - 1`` needs, and is kept when below ``high``: more
+    than half of them are.
+    """
+    bits = (high - 1).bit_length()
+    words = -(-bits // 64)
+    draws = []
+    while len(draws) < count:
+        x = 0
+        for word in bitgen.random_raw(words).tolist():
+            x = x << 64 | word
+        x >>= 64 * words - bits
+        if x < high:
+            draws.append(x)
+    return draws
 
 
 class _PairFamily(MixedStrategy):

@@ -29,7 +29,7 @@ from blotto_lab import (
     verify_equilibrium,
     weakly_dominates,
 )
-from blotto_lab import constructors
+from blotto_lab import analysis, constructors
 from blotto_lab.core import value_row
 from oracles import (
     brute_best_response,
@@ -110,6 +110,31 @@ class TestBestResponse:
             == res.value
         ]
         assert res.argmax == min(brute)
+
+
+class TestSymmetricVerify:
+    def test_one_side_is_computed_once(self, monkeypatch):
+        sp = GameSpec(12, 4, Fraction(1, 3))
+        sigma = canonical_pair_equilibrium(sp)
+        both = verify_equilibrium(sigma, canonical_pair_equilibrium(sp), sp)
+        calls = []
+        for name in ("best_response", "expected_payoff_marginal"):
+            fn = getattr(analysis, name)
+            monkeypatch.setattr(analysis, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        marginals = sigma.marginals
+        monkeypatch.setattr(sigma, "marginals", lambda: calls.append("marginals") or marginals())
+        assert verify_equilibrium(sigma, sigma, sp) == both
+        assert sorted(calls) == ["best_response", "expected_payoff_marginal", "marginals"]
+
+    def test_asymmetric_profile_computes_both_sides(self):
+        sp = GameSpec(8, 4, Fraction(1, 2))
+        odd, even = parity_strategy(sp, "odd"), parity_strategy(sp, "even")
+        report = verify_equilibrium(odd, even, sp)
+        flipped = verify_equilibrium(even, odd, sp)
+        assert (report.gap_a, report.payoff_a) == (flipped.gap_b, flipped.payoff_b)
+        assert report.best_reply_a == best_response(even.marginals(), sp).argmax
+        assert report.best_reply_b == best_response(odd.marginals(), sp).argmax
 
 
 def random_marginals(draw, spec, dens):

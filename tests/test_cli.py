@@ -326,6 +326,19 @@ class TestFp:
         _, straight, _ = run(capsys, "fp", "--n", "12", "--k", "4", "--rounds", "400")
         assert resumed == straight
 
+    def test_resume_with_a_different_seed_exits_2(self, capsys, tmp_path):
+        ckpt = tmp_path / "mid.fp"
+        head = ("fp", "--n", "12", "--k", "4")
+        run(capsys, *head, "--rounds", "50", "--seed", "3", "--tie-break", "random",
+            "--checkpoint", str(ckpt))
+        code, _, err = run(capsys, *head, "--rounds", "80", "--resume", str(ckpt),
+                           "--seed", "4")
+        assert code == 2
+        assert err == f"error: {ckpt} was run with seed 3, not 4\n"
+        code, _, _ = run(capsys, *head, "--rounds", "80", "--resume", str(ckpt),
+                         "--seed", "3", "--tie-break", "random")
+        assert code == 0
+
     @pytest.mark.parametrize(
         "path_flag, every_flag",
         [("--checkpoint", "--checkpoint-every"), ("--trace", "--trace-every")],

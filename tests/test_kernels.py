@@ -1,16 +1,19 @@
 """The budget DP: Python-int reference against brute force, numpy against Python."""
 
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blotto_lab import GameSpec, MarginalProfile, best_response
+from blotto_lab import GameSpec, MarginalProfile, best_response, kernels
 from blotto_lab.core import value_row
 from blotto_lab.kernels import (
     best_split,
+    best_split_numpy,
+    best_split_python,
     br_lex_numpy,
     br_sampled_numpy,
     br_sampled_python,
@@ -44,22 +47,82 @@ def small_games(draw, shared):
 
 
 @settings(max_examples=200, deadline=None)
-@given(game=small_games(shared=False), sign=st.sampled_from([1, -1]))
-def test_best_split_matches_enumeration(game, sign):
-    # sign -1 minimizes: the DP runs on negated tables and negates the optimum
+@given(
+    game=small_games(shared=False),
+    sign=st.sampled_from([1, -1]),
+    block=st.sampled_from([1, 2, 3, 64]),
+)
+def test_best_split_matches_enumeration(game, sign, block):
+    # sign -1 minimizes: the DP runs on negated tables and negates the optimum;
+    # small row blocks make the numpy form run several blocks, the last ragged
     tables, n = game
-    value, bids = best_split([[sign * v for v in row] for row in tables], n)
+    negated = [[sign * v for v in row] for row in tables]
     scored = [(sum(row[x] for row, x in zip(tables, s)), s) for s in allocations(n, len(tables))]
     optimum = max(v for v, _ in scored) if sign == 1 else min(v for v, _ in scored)
-    assert sign * value == optimum
-    assert bids == min(s for v, s in scored if v == optimum)
+    first = min(s for v, s in scored if v == optimum)
+    with mock.patch.object(kernels, "ROW_BLOCK", block):
+        for dp in (best_split_python, best_split_numpy, best_split):
+            value, bids = dp(negated, n)
+            assert sign * value == optimum
+            assert bids == first
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_numpy_best_split_matches_python(data):
+    # budgets past the enumeration tests, row blocks that split them unevenly
+    n = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(1, 6))
+    top = data.draw(st.sampled_from([1, 2, 1000, 2**40]))
+    row = st.lists(st.integers(-top, top), min_size=n + 1, max_size=n + 1)
+    tables = [data.draw(row) for _ in range(k)]
+    block = data.draw(st.integers(1, n + 2))
+    with mock.patch.object(kernels, "ROW_BLOCK", block):
+        assert best_split_numpy(tables, n) == best_split_python(tables, n)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_guard_boundary_picks_the_form(k, sign, monkeypatch):
+    # the int64 form runs while K * max|entry| < 2**60, the Python form from there on
+    ran = []
+
+    def spy(name):
+        dp = getattr(kernels, name)
+
+        def run(tables, budget):
+            ran.append(name)
+            return dp(tables, budget)
+
+        monkeypatch.setattr(kernels, name, run)
+
+    spy("best_split_numpy")
+    spy("best_split_python")
+    n = 5
+    largest = ((1 << 60) - 1) // k  # the largest magnitude the guard admits
+    for top, form in ((largest, "best_split_numpy"), (largest + 1, "best_split_python")):
+        tables = [[(x * 7 + j) % 5 - 2 for x in range(n + 1)] for j in range(k)]
+        tables[k // 2][n // 2] = sign * top
+        ran.clear()
+        result = best_split(tables, n)
+        assert ran == [form]
+        assert result == best_split_python(tables, n)
+
+
+def test_exact_side_rows_take_the_int64_form(monkeypatch):
+    ran = []
+    dp = kernels.best_split_numpy
+    monkeypatch.setattr(kernels, "best_split_numpy", lambda t, b: ran.append(b) or dp(t, b))
+    sp = GameSpec(60, 6, "1/3")
+    best_response(MarginalProfile.uniform(sp), sp)
+    assert ran == [60]
 
 
 @settings(max_examples=200, deadline=None)
 @given(game=small_games(shared=True))
 def test_numpy_lex_matches_best_split(game):
     tables, n = game
-    assert br_lex_numpy(tables[0], n, len(tables)) == best_split(tables, n)
+    assert br_lex_numpy(tables[0], n, len(tables)) == best_split_python(tables, n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -89,7 +152,7 @@ def test_numpy_kernels_carry_nothing_between_budgets(data):
         uniforms = data.draw(
             st.lists(st.floats(0, 1, exclude_max=True), min_size=k - 1, max_size=k - 1)
         )
-        assert br_lex_numpy(values, n, k) == best_split([values] * k, n)
+        assert br_lex_numpy(values, n, k) == best_split_python([values] * k, n)
         assert br_sampled_numpy(values, n, k, uniforms) == br_sampled_python(
             values, n, k, uniforms
         )

@@ -175,6 +175,22 @@ class TestCheckpoints:
         straight = fp_run(DESK, 200, seed=42, tie_break="random")
         assert state_fingerprint(resumed) == state_fingerprint(straight)
 
+    @pytest.mark.parametrize(
+        "given",
+        [{"init": (3, 3, 3, 3)}, {"mode": "self-play"}, {"seed": 41}, {"tie_break": "lex"}],
+        ids=["init", "mode", "seed", "tie_break"],
+    )
+    def test_resume_rejects_a_different_explicit_argument(self, tmp_path, given):
+        path = tmp_path / "rng.fp"
+        fp_run(DESK, 60, init=(6, 6, 0, 0), seed=42, tie_break="random",
+               checkpoint_path=str(path))
+        with pytest.raises(PreconditionError, match=f"was run with {next(iter(given))} "):
+            fp_run(DESK, 90, resume=str(path), **given)
+        same = dict(init=(0, 6, 0, 6), mode="two-sided", seed=42, tie_break="random")
+        resumed = fp_run(DESK, 90, resume=str(path), **same)
+        straight = fp_run(DESK, 90, init=(6, 6, 0, 0), seed=42, tie_break="random")
+        assert state_fingerprint(resumed) == state_fingerprint(straight)
+
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "keep.fp"
         fp_run(DESK, 50, checkpoint_path=str(path))

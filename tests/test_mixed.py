@@ -2,9 +2,13 @@
 
 import io
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blotto_lab import (
     ExplicitMixed,
@@ -21,6 +25,7 @@ from blotto_lab import (
     read_strategy,
     write_strategy,
 )
+from blotto_lab.mixed import _big_integers
 from oracles import brute_expected_payoff, brute_marginals
 
 FULL_GAME = GameSpec(120, 6, Fraction(0))
@@ -48,6 +53,49 @@ class TestMarginalProfile:
         wrong_length = [[Fraction(1, 2)] * 2] * 2
         with pytest.raises(PreconditionError):
             MarginalProfile(sp, wrong_length)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ([[1, 0, 0, 0, 0]] * 3, "expected 2 marginal vectors, got 3"),
+            ([[1, 0, 0, 0]] * 2, "marginal 0 has 4 levels, expected 5"),
+            ([[Fraction(3, 2), Fraction(-1, 2), 0, 0, 0]] * 2,
+             "marginal 0 is not a probability vector"),
+            ([[Fraction(1, 3)] * 2 + [0] * 3] * 2, "marginal 0 is not a probability vector"),
+            ([[0, 1, 0, 0, 0], [Fraction(1, 2), 0, 0, 0, 0]],
+             "marginal 1 is not a probability vector"),
+            ([[0, 1, 0, 0, 0], [1, 0, 0]], "marginal 1 has 3 levels, expected 5"),
+            ([[0, 0, 0, 0, 0], [1, 0, 0]], "marginal 0 is not a probability vector"),
+        ],
+        ids=["field-count", "length", "negative", "sum", "sum-after-good",
+             "length-after-good", "first-bad-field-wins"],
+    )
+    def test_rejection_messages(self, fields, message):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            MarginalProfile(GameSpec(4, 2), fields)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equality_and_hash_follow_the_fractions(self, data):
+        sp = GameSpec(3, 2)
+
+        def vec():
+            den = data.draw(st.sampled_from([1, 2, 3, 4, 6]))
+            cuts = sorted(data.draw(st.lists(st.integers(0, den), min_size=3, max_size=3)))
+            return [Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])]
+
+        a_fields, b_fields = [vec(), vec()], [vec(), vec()]
+        a, b = MarginalProfile(sp, a_fields), MarginalProfile(sp, b_fields)
+        assert (a == b) == (a_fields == b_fields)
+        if a == b:
+            assert hash(a) == hash(b)
+        again = MarginalProfile(sp, [[int(x) if x.denominator == 1 else x for x in v]
+                                     for v in a_fields])
+        assert again == a and hash(again) == hash(a)
+        assert MarginalProfile(GameSpec(3, 2, Fraction(1)), a_fields) != a
+        den, weights = a.scaled()
+        assert den == math.lcm(*(x.denominator for v in a_fields for x in v))
+        assert [[Fraction(w, den) for w in row] for row in weights] == a_fields
 
     def test_expected_total_is_budget_for_feasible_strategies(self):
         sp = GameSpec(8, 4)
@@ -153,6 +201,41 @@ class TestSampling:
         assert len(counts) == 41
         for atom, _ in sigma.atoms():
             assert abs(counts[atom] - mean) < sigma_bound, atom
+
+    def test_explicit_draws_below_two_to_the_63_are_unchanged(self):
+        # pinned draws of the int64 path, which denominators below 2**63 keep
+        sp = GameSpec(4, 2)
+        sigma = ExplicitMixed(sp, {(4, 0): Fraction(3, 4), (0, 4): Fraction(1, 8),
+                                   (2, 2): Fraction(1, 8)})
+        assert sigma.sample(99, 12) == [(4, 0)] * 4 + [(2, 2)] + [(4, 0)] * 7
+        tiny = Fraction(1, 2**61 + 1)  # the lcm of the denominators has 62 bits
+        sigma = ExplicitMixed(GameSpec(6, 3), {(6, 0, 0): Fraction(1, 3), (2, 2, 2): tiny,
+                                               (1, 2, 3): Fraction(2, 3) - tiny})
+        a, b = (6, 0, 0), (1, 2, 3)
+        assert sigma.sample(5, 10) == [a, a, b, b, b, b, b, b, a, b]
+
+    def test_explicit_sampler_past_int64(self):
+        # the lcm of these denominators passes 2**63, numpy's int64 draw range
+        tiny_a, tiny_b = Fraction(1, 2**32 + 15), Fraction(1, 2**31 + 11)
+        sigma = ExplicitMixed(GameSpec(4, 2), {
+            (0, 4): tiny_a, (1, 3): tiny_b, (2, 2): Fraction(1, 2),
+            (4, 0): Fraction(1, 2) - tiny_a - tiny_b,
+        })
+        assert math.lcm(tiny_a.denominator, tiny_b.denominator) >= 2**63
+        draws = sigma.sample(3, 20_000)
+        assert draws == sigma.sample(3, 20_000)
+        assert set(draws) <= {(2, 2), (4, 0)}
+        assert abs(draws.count((2, 2)) - 10_000) < 5 * math.sqrt(20_000 / 4)
+
+    @pytest.mark.parametrize("high", [6, 2**64 + 3, 3 * 2**100])
+    def test_big_integer_draws_are_uniform(self, high):
+        draws = _big_integers(np.random.PCG64(8), high, 6000)
+        assert all(0 <= x < high for x in draws)
+        # each sixth of the range holds a sixth of the draws
+        counts = [0] * 6
+        for x in draws:
+            counts[x * 6 // high] += 1
+        assert all(abs(c - 1000) < 160 for c in counts), counts
 
     def test_explicit_sampler_respects_weights(self):
         sp = GameSpec(4, 2)
