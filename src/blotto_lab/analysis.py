@@ -233,21 +233,26 @@ def weakly_dominates(
     if candidate == target:
         raise InvalidComparisonError("cannot compare a strategy against itself")
     p, q2 = spec.tie_scale
+    n = spec.budget
 
-    def scaled_value(x: int, b: int) -> int:
-        if x > b:
-            return q2
-        if x == b:
-            return p
-        return 0
-
-    tables = []
-    for c_bid, t_bid in zip(candidate, target):
-        tables.append(
-            [scaled_value(c_bid, b) - scaled_value(t_bid, b) for b in range(spec.budget + 1)]
+    def gap_row(c_bid: int, t_bid: int, sign: int) -> "list[int]":
+        # sign * (value(c_bid, b) - value(t_bid, b)) for every opponent bid b,
+        # where value(x, b) is q2 for b < x, p at b == x and 0 above
+        if c_bid == t_bid:
+            return [0] * (n + 1)
+        if c_bid < t_bid:
+            c_bid, t_bid, sign = t_bid, c_bid, -sign
+        return (
+            [0] * t_bid
+            + [sign * (q2 - p)]
+            + [sign * q2] * (c_bid - t_bid - 1)
+            + [sign * p]
+            + [0] * (n - c_bid)
         )
-    neg_lo, lo_witness = best_split([[-v for v in row] for row in tables], spec.budget)
-    hi, hi_witness = best_split(tables, spec.budget)
+
+    pairs = list(zip(candidate, target))
+    neg_lo, lo_witness = best_split([gap_row(c, t, -1) for c, t in pairs], n)
+    hi, hi_witness = best_split([gap_row(c, t, 1) for c, t in pairs], n)
     return DominanceReport(
         min_gap=Fraction(-neg_lo, q2),
         max_gap=Fraction(hi, q2),

@@ -267,6 +267,13 @@ def cmd_enumerate(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def cmd_fp(args: argparse.Namespace, argv: Sequence[str]) -> int:
     spec = build_spec(args)
+    if args.trace_every is not None and not args.trace:
+        raise PreconditionError("--trace-every needs --trace")
+    if args.checkpoint_every is not None and not args.checkpoint:
+        raise PreconditionError("--checkpoint-every needs --checkpoint")
+    if args.report_top < 0:
+        raise PreconditionError(f"--report-top must be >= 0, got {args.report_top}")
+    trace_every = 1000 if args.trace_every is None else args.trace_every
     progress = None
     if args.progress:
         step = max(args.rounds // 100, 1)
@@ -282,7 +289,7 @@ def cmd_fp(args: argparse.Namespace, argv: Sequence[str]) -> int:
         mode=args.mode,
         seed=args.seed,
         tie_break=args.tie_break,
-        trace_every=args.trace_every if args.trace else None,
+        trace_every=trace_every if args.trace else None,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         resume=args.resume,
@@ -393,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-top", type=int, default=20)
     p.add_argument("--output", "-o", default=None, help="rank report CSV (default stdout)")
     p.add_argument("--trace", default=None, help="convergence trace CSV path")
-    p.add_argument("--trace-every", type=int, default=1000)
+    p.add_argument("--trace-every", type=int, help="rounds between trace rows (default 1000)")
     p.add_argument("--checkpoint", default=None, help="checkpoint file path")
     p.add_argument("--checkpoint-every", type=int, default=None)
     p.add_argument("--resume", default=None, help="resume from a checkpoint file")

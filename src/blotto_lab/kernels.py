@@ -19,6 +19,16 @@ exactly.  The DP comes in two forms on two kinds of input:
   run at once (the package starts no threads).  :func:`best_split_numpy`
   keeps nothing between calls.
 
+All three numpy DPs apply one width rule (:func:`flat_width`).  A
+non-decreasing value row is flat from its first maximal entry ``w`` on: with
+tie values in [0, 2] a belief row is flat above the largest bid seen.  A bid
+above ``w`` scores no more than ``w`` and leaves less budget, and every
+max-plus stage of such rows is non-decreasing too, so a stage maximum needs
+only the bids ``x <= w``; the sampler adds the completions through bids above
+``w`` that tie, in closed form.  Any row that decreases somewhere keeps its
+full width.  The walks back stay full width, and the Python forms stay
+untruncated: they are the oracles.
+
 Every pair of forms returns bit-identical results (tested).
 """
 
@@ -134,6 +144,20 @@ def br_sampled_python(
 # ---------------------------------------------------------------------------
 
 
+def flat_width(row: np.ndarray) -> "int | None":
+    """The width rule: the largest bid a stage maximum over ``row`` needs.
+
+    A non-decreasing row gets the index of its first maximal entry: a bid
+    above it scores no more and leaves less budget, and every max-plus stage
+    of non-decreasing rows is non-decreasing too.  A row that decreases
+    somewhere gets ``None``: it, and every stage built from it, keeps its
+    full width.
+    """
+    if np.count_nonzero(row[1:] < row[:-1]):
+        return None
+    return int(row.searchsorted(row[-1]))  # sorted: the first maximal entry
+
+
 def best_split_numpy(tables: Sequence[Sequence[int]], budget: int) -> BestReply:
     """:func:`best_split` in int64; the caller keeps every sum of K entries below 2**60.
 
@@ -141,11 +165,16 @@ def best_split_numpy(tables: Sequence[Sequence[int]], budget: int) -> BestReply:
     in blocks of ``ROW_BLOCK`` values of ``r``.  A block reads the columns
     ``x < r1`` only, so the scratch is ``ROW_BLOCK x (budget + 1)`` and only
     the block's own diagonal reaches above the triangle ``x <= r``, where the
-    NEG padding keeps it from winning.
+    NEG padding keeps it from winning.  When every row is non-decreasing,
+    every tail stage is too, so field ``j`` reads only the columns
+    ``x <= w_j`` of :func:`flat_width`.
     """
     n = budget
     t = np.array([row[: n + 1] for row in tables], dtype=np.int64)
     k = len(t)
+    widths = [flat_width(row) for row in t]
+    if None in widths:  # the stages after a decreasing row may decrease too
+        widths = [n] * k
     tail = np.empty((k, n + 1), dtype=np.int64)
     tail[k - 1] = t[k - 1]
     # windows[n - r, x] reads pad[n - r + x]: tail[j + 1][r - x], NEG for x > r.
@@ -159,8 +188,9 @@ def best_split_numpy(tables: Sequence[Sequence[int]], budget: int) -> BestReply:
         pad[: n + 1] = tail[j + 1][::-1]
         for r0 in range(0, n + 1, block):
             r1 = min(r0 + block, n + 1)
-            sums = scratch[: r1 - r0, :r1]
-            np.add(t[j, :r1], windows[n - r1 + 1 : n - r0 + 1][::-1, :r1], out=sums)
+            cols = min(r1, widths[j] + 1)
+            sums = scratch[: r1 - r0, :cols]
+            np.add(t[j, :cols], windows[n - r1 + 1 : n - r0 + 1][::-1, :cols], out=sums)
             sums.max(axis=1, out=tail[j, r0:r1])
     bids = []
     r = n
@@ -197,17 +227,24 @@ def _workspace(n: int) -> _Workspace:
     return _Workspace(n)
 
 
-def _stage(ws: _Workspace, head: np.ndarray, prev: np.ndarray, out: np.ndarray) -> None:
-    """``out[r] = max_x head[x] + prev[r - x]``; leaves the sums in ``ws.buf``."""
+def _stage(ws: _Workspace, head: np.ndarray, prev: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[r] = max_x head[x] + prev[r - x]`` over the ``len(head)`` bids ``x``.
+
+    Returns the rows of ``ws.buf`` that hold the sums.
+    """
     ws.pad[ws.n :] = prev
-    np.add(head, ws.windows, out=ws.buf)
-    ws.buf.max(axis=0, out=out)
+    sums = ws.buf[: len(head)]
+    np.add(head, ws.windows[: len(head)], out=sums)
+    sums.max(axis=0, out=out)
+    return sums
 
 
 def br_lex_numpy(values: Sequence[int], budget: int, fields: int) -> BestReply:
     ws = _workspace(budget)
     v = np.asarray(values, dtype=np.int64)[: budget + 1]
-    head = v[:, None]
+    w = flat_width(v)
+    w = budget if w is None else w
+    head = v[: w + 1, None]
     # the walk back from the full budget reads stages 0 .. fields - 2 only
     stages = np.empty((fields, budget + 1), dtype=np.int64)
     stages[0] = v
@@ -229,19 +266,34 @@ def br_sampled_numpy(
     n = budget
     ws = _workspace(n)
     v = np.asarray(values, dtype=np.int64)[: n + 1]
-    head = v[:, None]
+    w = flat_width(v)
+    w = n if w is None else w
+    head = v[: w + 1, None]
     stages = np.empty((fields, n + 1), dtype=np.int64)
     counts = np.empty((fields, n + 1), dtype=np.int64)
     stages[0] = v
     counts[0] = 1
+    prefix = np.zeros(n + 2, dtype=np.int64)
     # as in br_lex_numpy, the walk back reads stages 0 .. fields - 2 only
     for c in range(1, fields - 1):
-        _stage(ws, head, stages[c - 1], stages[c])
+        prev, stage = stages[c - 1], stages[c]
+        sums = _stage(ws, head, prev, stage)
         ws.pad_counts[n:] = counts[c - 1]
-        np.equal(ws.buf, stages[c], out=ws.optimal)
+        optimal = ws.optimal[: w + 1]
+        np.equal(sums, stage, out=optimal)
         # above the diagonal the zero count padding drops every term
-        np.multiply(ws.count_windows, ws.optimal, out=ws.buf)
-        ws.buf.sum(axis=0, out=counts[c])
+        np.multiply(ws.count_windows[: w + 1], optimal, out=sums)
+        sums.sum(axis=0, out=counts[c])
+        if w < n:
+            # A bid x > w at r scores v[w] and leaves r - x < t = r - w, so it
+            # ties only where v[w] + prev[t] is optimal and prev is flat on
+            # [r - x, t]: it adds the counts over the run [L, t - 1] of the
+            # entries of prev equal to prev[t].
+            prev_t = prev[1 : n - w + 1]  # t = 1 .. n - w for r = w + 1 .. n
+            run_start = prev.searchsorted(prev_t, "left")  # L
+            np.cumsum(counts[c - 1], out=prefix[1:])
+            ties = stage[w + 1 :] == prev_t + v[w]
+            counts[c, w + 1 :] += np.where(ties, prefix[1 : n - w + 1] - prefix[run_start], 0)
     bids = []
     r = budget
     for c in range(fields - 1, 0, -1):

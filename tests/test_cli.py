@@ -352,6 +352,29 @@ class TestFp:
         assert "must be >= 1" in err
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--trace-every", "10"), "--trace-every needs --trace"),
+            (("--trace-every", "0"), "--trace-every needs --trace"),
+            (("--checkpoint-every", "10"), "--checkpoint-every needs --checkpoint"),
+            (("--report-top", "-1"), "--report-top must be >= 0, got -1"),
+        ],
+    )
+    def test_ignored_flags_exit_2(self, capsys, flags, message):
+        # nothing runs and nothing is written: the error comes before the FP run
+        code, out, err = run(capsys, "fp", "--n", "12", "--k", "4", "--rounds", "10", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_trace_every_defaults_to_1000(self, capsys, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code, _, _ = run(
+            capsys, "fp", "--n", "12", "--k", "4", "--rounds", "2500", "--trace", str(trace)
+        )
+        assert code == 0
+        rounds = [line.split(",")[0] for line in trace.read_text().splitlines()[2:]]
+        assert rounds == ["1", "1000", "2000", "2500"]
+
+    @pytest.mark.parametrize(
         "flag, name",
         [("--resume", "nope.fp"), ("--checkpoint", "nodir/c.fp"), ("--output", "nodir/x.csv")],
     )

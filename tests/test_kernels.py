@@ -17,6 +17,7 @@ from blotto_lab.kernels import (
     br_lex_numpy,
     br_sampled_numpy,
     br_sampled_python,
+    flat_width,
     get_kernels,
 )
 
@@ -116,6 +117,95 @@ def test_exact_side_rows_take_the_int64_form(monkeypatch):
     sp = GameSpec(60, 6, "1/3")
     best_response(MarginalProfile.uniform(sp), sp)
     assert ran == [60]
+
+
+ROW_KINDS = ("monotone", "flat", "rising", "outside")
+
+
+@st.composite
+def value_rows(draw, n, kind=None):
+    """A belief row ``core.value_row`` builds for budget ``n >= 1``.
+
+    ``monotone``: a sparse histogram with 0 <= p <= q2, flat above its
+    largest bid; ``flat``: flat from bid 0; ``rising``: never flat (every bid
+    seen, p > 0); ``outside``: p > q2 or p < 0 and a seen bid whose neighbour
+    on one side is empty, so the row decreases there.
+    """
+    kind = kind or draw(st.sampled_from(ROW_KINDS))
+    q2 = draw(st.integers(1, 6))
+    if kind == "rising":
+        p = draw(st.integers(1, q2))
+        return value_row(draw(st.lists(st.integers(1, 3), min_size=n + 1, max_size=n + 1)), p, q2)
+    if kind == "flat":
+        return value_row([draw(st.integers(0, 3))] + [0] * n, q2, q2)
+    top = draw(st.integers(0, n))
+    seen = draw(st.dictionaries(st.integers(0, top), st.integers(1, 5), max_size=5))
+    weights = [seen.get(x, 0) for x in range(n + 1)]
+    if kind == "monotone":
+        return value_row(weights, draw(st.integers(0, q2)), q2)
+    # p > q2 drops the row after a seen bid x, p < 0 drops it at x
+    above = draw(st.booleans())
+    x = draw(st.integers(0, n - 1) if above else st.integers(1, n))
+    weights[x] = draw(st.integers(1, 5))
+    weights[x + 1 if above else x - 1] = 0
+    p = draw(st.integers(q2 + 1, 3 * q2) if above else st.integers(-2 * q2, -1))
+    return value_row(weights, p, q2)
+
+
+def nondecreasing(row):
+    return all(a <= b for a, b in zip(row, row[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_width_rule(data):
+    # the first maximal bid of a non-decreasing row; None (full width) otherwise
+    n = data.draw(st.integers(1, 40))
+    kind = data.draw(st.sampled_from(ROW_KINDS))
+    row = data.draw(value_rows(n, kind))
+    assert nondecreasing(row) == (kind != "outside")
+    want = row.index(max(row)) if nondecreasing(row) else None
+    assert flat_width(np.array(row)) == want
+    if kind != "monotone":
+        assert want == {"flat": 0, "rising": n, "outside": None}[kind]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_truncated_lex_matches_python(data):
+    n = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(1, 6))
+    row = data.draw(value_rows(n))
+    assert br_lex_numpy(row, n, k) == best_split_python([row] * k, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_truncated_sampler_matches_python(data):
+    # the optimal-completion counts above the width decide which tie is drawn
+    n = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(1, 6))
+    row = data.draw(value_rows(n))
+    uniforms = data.draw(
+        st.lists(st.floats(0, 1, exclude_max=True), min_size=k - 1, max_size=k - 1)
+    )
+    assert br_sampled_numpy(row, n, k, uniforms) == br_sampled_python(row, n, k, uniforms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_truncated_best_split_matches_python(data):
+    # monotone fields, at most one of them swapped for a non-monotone row:
+    # that one field keeps every other field at full width
+    n = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(1, 6))
+    tables = [data.draw(value_rows(n, "monotone")) for _ in range(k)]
+    odd = data.draw(st.one_of(st.none(), st.integers(0, k - 1)))
+    if odd is not None:
+        tables[odd] = data.draw(value_rows(n, "outside"))
+    block = data.draw(st.integers(1, n + 2))
+    with mock.patch.object(kernels, "ROW_BLOCK", block):
+        assert best_split_numpy(tables, n) == best_split_python(tables, n)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,10 +3,14 @@
 import io
 import json
 import struct
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blotto_lab import (
     GameSpec,
@@ -174,6 +178,32 @@ class TestCheckpoints:
         resumed = fp_run(DESK, 200, resume=str(path))
         straight = fp_run(DESK, 200, seed=42, tie_break="random")
         assert state_fingerprint(resumed) == state_fingerprint(straight)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        k=st.integers(2, 4),
+        alpha=st.sampled_from(["0", "1/3", "1", "2", "5/2", "-1/2"]),
+        mode=st.sampled_from(learning.MODES),
+        tie_break=st.sampled_from(learning.TIE_BREAKS),
+        seed=st.integers(0, 2**32),
+        rounds=st.integers(2, 80),
+        data=st.data(),
+    )
+    def test_cut_and_resumed_run_equals_uncut_run(
+        self, n, k, alpha, mode, tie_break, seed, rounds, data
+    ):
+        # tie values outside [0, 2] give non-monotone belief rows: full-width kernels
+        spec = GameSpec(n, k, Fraction(alpha), allow_any_tie_value=True)
+        cut = data.draw(st.integers(1, rounds - 1), label="cut")
+        run = dict(mode=mode, tie_break=tie_break, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            uncut_path, mid, resumed_path = (str(Path(tmp) / f) for f in ("u.fp", "m.fp", "r.fp"))
+            uncut = fp_run(spec, rounds, **run, checkpoint_path=uncut_path)
+            fp_run(spec, cut, **run, checkpoint_path=mid)
+            resumed = fp_run(spec, rounds, resume=mid, checkpoint_path=resumed_path)
+            assert Path(resumed_path).read_bytes() == Path(uncut_path).read_bytes()
+        assert rank_report(resumed, 20) == rank_report(uncut, 20)
 
     @pytest.mark.parametrize(
         "given",
