@@ -8,11 +8,14 @@ mixers depend only on marginals, checking deviations against marginals is
 sufficient for equilibrium verification.  The DP runs on integers: the
 opponent's marginals over one common denominator
 (:meth:`MarginalProfile.scaled`, kept by the profile), turned into one
-integer value row per battlefield (:func:`blotto_lab.core.value_row`).  The
-rows go to the int64 form of the DP whenever ``K * max|entry| < 2**60``, and
-to the Python-int form otherwise; both give the same optimum and the same
-lexicographically smallest argmax.  Everything returns exact rationals; a gap
-of zero means zero.
+integer value row per battlefield (:func:`blotto_lab.core.value_row`), all
+rows at once as one int64 matrix (:func:`blotto_lab.mixed.value_matrix`)
+while they fit.  The rows go to the int64 form of the DP whenever
+``K * max|entry| < 2**60``, and to the Python-int form otherwise; both give
+the same optimum and the same lexicographically smallest argmax.  Each
+best response and dominance witness is re-scored apart from the DP, and a
+mismatch raises :class:`~blotto_lab.core.SolverFailureError`.  Everything
+returns exact rationals; a gap of zero means zero.
 """
 
 from __future__ import annotations
@@ -27,8 +30,10 @@ from .core import (
     InvalidComparisonError,
     PreconditionError,
     RationalLike,
+    SolverFailureError,
     WrongRegimeError,
     exact_fraction,
+    payoff,
     value_row,
 )
 from .kernels import best_split
@@ -36,6 +41,7 @@ from .mixed import (
     MarginalProfile,
     MixedStrategy,
     expected_payoff_marginal,
+    value_matrix,
 )
 from . import constructors
 
@@ -52,10 +58,24 @@ class BestResponseResult:
 
 
 def best_response(m_opp: MarginalProfile, spec: GameSpec) -> BestResponseResult:
-    """Maximize the expected payoff of a pure strategy against ``m_opp``."""
+    """Maximize the expected payoff of a pure strategy against ``m_opp``.
+
+    The DP's optimum is re-scored at its argmax from the profile's Python-int
+    weights, apart from the value rows and the DP; a mismatch raises
+    :class:`SolverFailureError`.
+    """
     den, weights = m_opp.scaled()
     p, q2 = spec.tie_scale
-    value, argmax = best_split([value_row(w, p, q2) for w in weights], spec.budget)
+    rows = value_matrix(m_opp, spec)
+    if rows is None:
+        rows = [value_row(w, p, q2) for w in weights]
+    value, argmax = best_split(rows, spec.budget)
+    rescored = sum(q2 * sum(w[:x]) + p * w[x] for w, x in zip(weights, argmax))
+    if rescored != value:
+        raise SolverFailureError(
+            f"best response {argmax} scores {rescored}, not the optimum {value} "
+            f"the budget DP reported (units of 1/{q2 * den})"
+        )
     return BestResponseResult(value=Fraction(value, q2 * den), argmax=argmax)
 
 
@@ -125,13 +145,20 @@ class GoodnessVerdict:
 
     ``threshold`` is the active-battlefield cutoff below which a strategy is
     never played in any equilibrium (meaningful for tie values below 1);
-    ``active_fields`` counts the strategy's positive bids.
+    ``active_fields`` counts the strategy's positive bids.  ``reason`` says
+    why the verdict came out as it did: ``below_threshold`` (never good),
+    ``witness_verified`` (good), or for an unknown verdict the first
+    precondition of the witness that fails, ``indivisible`` (the budget does
+    not split evenly), ``odd_fields``, ``over_cap`` (a bid above twice the
+    fair share), or ``witness_failed`` (the witness was built but did not
+    verify).
     """
 
     verdict: Verdict
     witness: "MixedStrategy | None"
     threshold: Fraction
     active_fields: int
+    reason: str
 
 
 def concentration_threshold(spec: GameSpec) -> Fraction:
@@ -173,13 +200,15 @@ def classify(s: Sequence[int], spec: GameSpec) -> GoodnessVerdict:
     s = spec.validate_allocation(s)
     active = sum(1 for b in s if b > 0)
     threshold = concentration_threshold(spec)
-    if spec.divisible and spec.tie_value < 1 and active < threshold:
-        return GoodnessVerdict(Verdict.NEVER_GOOD, None, threshold, active)
-    if (
-        spec.divisible
-        and spec.battlefields % 2 == 0
-        and max(s) <= 2 * spec.fair_share
-    ):
+    if not spec.divisible:
+        reason = "indivisible"
+    elif spec.tie_value < 1 and active < threshold:
+        return GoodnessVerdict(Verdict.NEVER_GOOD, None, threshold, active, "below_threshold")
+    elif spec.battlefields % 2:
+        reason = "odd_fields"
+    elif max(s) > 2 * spec.fair_share:
+        reason = "over_cap"
+    else:
         witness = constructors.good_strategy_witness(s, spec)
         m = witness.marginals()
         if (
@@ -187,8 +216,9 @@ def classify(s: Sequence[int], spec: GameSpec) -> GoodnessVerdict:
             and m == MarginalProfile.uniform(spec)
             and verify_marginals(m, m, spec).is_equilibrium
         ):
-            return GoodnessVerdict(Verdict.GOOD, witness, threshold, active)
-    return GoodnessVerdict(Verdict.UNKNOWN, None, threshold, active)
+            return GoodnessVerdict(Verdict.GOOD, witness, threshold, active, "witness_verified")
+        reason = "witness_failed"
+    return GoodnessVerdict(Verdict.UNKNOWN, None, threshold, active, reason)
 
 
 def classify_constant_sum(s: Sequence[int], spec: GameSpec) -> Verdict:
@@ -253,12 +283,20 @@ def weakly_dominates(
     pairs = list(zip(candidate, target))
     neg_lo, lo_witness = best_split([gap_row(c, t, -1) for c, t in pairs], n)
     hi, hi_witness = best_split([gap_row(c, t, 1) for c, t in pairs], n)
-    return DominanceReport(
+    report = DominanceReport(
         min_gap=Fraction(-neg_lo, q2),
         max_gap=Fraction(hi, q2),
         min_witness=lo_witness,
         max_witness=hi_witness,
     )
+    for gap, witness in ((report.min_gap, lo_witness), (report.max_gap, hi_witness)):
+        rescored = payoff(candidate, witness, spec) - payoff(target, witness, spec)
+        if rescored != gap:
+            raise SolverFailureError(
+                f"dominance witness {witness} gives the gap {rescored}, "
+                f"not the {gap} the budget DP reported"
+            )
+    return report
 
 
 def no_dominance_regime(spec: GameSpec) -> bool:

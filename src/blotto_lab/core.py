@@ -54,7 +54,13 @@ class InvalidComparisonError(PreconditionError):
 
 
 class SolverFailureError(BlottoError):
-    """The exact feasibility search hit its cap before finding a solution."""
+    """An exact computation failed to produce a result it can stand behind (exit code 1).
+
+    Either the exact feasibility search hit its cap before finding a
+    solution, or a fast path's answer failed its independent re-check: a
+    best response or dominance witness that does not re-score to the
+    optimum the budget DP reported.
+    """
 
 
 def exact_fraction(value: RationalLike) -> Fraction:

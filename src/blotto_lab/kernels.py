@@ -5,11 +5,12 @@ maximizing ``sum_k tables[k][bid_k]`` over bid vectors that spend the budget
 exactly.  The DP comes in two forms on two kinds of input:
 
 * One table per battlefield (:func:`best_split`) serves the exact side (best
-  responses, dominance).  Its int64 form (:func:`best_split_numpy`) runs
-  whenever ``K * max|entry| < 2**60``, so no sum can overflow; otherwise the
+  responses, dominance), as rows or as one int64 matrix, which it reads
+  without a copy.  Its int64 form (:func:`best_split_numpy`) runs whenever
+  ``K * max|entry| < 2**60``, so no sum can overflow; otherwise the
   Python-int form (:func:`best_split_python`) runs, which never overflows and
   is the oracle the numpy form is tested against.  That guard alone picks the
-  form: no option selects it.
+  form, for rows and matrices alike: no option selects it.
 * One shared table serves fictitious play.  It runs the int64 kernels
   (:func:`br_lex_numpy`, :func:`br_sampled_numpy`, max-plus stages through
   sliding windows) whenever its own overflow guard shows scaled values fit,
@@ -19,14 +20,17 @@ exactly.  The DP comes in two forms on two kinds of input:
   run at once (the package starts no threads).  :func:`best_split_numpy`
   keeps nothing between calls.
 
-All three numpy DPs apply one width rule (:func:`flat_width`).  A
+All three numpy DPs apply one width rule (:func:`flat_width`;
+:func:`best_split_numpy` applies it to all its rows at once).  A
 non-decreasing value row is flat from its first maximal entry ``w`` on: with
 tie values in [0, 2] a belief row is flat above the largest bid seen.  A bid
 above ``w`` scores no more than ``w`` and leaves less budget, and every
 max-plus stage of such rows is non-decreasing too, so a stage maximum needs
 only the bids ``x <= w``; the sampler adds the completions through bids above
-``w`` that tie, in closed form.  Any row that decreases somewhere keeps its
-full width.  The walks back stay full width, and the Python forms stay
+``w`` that tie, in closed form.  :func:`best_split_numpy` also fills each
+stage only over the budgets its walk forward can reach, and the flat value
+above them.  Any row that decreases somewhere keeps its full width and full
+range.  The FP walks back stay full width, and the Python forms stay
 untruncated: they are the oracles.
 
 Every pair of forms returns bit-identical results (tested).
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import add
 from typing import Callable, Sequence
 
@@ -48,21 +53,26 @@ ROW_BLOCK = 64  # rows of the remaining-budget axis per block of best_split_nump
 BestReply = "tuple[int, tuple[int, ...]]"
 
 
-def best_split(tables: Sequence[Sequence[int]], budget: int) -> BestReply:
+def best_split(tables: "Sequence[Sequence[int]] | np.ndarray", budget: int) -> BestReply:
     """Maximize ``sum_k tables[k][bid_k]`` over bid vectors summing to ``budget``.
 
     Returns the optimum and the lexicographically smallest optimal bid
-    vector.  Each table holds at least ``budget + 1`` entries.  To minimize,
-    pass negated tables and negate the optimum: the minimizers are exactly
-    the maximizers of the negation, so the witness is the lexicographically
-    smallest minimizer.  Runs :func:`best_split_numpy` when every sum of
-    ``K`` entries stays below ``2**60`` in magnitude, else
-    :func:`best_split_python`.
+    vector.  Each table holds at least ``budget + 1`` entries; ``tables``
+    is a sequence of rows or one 2-D integer array, which the int64 form
+    reads without a copy.  To minimize, pass negated tables and negate the
+    optimum: the minimizers are exactly the maximizers of the negation, so
+    the witness is the lexicographically smallest minimizer.  Runs
+    :func:`best_split_numpy` when every sum of ``K`` entries stays below
+    ``2**60`` in magnitude, else :func:`best_split_python`.
     """
-    top = max(max(max(row), -min(row)) for row in tables)
+    matrix = isinstance(tables, np.ndarray)
+    if matrix:
+        top = max(int(tables.max()), -int(tables.min()))
+    else:
+        top = max(max(max(row), -min(row)) for row in tables)
     if len(tables) * top < _INT64_GUARD:
         return best_split_numpy(tables, budget)
-    return best_split_python(tables, budget)
+    return best_split_python(tables.tolist() if matrix else tables, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -158,24 +168,37 @@ def flat_width(row: np.ndarray) -> "int | None":
     return int(row.searchsorted(row[-1]))  # sorted: the first maximal entry
 
 
-def best_split_numpy(tables: Sequence[Sequence[int]], budget: int) -> BestReply:
+def best_split_numpy(tables: "Sequence[Sequence[int]] | np.ndarray", budget: int) -> BestReply:
     """:func:`best_split` in int64; the caller keeps every sum of K entries below 2**60.
 
     Stage ``j`` fills ``tail[j][r] = max_{x <= r} row[x] + tail[j + 1][r - x]``
     in blocks of ``ROW_BLOCK`` values of ``r``.  A block reads the columns
     ``x < r1`` only, so the scratch is ``ROW_BLOCK x (budget + 1)`` and only
     the block's own diagonal reaches above the triangle ``x <= r``, where the
-    NEG padding keeps it from winning.  When every row is non-decreasing,
-    every tail stage is too, so field ``j`` reads only the columns
-    ``x <= w_j`` of :func:`flat_width`.
+    NEG padding keeps it from winning.
+
+    When every row is non-decreasing, every tail stage is too, and no bid
+    above the width ``w_j`` (the first maximal entry) beats ``w_j``: field
+    ``j`` reads only the columns ``x <= w_j``, the walk forward only the
+    bids ``x <= min(r, w_j)``, so it reaches stage ``j`` with at least
+    ``budget - sum(w[:j])`` units left.  Stage ``j`` therefore fills only
+    ``r`` from that many up to ``sum(w[j:])``; above, every field can sit at
+    its maximum, so the stage is flat there.  A row that decreases somewhere
+    gives every field the full width and every stage the full range.
     """
     n = budget
-    t = np.array([row[: n + 1] for row in tables], dtype=np.int64)
+    if isinstance(tables, np.ndarray):
+        t = tables[:, : n + 1].astype(np.int64, copy=False)
+    else:
+        t = np.array([row[: n + 1] for row in tables], dtype=np.int64)
     k = len(t)
-    widths = [flat_width(row) for row in t]
-    if None in widths:  # the stages after a decreasing row may decrease too
+    if (t[:, 1:] >= t[:, :-1]).all():
+        widths = (t == t[:, -1:]).argmax(axis=1).tolist()  # the first maximal entries
+    else:  # the stages after a decreasing row may decrease too
         widths = [n] * k
-    tail = np.empty((k, n + 1), dtype=np.int64)
+    after = list(accumulate(widths[::-1]))[::-1]  # after[j] = sum(widths[j:])
+    flat = np.cumsum(t[::-1, -1])[::-1]  # flat[j]: every field j.. at its maximum
+    tail = np.full((k, n + 1), NEG, dtype=np.int64)  # below a stage's range: never read
     tail[k - 1] = t[k - 1]
     # windows[n - r, x] reads pad[n - r + x]: tail[j + 1][r - x], NEG for x > r.
     # A plain strided view: some thousands of sliding_window_view calls raise
@@ -185,17 +208,21 @@ def best_split_numpy(tables: Sequence[Sequence[int]], budget: int) -> BestReply:
     block = ROW_BLOCK
     scratch = np.empty((min(block, n + 1), n + 1), dtype=np.int64)
     for j in range(k - 2, 0, -1):
+        lo = max(0, n - (after[0] - after[j]))
+        hi = min(n, after[j])
         pad[: n + 1] = tail[j + 1][::-1]
-        for r0 in range(0, n + 1, block):
-            r1 = min(r0 + block, n + 1)
+        for r0 in range(lo, hi + 1, block):
+            r1 = min(r0 + block, hi + 1)
             cols = min(r1, widths[j] + 1)
             sums = scratch[: r1 - r0, :cols]
             np.add(t[j, :cols], windows[n - r1 + 1 : n - r0 + 1][::-1, :cols], out=sums)
             sums.max(axis=1, out=tail[j, r0:r1])
+        tail[j, hi + 1 :] = flat[j]
     bids = []
     r = n
     for j in range(k - 1):
-        x = int((t[j, : r + 1] + tail[j + 1, r::-1]).argmax())  # the first maximizer
+        c = min(r, widths[j])
+        x = int((t[j, : c + 1] + tail[j + 1, r - c : r + 1][::-1]).argmax())  # the first maximizer
         bids.append(x)
         r -= x
     bids.append(r)

@@ -2,10 +2,13 @@
 
 Because the two players randomize independently, expected payoffs depend only
 on the per-battlefield marginal distributions.  Everything here keeps those
-marginals as exact rationals; the structured families (pair-coupled uniform
-over all levels or over the odd or even ones, independent pairs, the
-swapped-pair variant) answer marginal and probability queries analytically so
-their supports never need to be materialized.
+marginals exact: a :class:`MarginalProfile` holds integer weights over one
+common denominator and makes Fractions only when asked for them.  The
+structured families (pair-coupled uniform over all levels or over the odd or
+even ones, independent pairs, the swapped-pair variant) build those weights
+directly, so their supports never need to be materialized.  Value rows
+(:func:`value_matrix`) and expected payoffs run in int64 behind bounds that
+rule out overflow, and in Python ints past them.
 
 Sampling is seeded and reproducible: every ``sample`` call builds a fresh
 ``numpy.random.Generator`` over PCG64 from the given 64-bit seed, so identical
@@ -32,7 +35,6 @@ from .core import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -44,10 +46,12 @@ class MarginalProfile:
 
     ``field(k)`` is a tuple of ``budget + 1`` Fractions summing to one.
     The profile is validated on, and keeps, its integer form
-    (:meth:`scaled`), which also decides equality.
+    (:meth:`scaled`), which also decides equality.  Profiles built from
+    integer weights (:meth:`from_weights`) make their Fractions only when
+    asked for them; :meth:`weight_matrix` is the same integer form in int64.
     """
 
-    __slots__ = ("spec", "_fields", "_scaled")
+    __slots__ = ("spec", "_fields", "_scaled", "_matrix")
 
     def __init__(self, spec: GameSpec, per_field: Sequence[Sequence[Fraction]]):
         if len(per_field) != spec.battlefields:
@@ -76,12 +80,69 @@ class MarginalProfile:
         self._scaled = den, tuple(
             w if d == den else tuple(x * (den // d) for x in w) for _, d, w in fields
         )
+        self._matrix = None
+
+    @classmethod
+    def from_weights(
+        cls, spec: GameSpec, den: int, per_field: Sequence[Sequence[int]]
+    ) -> "MarginalProfile":
+        """The profile whose field ``k`` is ``per_field[k][x] / den``, built without Fractions.
+
+        Runs the constructor's checks with its messages and reduces by the
+        gcd, so it equals, and hashes like, the profile of the same Fractions.
+        Equal fields are checked once and share one tuple.
+        """
+        if len(per_field) != spec.battlefields:
+            raise PreconditionError(
+                f"expected {spec.battlefields} marginal vectors, got {len(per_field)}"
+            )
+        fields, seen = [], {}
+        g = den
+        for k, w in enumerate(per_field):
+            if k and w is per_field[k - 1]:
+                fields.append(fields[-1])
+                continue
+            w = tuple(w)
+            if w not in seen:
+                if len(w) != spec.budget + 1:
+                    raise PreconditionError(
+                        f"marginal {k} has {len(w)} levels, expected {spec.budget + 1}"
+                    )
+                if den < 1 or min(w) < 0 or sum(w) != den:
+                    raise PreconditionError(f"marginal {k} is not a probability vector")
+                if g > 1:
+                    g = math.gcd(g, *w)
+                seen[w] = w
+            fields.append(seen[w])
+        if g > 1:  # lowest terms, as the lcm of reduced Fractions gives
+            den //= g
+            reduced = {w: tuple([x // g for x in w]) for w in seen}
+            fields = [reduced[w] for w in fields]
+        self = cls.__new__(cls)
+        self.spec = spec
+        self._fields = None
+        self._scaled = den, tuple(fields)
+        self._matrix = None
+        return self
+
+    def _fractions(self) -> "tuple[tuple[Fraction, ...], ...]":
+        if self._fields is None:
+            den, weights = self._scaled
+            fields = []
+            for k, w in enumerate(weights):
+                fields.append(
+                    fields[-1] if k and w is weights[k - 1] else tuple(
+                        [Fraction(x, den) for x in w]
+                    )
+                )
+            self._fields = tuple(fields)
+        return self._fields
 
     def field(self, k: int) -> "tuple[Fraction, ...]":
-        return self._fields[k]
+        return self._fractions()[k]
 
     def __iter__(self) -> Iterator["tuple[Fraction, ...]"]:
-        return iter(self._fields)
+        return iter(self._fractions())
 
     def __eq__(self, other: object) -> bool:
         # one common denominator in lowest terms: equal ints iff equal Fractions
@@ -98,37 +159,43 @@ class MarginalProfile:
         """``(den, weights)``: every field as ints over ``den``, the lcm of all denominators."""
         return self._scaled
 
+    def weight_matrix(self) -> "np.ndarray | None":
+        """The weights of :meth:`scaled` as one read-only ``(K, budget + 1)`` int64 matrix.
+
+        ``None`` when ``den`` does not fit in int64.  Built once, on the
+        first call.
+        """
+        den, weights = self._scaled
+        if self._matrix is None and den < 1 << 63:
+            matrix = np.empty((len(weights), len(weights[0])), dtype=np.int64)
+            for k, w in enumerate(weights):
+                matrix[k] = matrix[k - 1] if k and w is weights[k - 1] else w
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
+
     def expected_total(self) -> Fraction:
         """Sum over battlefields of the expected bid."""
-        return sum(
-            (sum(Fraction(x) * p for x, p in enumerate(vec)) for vec in self._fields),
-            start=ZERO,
-        )
-
-    @classmethod
-    def constant(cls, spec: GameSpec, vec: Sequence[Fraction]) -> "MarginalProfile":
-        """Same distribution on every battlefield."""
-        vec = tuple(vec)
-        return cls(spec, [vec] * spec.battlefields)
+        den, weights = self._scaled
+        return Fraction(sum(sum(map(mul, range(len(w)), w)) for w in weights), den)
 
     @classmethod
     def point_mass(cls, spec: GameSpec, bids: Sequence[int]) -> "MarginalProfile":
         bids = spec.validate_allocation(bids)
         fields = []
         for b in bids:
-            vec = [ZERO] * (spec.budget + 1)
-            vec[b] = ONE
-            fields.append(tuple(vec))
-        return cls(spec, fields)
+            w = [0] * (spec.budget + 1)
+            w[b] = 1
+            fields.append(w)
+        return cls.from_weights(spec, 1, fields)
 
     @classmethod
     def on_levels(cls, spec: GameSpec, levels: Sequence[int]) -> "MarginalProfile":
         """Uniform on the given bid levels at every battlefield."""
-        w = Fraction(1, len(levels))
-        vec = [ZERO] * (spec.budget + 1)
+        w = [0] * (spec.budget + 1)
         for x in levels:
-            vec[x] = w
-        return cls.constant(spec, vec)
+            w[x] = 1
+        return cls.from_weights(spec, len(levels), [w] * spec.battlefields)
 
     @classmethod
     def uniform(cls, spec: GameSpec) -> "MarginalProfile":
@@ -435,36 +502,64 @@ class SwappedPairsWitness(IndependentPairsUniform):
         """The independent-pairs marginals with the four swapped atoms applied.
 
         Derived from the atoms actually removed and added rather than assumed
-        uniform, so a swap that breaks uniformity shows up here.
+        uniform, so a swap that breaks uniformity shows up here.  In units of
+        ``1 / support_size``: ``support_size // base`` per level, one per atom.
         """
-        w = Fraction(1, self.support_size())
-        level = Fraction(1, self.base)
+        level = self.support_size() // self.base
         fields = [
-            [level] * self.base + [ZERO] * (self.spec.budget - self.pair_sum)
+            [level] * self.base + [0] * (self.spec.budget - self.pair_sum)
             for _ in range(self.spec.battlefields)
         ]
         for bids, delta in (
-            (self.removed_a, -w),
-            (self.removed_b, -w),
-            (self.target, w),
-            (self.added_b, w),
+            (self.removed_a, -1),
+            (self.removed_b, -1),
+            (self.target, 1),
+            (self.added_b, 1),
         ):
             for k, b in enumerate(bids):
                 fields[k][b] += delta
-        return MarginalProfile(self.spec, fields)
+        return MarginalProfile.from_weights(self.spec, self.support_size(), fields)
 
     def sample(self, seed: int, count: int) -> "list[tuple[int, ...]]":
         return [self._swap(bids) for bids in super().sample(seed, count)]
 
 
+def value_matrix(m_opp: MarginalProfile, spec: GameSpec) -> "np.ndarray | None":
+    """:func:`~blotto_lab.core.value_row` of every field of ``m_opp``, as one int64 matrix.
+
+    Row ``k`` is ``q2 * (weight below x) + p * (weight at x)`` over the
+    opponent's weights at battlefield ``k``; no entry exceeds
+    ``(q2 + |p|) * den`` in magnitude.  ``None`` when that bound reaches
+    ``2**62``: the caller then builds the rows in Python ints.
+    """
+    den, _ = m_opp.scaled()
+    p, q2 = spec.tie_scale
+    if (q2 + abs(p)) * den >= 1 << 62:
+        return None
+    weights = m_opp.weight_matrix()
+    below = np.cumsum(weights, axis=1)
+    below -= weights
+    below *= q2
+    below += p * weights
+    return below
+
+
 def expected_payoff_marginal(
     m_self: MarginalProfile, m_opp: MarginalProfile, spec: GameSpec
 ) -> Fraction:
-    """Expected payoff between independent players from marginals alone."""
+    """Expected payoff between independent players from marginals alone.
+
+    One int64 multiply-sum over the weight and value matrices while
+    ``K * (q2 + |p|) * den_self * den_opp < 2**62``, which bounds every
+    partial sum; Python ints otherwise.
+    """
     den_self, own = m_self.scaled()
     den_opp, opp = m_opp.scaled()
     p, q2 = spec.tie_scale
-    total = sum(sum(map(mul, o, value_row(w, p, q2))) for o, w in zip(own, opp))
+    if spec.battlefields * (q2 + abs(p)) * den_self * den_opp < 1 << 62:
+        total = int(np.vdot(m_self.weight_matrix(), value_matrix(m_opp, spec)))
+    else:
+        total = sum(sum(map(mul, o, value_row(w, p, q2))) for o, w in zip(own, opp))
     return Fraction(total, q2 * den_self * den_opp)
 
 

@@ -29,7 +29,7 @@ from blotto_lab import (
     verify_equilibrium,
     weakly_dominates,
 )
-from blotto_lab import analysis, constructors
+from blotto_lab import SolverFailureError, analysis, constructors, kernels
 from blotto_lab.core import value_row
 from oracles import (
     brute_best_response,
@@ -110,6 +110,37 @@ class TestBestResponse:
             == res.value
         ]
         assert res.argmax == min(brute)
+
+
+def corrupt_kernel(monkeypatch, change):
+    """Make the int64 budget DP return ``change(value, bids)`` instead of its answer."""
+    dp = kernels.best_split_numpy
+    monkeypatch.setattr(kernels, "best_split_numpy", lambda t, b: change(*dp(t, b)))
+
+
+class TestRuntimeCrossCheck:
+    """A wrong kernel answer raises SolverFailureError instead of becoming a verdict."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [lambda v, bids: (v + 1, bids), lambda v, bids: (v, bids[1:] + bids[:1])],
+        ids=["optimum", "argmax"],
+    )
+    def test_best_response_rescores_its_argmax(self, change, monkeypatch):
+        sp = GameSpec(12, 4, Fraction(1, 3))
+        profile = MarginalProfile.point_mass(sp, (6, 3, 2, 1))
+        best_response(profile, sp)
+        corrupt_kernel(monkeypatch, change)
+        with pytest.raises(SolverFailureError, match="best response"):
+            best_response(profile, sp)
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_dominance_rescores_both_witnesses(self, shift, monkeypatch):
+        sp = GameSpec(6, 3)
+        weakly_dominates((2, 2, 2), (4, 1, 1), sp)
+        corrupt_kernel(monkeypatch, lambda v, bids: (v + shift, bids))
+        with pytest.raises(SolverFailureError, match="dominance witness"):
+            weakly_dominates((2, 2, 2), (4, 1, 1), sp)
 
 
 class TestSymmetricVerify:
@@ -277,6 +308,32 @@ class TestClassify:
         monkeypatch.setattr(constructors, "good_strategy_witness", counted)
         assert classify((40, 40, 40, 0, 0, 0), FULL_GAME).verdict is Verdict.GOOD
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "n, k, alpha, s, verdict, reason",
+        [
+            (12, 4, 1, (9, 1, 1, 1), Verdict.UNKNOWN, "over_cap"),
+            (12, 3, 1, (4, 4, 4), Verdict.UNKNOWN, "odd_fields"),
+            (13, 4, 0, (13, 0, 0, 0), Verdict.UNKNOWN, "indivisible"),
+            (12, 4, 0, (12, 0, 0, 0), Verdict.NEVER_GOOD, "below_threshold"),
+            (12, 4, 1, (6, 1, 3, 2), Verdict.GOOD, "witness_verified"),
+        ],
+    )
+    def test_reason(self, n, k, alpha, s, verdict, reason):
+        result = classify(s, GameSpec(n, k, alpha))
+        assert (result.verdict, result.reason) == (verdict, reason)
+
+    def test_reason_witness_failed(self, monkeypatch):
+        build = constructors.good_strategy_witness
+
+        def wrong_mirror(target, spec):
+            witness = build(target, spec)
+            witness.added_b = tuple(reversed(witness.added_b))
+            return witness
+
+        monkeypatch.setattr(constructors, "good_strategy_witness", wrong_mirror)
+        result = classify((6, 1, 3, 2), GameSpec(12, 4))
+        assert (result.verdict, result.reason) == (Verdict.UNKNOWN, "witness_failed")
 
     def test_never_good_disabled_at_constant_sum(self):
         sp = GameSpec(120, 6, Fraction(1))

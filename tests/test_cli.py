@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from blotto_lab import GameSpec, read_strategy
+from blotto_lab import GameSpec, kernels, read_strategy
 from blotto_lab.cli import build_parser, main, parse_alpha
 from blotto_lab.constructors import FAMILIES
 from blotto_lab.core import PreconditionError
@@ -230,6 +230,21 @@ class TestDominate:
             "--candidate", "2,2,2", "--target", "2,2,2",
         )
         assert code == 2
+
+
+    def test_wrong_kernel_answer_exits_1(self, capsys, monkeypatch):
+        dp = kernels.best_split_numpy
+
+        def off_by_one(tables, budget):
+            value, bids = dp(tables, budget)
+            return value + 1, bids
+
+        monkeypatch.setattr(kernels, "best_split_numpy", off_by_one)
+        code, out, err = run(
+            capsys, "dominate", "--n", "6", "--k", "3", "--candidate", "2,2,2", "--target", "4,1,1"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("internal error: dominance witness")
 
 
 class TestScanAlpha:

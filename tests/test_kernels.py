@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from blotto_lab import GameSpec, MarginalProfile, best_response, kernels
 from blotto_lab.core import value_row
+from conftest import examples
 from blotto_lab.kernels import (
     best_split,
     best_split_numpy,
@@ -47,7 +48,7 @@ def small_games(draw, shared):
     return [draw(row) for _ in range(k)], n
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(
     game=small_games(shared=False),
     sign=st.sampled_from([1, -1]),
@@ -68,7 +69,7 @@ def test_best_split_matches_enumeration(game, sign, block):
             assert bids == first
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(data=st.data())
 def test_numpy_best_split_matches_python(data):
     # budgets past the enumeration tests, row blocks that split them unevenly
@@ -82,9 +83,7 @@ def test_numpy_best_split_matches_python(data):
         assert best_split_numpy(tables, n) == best_split_python(tables, n)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 6])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_guard_boundary_picks_the_form(k, sign, monkeypatch):
+def check_guard_boundary(k, sign, monkeypatch, as_input):
     # the int64 form runs while K * max|entry| < 2**60, the Python form from there on
     ran = []
 
@@ -105,9 +104,22 @@ def test_guard_boundary_picks_the_form(k, sign, monkeypatch):
         tables = [[(x * 7 + j) % 5 - 2 for x in range(n + 1)] for j in range(k)]
         tables[k // 2][n // 2] = sign * top
         ran.clear()
-        result = best_split(tables, n)
+        result = best_split(as_input(tables), n)
         assert ran == [form]
         assert result == best_split_python(tables, n)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_guard_boundary_picks_the_form(k, sign, monkeypatch):
+    check_guard_boundary(k, sign, monkeypatch, lambda tables: tables)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_matrix_input_takes_the_same_guard(k, sign, monkeypatch):
+    # a matrix must not bypass the guard; past it, the Python form gets Python ints
+    check_guard_boundary(k, sign, monkeypatch, lambda t: np.array(t, dtype=np.int64))
 
 
 def test_exact_side_rows_take_the_int64_form(monkeypatch):
@@ -156,7 +168,7 @@ def nondecreasing(row):
     return all(a <= b for a, b in zip(row, row[1:]))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(data=st.data())
 def test_width_rule(data):
     # the first maximal bid of a non-decreasing row; None (full width) otherwise
@@ -170,7 +182,7 @@ def test_width_rule(data):
         assert want == {"flat": 0, "rising": n, "outside": None}[kind]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(data=st.data())
 def test_truncated_lex_matches_python(data):
     n = data.draw(st.integers(1, 40))
@@ -179,7 +191,7 @@ def test_truncated_lex_matches_python(data):
     assert br_lex_numpy(row, n, k) == best_split_python([row] * k, n)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(data=st.data())
 def test_truncated_sampler_matches_python(data):
     # the optimal-completion counts above the width decide which tie is drawn
@@ -192,7 +204,7 @@ def test_truncated_sampler_matches_python(data):
     assert br_sampled_numpy(row, n, k, uniforms) == br_sampled_python(row, n, k, uniforms)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(data=st.data())
 def test_truncated_best_split_matches_python(data):
     # monotone fields, at most one of them swapped for a non-monotone row:
@@ -208,14 +220,57 @@ def test_truncated_best_split_matches_python(data):
         assert best_split_numpy(tables, n) == best_split_python(tables, n)
 
 
-@settings(max_examples=200, deadline=None)
+@st.composite
+def flat_topped_row(draw, n, width):
+    """A non-decreasing row of ``n + 1`` entries whose first maximal entry is at ``width``."""
+    steps = draw(st.lists(st.sampled_from([0, 0, 1]), min_size=width, max_size=width))
+    if width:
+        steps[-1] += 1
+    row = [draw(st.integers(-5, 5))]
+    for step in steps + [0] * (n - width):
+        row.append(row[-1] + step)
+    return row
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(
+    data=st.data(),
+    widths_sum=st.sampled_from(["below", "above", "any"]),
+    block=st.sampled_from([1, 2, 3, 64]),
+)
+def test_ranged_stages_match_python(data, widths_sum, block):
+    # widths summing below N leave every stage flat above its range; above N
+    # the range starts past 0 for the early stages; widths of any size mix
+    # both in one call; one decreasing row puts every stage back on the
+    # full range
+    n = data.draw(st.integers(2, 24))
+    k = data.draw(st.integers(2, 6))
+    width = {
+        "below": st.integers(0, (n - 1) // k),
+        "above": st.integers(-(-(n + 1) // k), n),
+        "any": st.integers(0, n),
+    }[widths_sum]
+    widths = [data.draw(width) for _ in range(k)]
+    if widths_sum != "any":
+        assert (sum(widths) < n) == (widths_sum == "below")
+    tables = [data.draw(flat_topped_row(n, w)) for w in widths]
+    odd = data.draw(st.one_of(st.none(), st.integers(0, k - 1)))
+    if odd is not None:
+        tables[odd] = data.draw(value_rows(n, "outside"))
+    want = best_split_python(tables, n)
+    with mock.patch.object(kernels, "ROW_BLOCK", block):
+        assert best_split_numpy(tables, n) == want
+        assert best_split(np.array(tables, dtype=np.int64), n) == want
+
+
+@settings(max_examples=examples(200), deadline=None)
 @given(game=small_games(shared=True))
 def test_numpy_lex_matches_best_split(game):
     tables, n = game
     assert br_lex_numpy(tables[0], n, len(tables)) == best_split_python(tables, n)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(game=small_games(shared=True), data=st.data())
 def test_numpy_sampler_matches_python_sampler(game, data):
     tables, n = game
@@ -228,7 +283,7 @@ def test_numpy_sampler_matches_python_sampler(game, data):
     )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(data=st.data())
 def test_numpy_kernels_carry_nothing_between_budgets(data):
     # the numpy kernels share one cached per-budget workspace: switching

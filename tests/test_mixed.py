@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blotto_lab import (
@@ -25,8 +25,10 @@ from blotto_lab import (
     read_strategy,
     write_strategy,
 )
+from blotto_lab import constructors, mixed
 from blotto_lab.mixed import _big_integers
-from oracles import brute_expected_payoff, brute_marginals
+from conftest import examples
+from oracles import brute_expected_payoff, brute_marginal_payoff, brute_marginals
 
 FULL_GAME = GameSpec(120, 6, Fraction(0))
 
@@ -74,7 +76,7 @@ class TestMarginalProfile:
         with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
             MarginalProfile(GameSpec(4, 2), fields)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(data=st.data())
     def test_equality_and_hash_follow_the_fractions(self, data):
         sp = GameSpec(3, 2)
@@ -106,6 +108,98 @@ class TestMarginalProfile:
             parity_strategy(sp, "even"),
         ):
             assert sigma.marginals().expected_total() == sp.budget
+
+
+TIE_VALUES = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2),
+              Fraction(-1, 2))
+
+
+class TestIntegerBuiltProfiles:
+    """Profiles built from integer weights against the Fraction-built oracle."""
+
+    @settings(max_examples=examples(150), deadline=None)
+    @given(
+        data=st.data(),
+        family=st.sampled_from(sorted(constructors.FAMILIES)),
+        alpha=st.sampled_from(TIE_VALUES),
+    )
+    def test_family_marginals_match_the_atoms(self, data, family, alpha):
+        k = data.draw(st.sampled_from([2, 4, 6] if family != "solver" else [2, 3]))
+        m = data.draw(st.integers(1, 3 if k < 6 else 1))
+        n = data.draw(st.sampled_from([m * k, m * k + 1]) if family == "pairs" else st.just(m * k))
+        sp = GameSpec(n, k, alpha, allow_any_tie_value=not 0 <= alpha <= 2)
+        s = None
+        if family == "witness":
+            cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1)))
+            s = tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+            assume(max(s) <= 2 * sp.fair_share)  # else no witness exists
+        try:
+            sigma = constructors.FAMILIES[family](sp, s)
+        except PreconditionError:
+            assume(False)  # e.g. a pair count that does not divide the budget
+        got, want = sigma.marginals(), sigma._marginals_from_atoms()
+        assert got == want and hash(got) == hash(want)
+        assert got.scaled() == want.scaled()
+        assert [got.field(i) for i in range(k)] == [want.field(i) for i in range(k)]
+        assert got.expected_total() == want.expected_total()
+        den, weights = want.scaled()
+        assert got.weight_matrix().tolist() == [list(w) for w in weights]
+
+    def test_common_factor_is_reduced(self):
+        sp = GameSpec(2, 2)
+        reduced = MarginalProfile.from_weights(sp, 3, [[1, 2, 0], [0, 0, 3]])
+        scaled = MarginalProfile.from_weights(sp, 12, [[4, 8, 0], [0, 0, 12]])
+        fractions = MarginalProfile(sp, [[Fraction(1, 3), Fraction(2, 3), 0], [0, 0, 1]])
+        assert scaled == reduced == fractions
+        assert hash(scaled) == hash(reduced) == hash(fractions)
+        assert scaled.scaled() == (3, ((1, 2, 0), (0, 0, 3)))
+        assert scaled.field(0) == (Fraction(1, 3), Fraction(2, 3), 0)
+
+    @pytest.mark.parametrize(
+        "den, fields, message",
+        [
+            (1, [[1, 0, 0, 0, 0]] * 3, "expected 2 marginal vectors, got 3"),
+            (1, [[1, 0, 0, 0]] * 2, "marginal 0 has 4 levels, expected 5"),
+            (2, [[3, -1, 0, 0, 0]] * 2, "marginal 0 is not a probability vector"),
+            (3, [[1, 1, 0, 0, 0]] * 2, "marginal 0 is not a probability vector"),
+            (2, [[0, 2, 0, 0, 0], [1, 0, 0, 0, 0]], "marginal 1 is not a probability vector"),
+            (0, [[0, 0, 0, 0, 0]] * 2, "marginal 0 is not a probability vector"),
+        ],
+        ids=["field-count", "length", "negative", "sum", "sum-after-good", "zero-den"],
+    )
+    def test_rejection_messages(self, den, fields, message):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            MarginalProfile.from_weights(GameSpec(4, 2), den, fields)
+
+
+class TestPayoffGuard:
+    """expected_payoff_marginal: int64 while K * (q2 + |p|) * den_self * den_opp < 2**62."""
+
+    @pytest.mark.parametrize(
+        "k, alpha, den_self, den_opp, form",
+        [
+            # 3 * (2 + 715827881) * 1 * (2**31 - 1) == 2**62 - 1
+            (3, Fraction(715827881), 1, 2**31 - 1, "int64"),
+            # 2 * (2 + 0) * 2**30 * 2**30 == 2**62
+            (2, Fraction(0), 2**30, 2**30, "python"),
+        ],
+        ids=["bound-minus-one", "bound"],
+    )
+    def test_guard_boundary_picks_the_form(self, k, alpha, den_self, den_opp, form, monkeypatch):
+        sp = GameSpec(2, k, alpha, allow_any_tie_value=True)
+        p, q2 = sp.tie_scale
+        assert k * (q2 + abs(p)) * den_self * den_opp == (1 << 62) - (form == "int64")
+        m_self = MarginalProfile.from_weights(sp, den_self, [[den_self - 1, 1, 0]] * k)
+        m_opp = MarginalProfile.from_weights(
+            sp, den_opp, [[den_opp - 3, 1, 2], [1, den_opp - 1, 0], [0, 1, den_opp - 1]][:k]
+        )
+        assert (m_self.scaled()[0], m_opp.scaled()[0]) == (den_self, den_opp)  # lowest terms
+        rows = []
+        row = mixed.value_row
+        monkeypatch.setattr(mixed, "value_row", lambda *a: rows.append(a) or row(*a))
+        got = expected_payoff_marginal(m_self, m_opp, sp)
+        assert bool(rows) == (form == "python")
+        assert got == brute_marginal_payoff(m_self, m_opp, sp)
 
 
 class TestCanonicalMarginals:
