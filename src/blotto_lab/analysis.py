@@ -25,6 +25,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .core import (
     GameSpec,
     InvalidComparisonError,
@@ -256,7 +258,8 @@ def weakly_dominates(
     The payoff difference against an opponent ``t`` is separable across
     battlefields, so its minimum and maximum over all opponent bid vectors
     come from the same budget DP (run once on the negated tables, once as is) -
-    no enumeration of the opponent space.
+    no enumeration of the opponent space.  The tables are one int64 matrix
+    while every entry fits, Python-int rows past that.
     """
     candidate = spec.validate_allocation(candidate)
     target = spec.validate_allocation(target)
@@ -281,8 +284,19 @@ def weakly_dominates(
         )
 
     pairs = list(zip(candidate, target))
-    neg_lo, lo_witness = best_split([gap_row(c, t, -1) for c, t in pairs], n)
-    hi, hi_witness = best_split([gap_row(c, t, 1) for c, t in pairs], n)
+    if q2 + abs(p) < 1 << 62:  # every entry, negated too, fits in int64
+        gaps = np.zeros((len(pairs), n + 1), dtype=np.int64)
+        for row, (c_bid, t_bid) in zip(gaps, pairs):
+            if c_bid != t_bid:  # the rows of gap_row, sign 1
+                low, high, sign = (t_bid, c_bid, 1) if t_bid < c_bid else (c_bid, t_bid, -1)
+                row[low] = sign * (q2 - p)
+                row[low + 1 : high] = sign * q2
+                row[high] = sign * p
+        neg_lo, lo_witness = best_split(-gaps, n)
+        hi, hi_witness = best_split(gaps, n)
+    else:
+        neg_lo, lo_witness = best_split([gap_row(c, t, -1) for c, t in pairs], n)
+        hi, hi_witness = best_split([gap_row(c, t, 1) for c, t in pairs], n)
     report = DominanceReport(
         min_gap=Fraction(-neg_lo, q2),
         max_gap=Fraction(hi, q2),

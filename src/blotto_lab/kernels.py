@@ -33,6 +33,16 @@ above them.  Any row that decreases somewhere keeps its full width and full
 range.  The FP walks back stay full width, and the Python forms stay
 untruncated: they are the oracles.
 
+:func:`best_split_numpy` picks each stage's fill from the shape of the rows,
+by the cheapest under one cost model (next to :data:`ROW_BLOCK`); every fill
+is exact, so the walk forward returns the same lex-smallest argmax whichever
+ran.  Rows with non-increasing increments from a stage on (uniform marginals
+with a tie value in [0, 2]) merge: the max-plus product of concave rows takes
+the largest increments of both (Bussieck et al. 1994), one sort per stage.
+In a call at full range, a row of few constant runs (``dominate``'s difference
+tables: at most five) takes one window maximum of the next stage per run,
+read from a doubling table.  Every other stage keeps the block fill above.
+
 Every pair of forms returns bit-identical results (tested).
 """
 
@@ -49,6 +59,18 @@ import numpy as np
 NEG = -(1 << 61)  # sentinel for unreachable states; values are guarded below 2**60
 _INT64_GUARD = 1 << 60  # best_split runs in int64 while K * max|entry| stays below
 ROW_BLOCK = 64  # rows of the remaining-budget axis per block of best_split_numpy
+# best_split_numpy fills each tail stage with the cheapest exact fill its rows
+# admit.  The price is counted in cells of the block fill (one add and one max
+# for a pair of budget and bid, about 0.7 ns) plus CALL cells per numpy call
+# (about 1 us whatever its length; both timed on a 2-vCPU x86 host, numpy 2.4):
+#   block fill  rows * (width + 1) cells, 2 + 5 * ceil(rows / ROW_BLOCK) calls
+#   merge       5 calls and a sort of 2 * budget increments
+#   run fill    bit_length(budget + 1) doubling levels at most, 8 more calls
+#               and 5 per constant run
+# A full-range stage of a 5-run row thus takes the run fill from a budget of
+# 183 on (at 600, 43 calls against 361,201 cells in 10 blocks) and the block
+# fill below (at 120, 40 calls against 14,641 cells in 2 blocks).
+CALL = 1400
 
 BestReply = "tuple[int, tuple[int, ...]]"
 
@@ -171,20 +193,29 @@ def flat_width(row: np.ndarray) -> "int | None":
 def best_split_numpy(tables: "Sequence[Sequence[int]] | np.ndarray", budget: int) -> BestReply:
     """:func:`best_split` in int64; the caller keeps every sum of K entries below 2**60.
 
-    Stage ``j`` fills ``tail[j][r] = max_{x <= r} row[x] + tail[j + 1][r - x]``
-    in blocks of ``ROW_BLOCK`` values of ``r``.  A block reads the columns
-    ``x < r1`` only, so the scratch is ``ROW_BLOCK x (budget + 1)`` and only
-    the block's own diagonal reaches above the triangle ``x <= r``, where the
-    NEG padding keeps it from winning.
+    Tail stage ``j`` is ``tail[j][r] = max_{x <= r} row[x] + tail[j + 1][r - x]``.
+    Each stage is filled exactly, by the cheapest fill its rows admit under
+    the cost model next to :data:`ROW_BLOCK`, so the walk forward reads the
+    same tables whichever fill ran:
 
-    When every row is non-decreasing, every tail stage is too, and no bid
-    above the width ``w_j`` (the first maximal entry) beats ``w_j``: field
-    ``j`` reads only the columns ``x <= w_j``, the walk forward only the
-    bids ``x <= min(r, w_j)``, so it reaches stage ``j`` with at least
-    ``budget - sum(w[:j])`` units left.  Stage ``j`` therefore fills only
-    ``r`` from that many up to ``sum(w[j:])``; above, every field can sit at
-    its maximum, so the stage is flat there.  A row that decreases somewhere
-    gives every field the full width and every stage the full range.
+    * The block fill takes ``ROW_BLOCK`` values of ``r`` at a time.  A block
+      reads the columns ``x < r1`` only, so the scratch is
+      ``ROW_BLOCK x (budget + 1)`` and only the block's own diagonal reaches
+      above the triangle ``x <= r``, where the NEG padding keeps it from
+      winning.  When every row is non-decreasing, every tail stage is too,
+      and no bid above the width ``w_j`` (the first maximal entry) beats
+      ``w_j``: field ``j`` reads only the columns ``x <= w_j``, the walk
+      forward only the bids ``x <= min(r, w_j)``, so it reaches stage ``j``
+      with at least ``budget - sum(w[:j])`` units left.  Stage ``j`` then
+      fills only ``r`` from that many up to ``sum(w[j:])``; above, every
+      field can sit at its maximum, so the stage is flat there.  A row that
+      decreases somewhere gives every field the full width and every stage
+      the full range.
+    * The merge (:func:`_merge_stage`) serves the stages whose rows, and all
+      rows after them, have non-increasing increments.
+    * The run fill (:func:`_runs_stage`) serves a stage of a call that runs
+      at full range (some row decreases) when the stage's row has few
+      constant runs, like ``dominate``'s difference tables.
     """
     n = budget
     if isinstance(tables, np.ndarray):
@@ -192,32 +223,52 @@ def best_split_numpy(tables: "Sequence[Sequence[int]] | np.ndarray", budget: int
     else:
         t = np.array([row[: n + 1] for row in tables], dtype=np.int64)
     k = len(t)
-    if (t[:, 1:] >= t[:, :-1]).all():
+    steps = t[:, 1:] - t[:, :-1]  # no overflow: every |entry| < 2**60
+    ranged = not np.count_nonzero(steps < 0)
+    if ranged:
         widths = (t == t[:, -1:]).argmax(axis=1).tolist()  # the first maximal entries
+        after = list(accumulate(widths[::-1]))[::-1]  # after[j] = sum(widths[j:])
+        spans = [(max(0, n - (after[0] - after[j])), min(n, after[j])) for j in range(k - 1)]
+        flat = np.cumsum(t[::-1, -1])[::-1]  # flat[j]: every field j.. at its maximum
     else:  # the stages after a decreasing row may decrease too
         widths = [n] * k
-    after = list(accumulate(widths[::-1]))[::-1]  # after[j] = sum(widths[j:])
-    flat = np.cumsum(t[::-1, -1])[::-1]  # flat[j]: every field j.. at its maximum
+        spans = [(0, n)] * (k - 1)
+    merged = _concave_from(steps) if k > 2 else k  # stages merged..k-2 may merge
+    merge = (5 * CALL + n * (2 * n).bit_length()) * (k - 1 - merged)
+    if merged < k - 1 and merge >= sum(map(_block_cost, spans[merged:], widths[merged:])):
+        merged = k
     tail = np.full((k, n + 1), NEG, dtype=np.int64)  # below a stage's range: never read
     tail[k - 1] = t[k - 1]
-    # windows[n - r, x] reads pad[n - r + x]: tail[j + 1][r - x], NEG for x > r.
-    # A plain strided view: some thousands of sliding_window_view calls raise
-    # the peak RSS by 1 MB once (numpy 2.4).
-    pad = np.full(2 * n + 1, NEG, dtype=np.int64)
-    windows = np.ndarray((n + 1, n + 1), np.int64, buffer=pad, strides=pad.strides * 2)
-    block = ROW_BLOCK
-    scratch = np.empty((min(block, n + 1), n + 1), dtype=np.int64)
+    incs = steps[k - 1][::-1]  # while merging: the increments of tail[j + 1], ascending
+    pad = None
     for j in range(k - 2, 0, -1):
-        lo = max(0, n - (after[0] - after[j]))
-        hi = min(n, after[j])
+        if j >= merged:
+            incs = _merge_stage(t[j, 0], steps[j], incs, tail[j + 1, 0], tail[j])
+            continue
+        lo, hi = spans[j]
+        if not ranged:  # a full-range stage: the run fill may be cheaper
+            runs = 1 + np.count_nonzero(steps[j])
+            calls = (n + 1).bit_length() + 8 + 5 * runs
+            if calls * CALL < _block_cost(spans[j], widths[j]):
+                _runs_stage(t[j], steps[j], tail[j + 1], tail[j])
+                continue
+        if pad is None:
+            # windows[n - r, x] reads pad[n - r + x]: tail[j + 1][r - x], NEG
+            # for x > r.  A plain strided view: some thousands of
+            # sliding_window_view calls raise the peak RSS by 1 MB once
+            # (numpy 2.4).
+            pad = np.full(2 * n + 1, NEG, dtype=np.int64)
+            windows = np.ndarray((n + 1, n + 1), np.int64, buffer=pad, strides=pad.strides * 2)
+            scratch = np.empty((min(ROW_BLOCK, n + 1), n + 1), dtype=np.int64)
         pad[: n + 1] = tail[j + 1][::-1]
-        for r0 in range(lo, hi + 1, block):
-            r1 = min(r0 + block, hi + 1)
+        for r0 in range(lo, hi + 1, ROW_BLOCK):
+            r1 = min(r0 + ROW_BLOCK, hi + 1)
             cols = min(r1, widths[j] + 1)
             sums = scratch[: r1 - r0, :cols]
             np.add(t[j, :cols], windows[n - r1 + 1 : n - r0 + 1][::-1, :cols], out=sums)
             sums.max(axis=1, out=tail[j, r0:r1])
-        tail[j, hi + 1 :] = flat[j]
+        if hi < n:
+            tail[j, hi + 1 :] = flat[j]
     bids = []
     r = n
     for j in range(k - 1):
@@ -227,6 +278,82 @@ def best_split_numpy(tables: "Sequence[Sequence[int]] | np.ndarray", budget: int
         r -= x
     bids.append(r)
     return int(t[np.arange(k), bids].sum()), tuple(bids)
+
+
+def _block_cost(span: "tuple[int, int]", width: int) -> int:
+    """The block fill of the budgets in ``span`` over the bids ``0..width``, in cells."""
+    rows = max(0, span[1] - span[0] + 1)  # none: the stage is flat
+    return rows * (width + 1) + CALL * (2 + 5 * -(-rows // ROW_BLOCK))
+
+
+def _concave_from(steps: np.ndarray) -> int:
+    """The first stage ``j >= 1`` whose row and every row after it have non-increasing increments.
+
+    ``K`` when the last row bends up somewhere.
+    """
+    if np.count_nonzero(steps[-1, 1:] > steps[-1, :-1]):  # most calls stop here
+        return len(steps)
+    bends = np.flatnonzero(steps[1:-1, 1:] > steps[1:-1, :-1])  # flat: rows 1..K-2
+    return int(bends[-1]) // (steps.shape[1] - 1) + 2 if len(bends) else 1
+
+
+def _merge_stage(head, steps: np.ndarray, incs: np.ndarray, prev0, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` from a concave row and the concave stage after it.
+
+    ``head`` is the row's first entry and ``steps`` its ``n`` increments,
+    non-increasing; ``prev0`` and ``incs`` are the first entry and the ``n``
+    increments, ascending, of the stage after.  The max-plus product of
+    concave rows is concave and its increments are the ``n`` largest of the
+    ``2 * n``, best first.  Returns them ascending.
+    """
+    n = len(steps)
+    incs = np.sort(np.concatenate((steps[::-1], incs)))[n:]
+    out[0] = head + prev0
+    out[1:] = incs[::-1]
+    np.cumsum(out, out=out)
+    return incs
+
+
+def _runs_stage(row: np.ndarray, steps: np.ndarray, prev: np.ndarray, out: np.ndarray) -> None:
+    """``out[r] = max_{x <= r} row[x] + prev[r - x]`` for a row of few constant runs.
+
+    ``steps`` holds the row's increments.  A run on the bids ``[a, e)``
+    offers ``row[a]`` plus the maximum of ``prev`` over
+    ``[max(0, r - e + 1), r - a]``: a prefix maximum while ``r - a`` is below
+    the run's length, a window of that length above, read as the larger of
+    two overlapping windows of a doubling table built once per stage.
+    """
+    n = len(row) - 1
+    prefix = np.maximum.accumulate(prev)
+    levels = [prev]  # levels[l][i] = max(prev[i : i + 2**l])
+    a = 0
+    for e in np.flatnonzero(steps).tolist() + [n]:
+        e += 1
+        length, m = e - a, n + 1 - a  # the run's bids, the budgets it reaches
+        value = row[a]
+        seg = out[a:]
+        inside = min(length, m)
+        if a == 0:  # the first run reaches every budget
+            np.add(prefix[:inside], value, out=seg[:inside])
+        else:
+            np.maximum(seg[:inside], prefix[:inside] + value, out=seg[:inside])
+        if inside == m:  # the last run
+            break
+        if length == 1:
+            win = prev[1:m] + value
+        else:
+            lv = length.bit_length() - 1
+            while len(levels) <= lv:
+                half = 1 << (len(levels) - 1)
+                levels.append(np.maximum(levels[-1][:-half], levels[-1][half:]))
+            top, span = levels[lv], 1 << lv
+            win = np.maximum(top[1 : m - length + 1], top[length - span + 1 : m - span + 1])
+            win += value
+        if a == 0:
+            seg[inside:] = win
+        else:
+            np.maximum(seg[inside:], win, out=seg[inside:])
+        a = e
 
 
 class _Workspace:

@@ -51,7 +51,7 @@ class MarginalProfile:
     asked for them; :meth:`weight_matrix` is the same integer form in int64.
     """
 
-    __slots__ = ("spec", "_fields", "_scaled", "_matrix")
+    __slots__ = ("spec", "_fields", "_scaled", "_matrix", "_values")
 
     def __init__(self, spec: GameSpec, per_field: Sequence[Sequence[Fraction]]):
         if len(per_field) != spec.battlefields:
@@ -81,6 +81,7 @@ class MarginalProfile:
             w if d == den else tuple(x * (den // d) for x in w) for _, d, w in fields
         )
         self._matrix = None
+        self._values = None
 
     @classmethod
     def from_weights(
@@ -90,12 +91,16 @@ class MarginalProfile:
 
         Runs the constructor's checks with its messages and reduces by the
         gcd, so it equals, and hashes like, the profile of the same Fractions.
-        Equal fields are checked once and share one tuple.
+        Equal fields are checked once and share one tuple.  ``per_field`` may
+        also be one ``(K, budget + 1)`` integer array: it is checked in numpy
+        and a copy kept as :meth:`weight_matrix`.
         """
         if len(per_field) != spec.battlefields:
             raise PreconditionError(
                 f"expected {spec.battlefields} marginal vectors, got {len(per_field)}"
             )
+        if isinstance(per_field, np.ndarray):
+            return cls._from_matrix(spec, den, per_field)
         fields, seen = [], {}
         g = den
         for k, w in enumerate(per_field):
@@ -123,6 +128,34 @@ class MarginalProfile:
         self._fields = None
         self._scaled = den, tuple(fields)
         self._matrix = None
+        self._values = None
+        return self
+
+    @classmethod
+    def _from_matrix(cls, spec: GameSpec, den: int, weights: np.ndarray) -> "MarginalProfile":
+        levels = weights.shape[1]
+        if levels != spec.budget + 1:
+            raise PreconditionError(
+                f"marginal 0 has {levels} levels, expected {spec.budget + 1}"
+            )
+        if not 1 <= den < (1 << 63) // levels:  # past it, a row sum could wrap
+            return cls.from_weights(spec, den, weights.tolist())
+        # a row holding an entry above den cannot sum to it: no sum can wrap
+        bad = (weights.min(axis=1) < 0) | (weights.max(axis=1) > den)
+        bad |= weights.sum(axis=1) != den
+        if bad.any():
+            raise PreconditionError(f"marginal {int(bad.argmax())} is not a probability vector")
+        g = math.gcd(den, int(np.gcd.reduce(weights, axis=None))) if den > 1 else 1
+        matrix = np.array(weights, dtype=np.int64)
+        if g > 1:  # lowest terms, as the list form reduces
+            matrix //= g
+        matrix.flags.writeable = False
+        self = cls.__new__(cls)
+        self.spec = spec
+        self._fields = None
+        self._scaled = den // g, tuple(map(tuple, matrix.tolist()))
+        self._matrix = matrix
+        self._values = None
         return self
 
     def _fractions(self) -> "tuple[tuple[Fraction, ...], ...]":
@@ -182,12 +215,9 @@ class MarginalProfile:
     @classmethod
     def point_mass(cls, spec: GameSpec, bids: Sequence[int]) -> "MarginalProfile":
         bids = spec.validate_allocation(bids)
-        fields = []
-        for b in bids:
-            w = [0] * (spec.budget + 1)
-            w[b] = 1
-            fields.append(w)
-        return cls.from_weights(spec, 1, fields)
+        weights = np.zeros((spec.battlefields, spec.budget + 1), dtype=np.int64)
+        weights[np.arange(spec.battlefields), bids] = 1
+        return cls.from_weights(spec, 1, weights)
 
     @classmethod
     def on_levels(cls, spec: GameSpec, levels: Sequence[int]) -> "MarginalProfile":
@@ -530,10 +560,14 @@ def value_matrix(m_opp: MarginalProfile, spec: GameSpec) -> "np.ndarray | None":
     Row ``k`` is ``q2 * (weight below x) + p * (weight at x)`` over the
     opponent's weights at battlefield ``k``; no entry exceeds
     ``(q2 + |p|) * den`` in magnitude.  ``None`` when that bound reaches
-    ``2**62``: the caller then builds the rows in Python ints.
+    ``2**62``: the caller then builds the rows in Python ints.  The profile
+    keeps the matrix of the last tie value asked for, read-only, so a payoff
+    and a best response against it build it once.
     """
-    den, _ = m_opp.scaled()
     p, q2 = spec.tie_scale
+    if m_opp._values is not None and m_opp._values[0] == (p, q2):
+        return m_opp._values[1]
+    den, _ = m_opp.scaled()
     if (q2 + abs(p)) * den >= 1 << 62:
         return None
     weights = m_opp.weight_matrix()
@@ -541,6 +575,8 @@ def value_matrix(m_opp: MarginalProfile, spec: GameSpec) -> "np.ndarray | None":
     below -= weights
     below *= q2
     below += p * weights
+    below.flags.writeable = False
+    m_opp._values = (p, q2), below
     return below
 
 

@@ -1,7 +1,9 @@
 """Best responses, equilibrium verification, classification, dominance."""
 
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from blotto_lab import (
     expected_payoff_pure_vs_mixed,
     no_dominance_regime,
     parity_strategy,
+    payoff,
     psne_check,
     uniform_marginal_solver,
     verify_equilibrium,
@@ -31,6 +34,7 @@ from blotto_lab import (
 )
 from blotto_lab import SolverFailureError, analysis, constructors, kernels
 from blotto_lab.core import value_row
+from conftest import examples
 from oracles import (
     brute_best_response,
     brute_dominance_gaps,
@@ -404,6 +408,43 @@ class TestWeakDominance:
                 report = weakly_dominates(cand, target, sp)
                 lo, hi = brute_dominance_gaps(cand, target, sp)
                 assert (report.min_gap, report.max_gap) == (lo, hi)
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(
+        data=st.data(),
+        k=st.sampled_from([4, 5]),
+        alpha=st.sampled_from(["0", "1/3", "1", "3/2", "2", "5/2", "-1/2"]),
+        block=st.sampled_from([1, 3, 64]),
+    )
+    def test_dp_matches_enumeration_with_stages(self, data, k, alpha, block):
+        # K >= 4 gives the DP tail stages to fill; ROW_BLOCK 1 and 3 make the
+        # merge and the run fill win there, 64 the block fill.  Both gaps and
+        # both lex-smallest witnesses against every opponent in order.
+        n = data.draw(st.integers(1, 9 if k == 4 else 6))
+        sp = GameSpec(n, k, Fraction(alpha), allow_any_tie_value=True)
+        pool = list(enumerate_allocations(sp))  # lexicographic order
+        cand, target = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
+        gaps = [payoff(cand, t, sp) - payoff(target, t, sp) for t in pool]
+        with mock.patch.object(kernels, "ROW_BLOCK", block):
+            report = weakly_dominates(cand, target, sp)
+        assert (report.min_gap, report.max_gap) == (min(gaps), max(gaps))
+        assert report.min_witness == pool[gaps.index(min(gaps))]
+        assert report.max_witness == pool[gaps.index(max(gaps))]
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_gap_tables_leave_int64_at_the_bound(self, p, monkeypatch):
+        # the tables are one int64 matrix while q2 + |p| < 2**62, Python-int
+        # rows from there on; both give the enumerated gaps
+        seen = []
+        dp = analysis.best_split
+        monkeypatch.setattr(analysis, "best_split", lambda t, b: seen.append(type(t)) or dp(t, b))
+        sp = GameSpec(5, 4, Fraction(p, (1 << 61) - 1))
+        top = sum(map(abs, sp.tie_scale))
+        assert top == (1 << 62) - 2 + p
+        cand, target = (2, 0, 3, 0), (0, 1, 1, 3)
+        report = weakly_dominates(cand, target, sp)
+        assert (report.min_gap, report.max_gap) == brute_dominance_gaps(cand, target, sp)
+        assert seen == [np.ndarray if top < 1 << 62 else list] * 2
 
     def test_regime_boundary(self):
         assert no_dominance_regime(GameSpec(120, 6, Fraction(0)))

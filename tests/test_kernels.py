@@ -1,6 +1,6 @@
 """The budget DP: Python-int reference against brute force, numpy against Python."""
 
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from unittest import mock
 
 import numpy as np
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blotto_lab import GameSpec, MarginalProfile, best_response, kernels
+from blotto_lab import GameSpec, MarginalProfile, best_response, kernels, mixed
 from blotto_lab.core import value_row
 from conftest import examples
 from blotto_lab.kernels import (
@@ -261,6 +261,159 @@ def test_ranged_stages_match_python(data, widths_sum, block):
     with mock.patch.object(kernels, "ROW_BLOCK", block):
         assert best_split_numpy(tables, n) == want
         assert best_split(np.array(tables, dtype=np.int64), n) == want
+
+
+@st.composite
+def concave_row(draw, n):
+    """``n + 1`` entries with non-increasing increments.
+
+    Increments from a narrow range repeat within a row and across rows (ties);
+    zeros give flat tops and negatives rows that fall.
+    """
+    steps = sorted(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), reverse=True)
+    return list(accumulate(steps, initial=draw(st.integers(-5, 5))))
+
+
+@st.composite
+def run_row(draw, n, rising=False):
+    """``n + 1`` entries in at most five constant runs (one: a constant row)."""
+    cuts = draw(st.lists(st.integers(1, n), max_size=4, unique=True)) if n else []
+    values = draw(st.lists(st.integers(-4, 4), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    if rising:
+        values.sort()
+    row, start = [], 0
+    for end, value in zip(sorted(cuts) + [n + 1], values):
+        row += [value] * (end - start)
+        start = end
+    return row
+
+
+def dense_row(n):
+    return st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1)
+
+
+# Row shapes per call, from field 0 on: every kind of fill on its own, and
+# the mixes where one fill reads another's stage.
+LAYOUTS = {
+    "concave": lambda k: ["concave"] * k,
+    "runs": lambda k: ["runs"] * k,
+    "rising runs": lambda k: ["rising runs"] * k,
+    "dense then concave": lambda k: ["dense"] * (k // 2) + ["concave"] * (k - k // 2),
+    "bent last row": lambda k: ["concave"] * (k - 1) + ["dense"],
+    "runs between dense": lambda k: ["dense", "runs"] * (k // 2) + ["dense"] * (k % 2),
+    "runs then concave": lambda k: ["runs"] * (k // 2) + ["concave"] * (k - k // 2),
+}
+
+
+@st.composite
+def shaped_tables(draw, layout, min_n=0):
+    n = draw(st.integers(min_n, 40))
+    k = draw(st.integers(1, 6))
+    shapes = {
+        "concave": concave_row(n),
+        "runs": run_row(n),
+        "rising runs": run_row(n, rising=True),
+        "dense": dense_row(n),
+    }
+    scale = draw(st.sampled_from([1, 2**40]))  # values near the int64 guard too
+    return [[scale * v for v in draw(shapes[s])] for s in LAYOUTS[layout](k)], n
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(
+    data=st.data(),
+    layout=st.sampled_from(sorted(LAYOUTS)),
+    sign=st.sampled_from([1, -1]),
+    block=st.sampled_from([1, 3, 64]),
+)
+def test_shaped_stages_match_python(data, layout, sign, block):
+    # value and witness against the Python DP, whichever fill each stage
+    # takes; the sign flips concave rows to convex ones and rises to falls;
+    # with ROW_BLOCK 1 every block costs a call, so the merge and the run
+    # fill win wherever they apply, with 64 the block fill wins at small N
+    tables, n = data.draw(shaped_tables(layout))
+    tables = [[sign * v for v in row] for row in tables]
+    want = best_split_python(tables, n)
+    with mock.patch.object(kernels, "ROW_BLOCK", block):
+        assert best_split_numpy(tables, n) == want
+        assert best_split(np.array(tables, dtype=np.int64), n) == want
+
+
+def fills(monkeypatch):
+    """Record the stage fills best_split_numpy takes, by name."""
+    ran = []
+    for name in ("_merge_stage", "_runs_stage"):
+        fill = getattr(kernels, name)
+        monkeypatch.setattr(
+            kernels, name, lambda *a, _f=fill, _n=name: ran.append(_n) or _f(*a)
+        )
+    return ran
+
+
+def concave(row):
+    steps = [b - a for a, b in zip(row, row[1:])]
+    return all(b <= a for a, b in zip(steps, steps[1:]))
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(data=st.data(), layout=st.sampled_from(sorted(LAYOUTS)))
+def test_fill_follows_the_rows(data, layout):
+    # A call of non-decreasing rows never takes the run fill.  In a call with
+    # a decreasing row every stage runs at full range, and with ROW_BLOCK 1
+    # each of its blocks costs a call, so the block fill is dearest: every
+    # stage whose row and later rows are concave merges, and every other
+    # stage whose row has few runs takes the run fill (N >= 8).
+    tables, n = data.draw(shaped_tables(layout, min_n=8))
+    k = len(tables)
+    falls = any(b < a for row in tables for a, b in zip(row, row[1:]))
+    stages = range(k - 2, 0, -1)
+    merges = sum(all(map(concave, tables[j:])) for j in stages)
+    few_runs = sum(LAYOUTS[layout](k)[j] == "runs" for j in stages[merges:])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        ran = fills(monkeypatch)
+        monkeypatch.setattr(kernels, "ROW_BLOCK", 1)
+        assert best_split_numpy(tables, n) == best_split_python(tables, n)
+    merged = ran.count("_merge_stage")
+    assert ran[:merged] == ["_merge_stage"] * merged  # the suffix fills first
+    if falls:
+        assert merged == merges
+        assert few_runs <= len(ran) - merged <= len(stages) - merges
+    else:
+        assert merged <= merges
+        assert "_runs_stage" not in ran
+
+
+def gap_matrix(candidate, target, spec):
+    """``dominate``'s difference tables, candidate minus target, in units of 1/q2."""
+    p, q2 = spec.tie_scale
+    rows = []
+    for c, t in zip(candidate, target):
+        rows.append([q2 * ((b < c) - (b < t)) + p * ((b == c) - (b == t)) for b in range(spec.budget + 1)])
+    return rows
+
+
+def test_fills_at_600_6(monkeypatch):
+    # the rows the exact verdicts hand the DP at 600/6, and the fill each
+    # stage takes: uniform rows merge, dominance rows take the run fill,
+    # point-mass and parity rows keep the block fill, and so do monotone rows
+    # of few runs whose call is ranged
+    ran = fills(monkeypatch)
+    spec = GameSpec(600, 6, "1/3")
+    cand, target = (100, 50, 150, 120, 80, 100), (90, 200, 10, 100, 140, 60)
+    gaps = gap_matrix(cand, target, spec)
+    staircase = [[0] * 200 + [3] * 300 + [5] * 101] * 6
+    cases = [
+        (mixed.value_matrix(MarginalProfile.uniform(spec), spec), ["_merge_stage"] * 4),
+        (gaps, ["_runs_stage"] * 4),
+        ([[-v for v in row] for row in gaps], ["_runs_stage"] * 4),
+        (mixed.value_matrix(MarginalProfile.point_mass(spec, cand), spec), []),
+        (mixed.value_matrix(MarginalProfile.parity(spec, "odd"), spec), []),
+        (staircase, []),
+    ]
+    for tables, want in cases:
+        ran.clear()
+        assert best_split(tables, 600) == best_split_python(np.asarray(tables).tolist(), 600)
+        assert ran == want
 
 
 @settings(max_examples=examples(200), deadline=None)

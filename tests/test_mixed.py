@@ -26,6 +26,8 @@ from blotto_lab import (
     write_strategy,
 )
 from blotto_lab import constructors, mixed
+from blotto_lab.analysis import verify_marginals
+from blotto_lab.core import value_row
 from blotto_lab.mixed import _big_integers
 from conftest import examples
 from oracles import brute_expected_payoff, brute_marginal_payoff, brute_marginals
@@ -155,7 +157,7 @@ class TestIntegerBuiltProfiles:
         assert scaled.scaled() == (3, ((1, 2, 0), (0, 0, 3)))
         assert scaled.field(0) == (Fraction(1, 3), Fraction(2, 3), 0)
 
-    @pytest.mark.parametrize(
+    REJECTIONS = pytest.mark.parametrize(
         "den, fields, message",
         [
             (1, [[1, 0, 0, 0, 0]] * 3, "expected 2 marginal vectors, got 3"),
@@ -167,9 +169,97 @@ class TestIntegerBuiltProfiles:
         ],
         ids=["field-count", "length", "negative", "sum", "sum-after-good", "zero-den"],
     )
+
+    @REJECTIONS
     def test_rejection_messages(self, den, fields, message):
         with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
             MarginalProfile.from_weights(GameSpec(4, 2), den, fields)
+
+    @REJECTIONS
+    def test_matrix_rejection_messages(self, den, fields, message):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            MarginalProfile.from_weights(GameSpec(4, 2), den, np.array(fields))
+
+    @settings(max_examples=examples(150), deadline=None)
+    @given(data=st.data())
+    def test_matrix_input_matches_rows(self, data):
+        # an int64 matrix builds the profile the rows build: ==, hash,
+        # scaled() (lowest terms) and the weight matrix, which is a read-only
+        # copy of the input
+        n = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(2, 4))
+        factor = data.draw(st.sampled_from([1, 2, 6]))
+        rows = [
+            [factor * w for w in data.draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))]
+            for _ in range(k)
+        ]
+        den = factor * data.draw(st.integers(1, 3 * (n + 1)))  # factor divides all
+        sp = GameSpec(n, k)
+        rows = [row[:-1] + [den - sum(row[:-1])] for row in rows]
+        assume(all(row[-1] >= 0 for row in rows))
+        matrix = np.array(rows, dtype=np.int64)
+        got = MarginalProfile.from_weights(sp, den, matrix)
+        want = MarginalProfile.from_weights(sp, den, rows)
+        assert got == want and hash(got) == hash(want)
+        assert got.scaled() == want.scaled()
+        assert got.weight_matrix().tolist() == want.weight_matrix().tolist()
+        matrix[0, 0] += 1
+        assert got.scaled() == want.scaled()
+        assert not got.weight_matrix().flags.writeable
+
+    def test_matrix_with_a_wide_denominator_takes_the_rows(self):
+        # past 2**63 / (N + 1) a row sum could wrap in int64: the rows decide
+        sp = GameSpec(4, 2)
+        den = (1 << 63) // 5
+        matrix = np.array([[den, 0, 0, 0, 0], [0, 0, 0, 0, den]], dtype=np.int64)
+        got = MarginalProfile.from_weights(sp, den, matrix)
+        assert got.scaled() == (1, ((1, 0, 0, 0, 0), (0, 0, 0, 0, 1)))
+        bad = np.array([[den, den, 0, 0, 0], [0, 0, 0, 0, den]], dtype=np.int64)
+        with pytest.raises(PreconditionError, match="^marginal 0 is not a probability vector$"):
+            MarginalProfile.from_weights(sp, den, bad)
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(data=st.data())
+    def test_point_mass_matches_fractions(self, data):
+        n = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(2, 4))
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1)))
+        bids = tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+        sp = GameSpec(n, k)
+        got = MarginalProfile.point_mass(sp, bids)
+        want = MarginalProfile(sp, [[Fraction(x == b) for x in range(n + 1)] for b in bids])
+        assert got == want and hash(got) == hash(want)
+        assert got.scaled() == want.scaled()
+        assert list(got) == list(want)
+        assert got.weight_matrix().tolist() == [list(w) for w in want.scaled()[1]]
+
+
+class TestValueMatrix:
+    def test_built_once_per_profile_and_tie_value(self, monkeypatch):
+        sp = GameSpec(12, 4, "1/3")
+        m_a = MarginalProfile.uniform(sp)
+        m_b = MarginalProfile.parity(sp, "odd")
+        built = []
+
+        class CountingNumpy:  # numpy, with each value matrix build counted
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def cumsum(self, *args, **kwargs):
+                built.append(1)
+                return np.cumsum(*args, **kwargs)
+
+        monkeypatch.setattr(mixed, "np", CountingNumpy())
+        verify_marginals(m_a, m_b, sp)  # a payoff and a best response per side
+        assert len(built) == 2
+        rows = mixed.value_matrix(m_b, sp)
+        assert rows is mixed.value_matrix(m_b, sp) and not rows.flags.writeable
+        assert len(built) == 2
+        other = GameSpec(12, 4, "1")
+        assert mixed.value_matrix(m_b, other).tolist() == [
+            value_row(w, *other.tie_scale) for w in m_b.scaled()[1]
+        ]
+        assert mixed.value_matrix(m_b, sp).tolist() == rows.tolist()
 
 
 class TestPayoffGuard:
