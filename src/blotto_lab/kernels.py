@@ -234,8 +234,8 @@ def best_split_numpy(tables: "Sequence[Sequence[int]] | np.ndarray", budget: int
         widths = [n] * k
         spans = [(0, n)] * (k - 1)
     merged = _concave_from(steps) if k > 2 else k  # stages merged..k-2 may merge
-    merge = (5 * CALL + n * (2 * n).bit_length()) * (k - 1 - merged)
-    if merged < k - 1 and merge >= sum(map(_block_cost, spans[merged:], widths[merged:])):
+    merge_cost = (5 * CALL + n * (2 * n).bit_length()) * (k - 1 - merged)
+    if merged < k - 1 and merge_cost >= sum(map(_block_cost, spans[merged:], widths[merged:])):
         merged = k
     tail = np.full((k, n + 1), NEG, dtype=np.int64)  # below a stage's range: never read
     tail[k - 1] = t[k - 1]
@@ -243,7 +243,7 @@ def best_split_numpy(tables: "Sequence[Sequence[int]] | np.ndarray", budget: int
     pad = None
     for j in range(k - 2, 0, -1):
         if j >= merged:
-            incs = _merge_stage(t[j, 0], steps[j], incs, tail[j + 1, 0], tail[j])
+            incs = _merge_stage(t[j, 0] + tail[j + 1, 0], steps[j], incs, tail[j])
             continue
         lo, hi = spans[j]
         if not ranged:  # a full-range stage: the run fill may be cheaper
@@ -297,18 +297,18 @@ def _concave_from(steps: np.ndarray) -> int:
     return int(bends[-1]) // (steps.shape[1] - 1) + 2 if len(bends) else 1
 
 
-def _merge_stage(head, steps: np.ndarray, incs: np.ndarray, prev0, out: np.ndarray) -> np.ndarray:
+def _merge_stage(first, steps: np.ndarray, incs: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` from a concave row and the concave stage after it.
 
-    ``head`` is the row's first entry and ``steps`` its ``n`` increments,
-    non-increasing; ``prev0`` and ``incs`` are the first entry and the ``n``
-    increments, ascending, of the stage after.  The max-plus product of
-    concave rows is concave and its increments are the ``n`` largest of the
-    ``2 * n``, best first.  Returns them ascending.
+    ``first`` is the sum of their first entries, ``steps`` the row's ``n``
+    increments, non-increasing, and ``incs`` the stage's ``n`` increments,
+    ascending.  The max-plus product of concave rows is concave and its
+    increments are the ``n`` largest of the ``2 * n``, best first.  Returns
+    them ascending.
     """
     n = len(steps)
     incs = np.sort(np.concatenate((steps[::-1], incs)))[n:]
-    out[0] = head + prev0
+    out[0] = first
     out[1:] = incs[::-1]
     np.cumsum(out, out=out)
     return incs
