@@ -9,11 +9,12 @@ sufficient for equilibrium verification.  The DP runs on integers: the
 opponent's marginals over one common denominator
 (:meth:`MarginalProfile.scaled`, kept by the profile), turned into one
 integer value row per battlefield (:func:`blotto_lab.core.value_row`), all
-rows at once as one int64 matrix (:func:`blotto_lab.mixed.value_matrix`)
-while they fit.  The rows go to the int64 form of the DP whenever
-``K * max|entry| < 2**60``, and to the Python-int form otherwise; both give
-the same optimum and the same lexicographically smallest argmax.  Each
-best response and dominance witness is re-scored apart from the DP, and a
+rows at once as one matrix (:func:`blotto_lab.mixed.value_matrix`), int64
+while its entries fit and Python ints past that.  The matrix goes to the
+int64 form of the DP whenever ``K * max|entry| < 2**60``, and to the
+Python-int form otherwise; both give the same optimum and the same
+lexicographically smallest argmax.  Each best response and dominance
+witness is re-scored in integers apart from the tables and the DP, and a
 mismatch raises :class:`~blotto_lab.core.SolverFailureError`.  Everything
 returns exact rationals; a gap of zero means zero.
 """
@@ -35,8 +36,6 @@ from .core import (
     SolverFailureError,
     WrongRegimeError,
     exact_fraction,
-    payoff,
-    value_row,
 )
 from .kernels import best_split
 from .mixed import (
@@ -68,10 +67,7 @@ def best_response(m_opp: MarginalProfile, spec: GameSpec) -> BestResponseResult:
     """
     den, weights = m_opp.scaled()
     p, q2 = spec.tie_scale
-    rows = value_matrix(m_opp, spec)
-    if rows is None:
-        rows = [value_row(w, p, q2) for w in weights]
-    value, argmax = best_split(rows, spec.budget)
+    value, argmax = best_split(value_matrix(m_opp, spec), spec.budget)
     rescored = sum(q2 * sum(w[:x]) + p * w[x] for w, x in zip(weights, argmax))
     if rescored != value:
         raise SolverFailureError(
@@ -258,8 +254,9 @@ def weakly_dominates(
     The payoff difference against an opponent ``t`` is separable across
     battlefields, so its minimum and maximum over all opponent bid vectors
     come from the same budget DP (run once on the negated tables, once as is) -
-    no enumeration of the opponent space.  The tables are one int64 matrix
-    while every entry fits, Python-int rows past that.
+    no enumeration of the opponent space.  The tables are one matrix, int64
+    while every entry fits and Python ints past that.  Each witness is
+    re-scored battlefield by battlefield from the three bids alone.
     """
     candidate = spec.validate_allocation(candidate)
     target = spec.validate_allocation(target)
@@ -267,50 +264,34 @@ def weakly_dominates(
         raise InvalidComparisonError("cannot compare a strategy against itself")
     p, q2 = spec.tie_scale
     n = spec.budget
-
-    def gap_row(c_bid: int, t_bid: int, sign: int) -> "list[int]":
-        # sign * (value(c_bid, b) - value(t_bid, b)) for every opponent bid b,
-        # where value(x, b) is q2 for b < x, p at b == x and 0 above
-        if c_bid == t_bid:
-            return [0] * (n + 1)
-        if c_bid < t_bid:
-            c_bid, t_bid, sign = t_bid, c_bid, -sign
-        return (
-            [0] * t_bid
-            + [sign * (q2 - p)]
-            + [sign * q2] * (c_bid - t_bid - 1)
-            + [sign * p]
-            + [0] * (n - c_bid)
+    # row k: value(c, b) - value(t, b) for every opponent bid b, where
+    # value(x, b) is q2 for b < x, p at b == x and 0 above
+    fits = q2 + abs(p) < 1 << 62  # every entry, negated too, fits in int64
+    gaps = np.zeros((spec.battlefields, n + 1), dtype=np.int64 if fits else object)
+    for row, c_bid, t_bid in zip(gaps, candidate, target):
+        if c_bid != t_bid:
+            low, high, sign = (t_bid, c_bid, 1) if t_bid < c_bid else (c_bid, t_bid, -1)
+            row[low] = sign * (q2 - p)
+            row[low + 1 : high] = sign * q2
+            row[high] = sign * p
+    neg_lo, lo_witness = best_split(-gaps, n)
+    hi, hi_witness = best_split(gaps, n)
+    for gap, witness in ((-neg_lo, lo_witness), (hi, hi_witness)):
+        rescored = sum(
+            q2 * ((c > w) - (t > w)) + p * ((c == w) - (t == w))
+            for c, t, w in zip(candidate, target, witness)
         )
-
-    pairs = list(zip(candidate, target))
-    if q2 + abs(p) < 1 << 62:  # every entry, negated too, fits in int64
-        gaps = np.zeros((len(pairs), n + 1), dtype=np.int64)
-        for row, (c_bid, t_bid) in zip(gaps, pairs):
-            if c_bid != t_bid:  # the rows of gap_row, sign 1
-                low, high, sign = (t_bid, c_bid, 1) if t_bid < c_bid else (c_bid, t_bid, -1)
-                row[low] = sign * (q2 - p)
-                row[low + 1 : high] = sign * q2
-                row[high] = sign * p
-        neg_lo, lo_witness = best_split(-gaps, n)
-        hi, hi_witness = best_split(gaps, n)
-    else:
-        neg_lo, lo_witness = best_split([gap_row(c, t, -1) for c, t in pairs], n)
-        hi, hi_witness = best_split([gap_row(c, t, 1) for c, t in pairs], n)
-    report = DominanceReport(
+        if rescored != gap:
+            raise SolverFailureError(
+                f"dominance witness {witness} gives the gap {Fraction(rescored, q2)}, "
+                f"not the {Fraction(gap, q2)} the budget DP reported"
+            )
+    return DominanceReport(
         min_gap=Fraction(-neg_lo, q2),
         max_gap=Fraction(hi, q2),
         min_witness=lo_witness,
         max_witness=hi_witness,
     )
-    for gap, witness in ((report.min_gap, lo_witness), (report.max_gap, hi_witness)):
-        rescored = payoff(candidate, witness, spec) - payoff(target, witness, spec)
-        if rescored != gap:
-            raise SolverFailureError(
-                f"dominance witness {witness} gives the gap {rescored}, "
-                f"not the {gap} the budget DP reported"
-            )
-    return report
 
 
 def no_dominance_regime(spec: GameSpec) -> bool:

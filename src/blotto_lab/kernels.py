@@ -5,20 +5,23 @@ maximizing ``sum_k tables[k][bid_k]`` over bid vectors that spend the budget
 exactly.  The DP comes in two forms on two kinds of input:
 
 * One table per battlefield (:func:`best_split`) serves the exact side (best
-  responses, dominance), as rows or as one int64 matrix, which it reads
-  without a copy.  Its int64 form (:func:`best_split_numpy`) runs whenever
+  responses, dominance), as one 2-D integer matrix: int64, which it reads
+  without a copy, or ``object`` (Python ints) when the entries may not fit.
+  Its int64 form (:func:`best_split_numpy`) runs whenever
   ``K * max|entry| < 2**60``, so no sum can overflow; otherwise the
-  Python-int form (:func:`best_split_python`) runs, which never overflows and
-  is the oracle the numpy form is tested against.  That guard alone picks the
-  form, for rows and matrices alike: no option selects it.
+  Python-int form (:func:`best_split_python`) runs on the matrix's rows as
+  Python ints, which never overflows and is the oracle the numpy form is
+  tested against.  That guard alone picks the form, whatever the dtype: no
+  option selects it.
 * One shared table serves fictitious play.  It runs the int64 kernels
   (:func:`br_lex_numpy`, :func:`br_sampled_numpy`, max-plus stages through
   sliding windows) whenever its own overflow guard shows scaled values fit,
   and the Python-int forms (:func:`br_lex_python`, :func:`br_sampled_python`)
-  otherwise.  The two numpy kernels reuse one cached workspace of buffers
-  for the last budget they saw, so they are not reentrant: no two calls may
-  run at once (the package starts no threads).  :func:`best_split_numpy`
-  keeps nothing between calls.
+  otherwise; the sampler's counts have a bound of their own
+  (:func:`br_sampled_numpy`).  The two numpy kernels reuse one cached
+  workspace of buffers for the last budget they saw, so they are not
+  reentrant: no two calls may run at once (the package starts no threads).
+  :func:`best_split_numpy` keeps nothing between calls.
 
 All three numpy DPs apply one width rule (:func:`flat_width`;
 :func:`best_split_numpy` applies it to all its rows at once).  A
@@ -75,26 +78,22 @@ CALL = 1400
 BestReply = "tuple[int, tuple[int, ...]]"
 
 
-def best_split(tables: "Sequence[Sequence[int]] | np.ndarray", budget: int) -> BestReply:
+def best_split(tables: np.ndarray, budget: int) -> BestReply:
     """Maximize ``sum_k tables[k][bid_k]`` over bid vectors summing to ``budget``.
 
     Returns the optimum and the lexicographically smallest optimal bid
-    vector.  Each table holds at least ``budget + 1`` entries; ``tables``
-    is a sequence of rows or one 2-D integer array, which the int64 form
-    reads without a copy.  To minimize, pass negated tables and negate the
-    optimum: the minimizers are exactly the maximizers of the negation, so
-    the witness is the lexicographically smallest minimizer.  Runs
-    :func:`best_split_numpy` when every sum of ``K`` entries stays below
-    ``2**60`` in magnitude, else :func:`best_split_python`.
+    vector.  ``tables`` is one ``(K, >= budget + 1)`` integer matrix, int64
+    (read without a copy) or ``object`` (Python ints).  To minimize, pass
+    negated tables and negate the optimum: the minimizers are exactly the
+    maximizers of the negation, so the witness is the lexicographically
+    smallest minimizer.  Runs :func:`best_split_numpy` when every sum of
+    ``K`` entries stays below ``2**60`` in magnitude, else
+    :func:`best_split_python` on the rows as Python ints.
     """
-    matrix = isinstance(tables, np.ndarray)
-    if matrix:
-        top = max(int(tables.max()), -int(tables.min()))
-    else:
-        top = max(max(max(row), -min(row)) for row in tables)
+    top = max(int(tables.max()), -int(tables.min()))
     if len(tables) * top < _INT64_GUARD:
         return best_split_numpy(tables, budget)
-    return best_split_python(tables.tolist() if matrix else tables, budget)
+    return best_split_python(tables.tolist(), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +189,7 @@ def flat_width(row: np.ndarray) -> "int | None":
     return int(row.searchsorted(row[-1]))  # sorted: the first maximal entry
 
 
-def best_split_numpy(tables: "Sequence[Sequence[int]] | np.ndarray", budget: int) -> BestReply:
+def best_split_numpy(tables: np.ndarray, budget: int) -> BestReply:
     """:func:`best_split` in int64; the caller keeps every sum of K entries below 2**60.
 
     Tail stage ``j`` is ``tail[j][r] = max_{x <= r} row[x] + tail[j + 1][r - x]``.
@@ -218,10 +217,7 @@ def best_split_numpy(tables: "Sequence[Sequence[int]] | np.ndarray", budget: int
       constant runs, like ``dominate``'s difference tables.
     """
     n = budget
-    if isinstance(tables, np.ndarray):
-        t = tables[:, : n + 1].astype(np.int64, copy=False)
-    else:
-        t = np.array([row[: n + 1] for row in tables], dtype=np.int64)
+    t = tables[:, : n + 1].astype(np.int64, copy=False)
     k = len(t)
     steps = t[:, 1:] - t[:, :-1]  # no overflow: every |entry| < 2**60
     ranged = not np.count_nonzero(steps < 0)
@@ -417,6 +413,16 @@ def br_lex_numpy(values: Sequence[int], budget: int, fields: int) -> BestReply:
 def br_sampled_numpy(
     values: Sequence[int], budget: int, fields: int, uniforms: Sequence[float]
 ) -> BestReply:
+    """:func:`br_sampled_python` in int64: the same draw from the same ``uniforms``.
+
+    Stage ``c`` counts the optimal completions of each budget ``r``: at most
+    the ``C(r + c, c)`` bid vectors of ``c + 1`` fields spending ``r``.  A
+    prefix sum of them is at most ``C(n + c, c)``, and a partial sum of the
+    walk back at most a count, so nothing exceeds
+    :func:`~blotto_lab.space.count_ordered`, ``C(budget + fields - 1, fields - 1)``.
+    The caller keeps that below ``2**63``, or the counts wrap and the draw
+    stops being uniform.
+    """
     n = budget
     ws = _workspace(n)
     v = np.asarray(values, dtype=np.int64)[: n + 1]

@@ -9,8 +9,10 @@ budget DP over that shared table (see :mod:`blotto_lab.kernels`).
 
 That table is the integer value row of the opponent's bid histogram
 (:func:`blotto_lab.core.value_row`), in units of ``1 / (q2 * rounds * K)``
-with ``(p, q2) = spec.tie_scale``; when the scaled range could overflow int64
-the run falls back to the pure-Python kernel on arbitrary-precision ints.
+with ``(p, q2) = spec.tie_scale``, as one numpy array: int64, or ``object``
+(Python ints) when the run takes the pure-Python kernels.  It takes them when
+the scaled range could overflow int64, and with random tie-breaking when the
+sampler's completion counts could (:func:`blotto_lab.kernels.br_sampled_numpy`).
 Runs are deterministic given (init, mode, seed) and serialize to a versioned
 binary checkpoint that is byte-identical across identical runs.
 """
@@ -26,8 +28,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import GameSpec, PreconditionError, as_partition, value_row
+from .core import GameSpec, PreconditionError, as_partition
 from .kernels import KernelSet, get_kernels
+from .space import count_ordered
 
 CHECKPOINT_MAGIC = b"BLOTTOFP"
 CHECKPOINT_VERSION = 1
@@ -129,12 +132,11 @@ def _record(state: FPState, side: str, partition: "tuple[int, ...]", round_index
         discovery[partition] = round_index
 
 
-def _belief_values(hist: np.ndarray, p: int, q2: int, bigint: bool):
+def _belief_values(hist: np.ndarray, p: int, q2: int, bigint: bool) -> np.ndarray:
     """Scaled value table: q2 * (#bids below x) + p * (#bids at x)."""
-    if bigint:
-        return value_row(hist.tolist(), p, q2)
-    # the int64 fast path of value_row
-    below = np.concatenate(([np.int64(0)], np.cumsum(hist[:-1], dtype=np.int64)))
+    if bigint:  # Python ints: the scaled values may not fit in int64
+        hist = hist.astype(object)
+    below = np.concatenate(([0], np.cumsum(hist[:-1])))
     return q2 * below + p * hist
 
 
@@ -202,7 +204,10 @@ def fp_run(
         raise PreconditionError(f"{rounds} rounds would overflow the bid counters")
 
     p, q2 = spec.tie_scale
-    bigint = k * (q2 + abs(p)) * rounds * k >= _INT64_SAFE
+    # the numpy sampler's int64 counts reach count_ordered(spec)
+    bigint = k * (q2 + abs(p)) * rounds * k >= _INT64_SAFE or (
+        state.tie_break == "random" and count_ordered(spec) >= 1 << 63
+    )
     kern = get_kernels("python" if bigint else "numpy")
 
     rng = None
@@ -266,8 +271,7 @@ def _trace_row(state: FPState, kern: KernelSet, p: int, q2: int, bigint: bool) -
     values_b = _belief_values(state.hist_b, p, q2, bigint)
     total, _ = kern.lex(values_b, n, k)
     br_value = Fraction(int(total), q2 * rk)
-    vb = values_b if bigint else [int(v) for v in values_b]
-    pay = Fraction(sum(a * v for a, v in zip(ha, vb)), q2 * rk * rk)
+    pay = Fraction(sum(a * v for a, v in zip(ha, values_b.tolist())), q2 * rk * rk)
     return TraceRow(round_index=r, tv_to_uniform=tv, br_gap=br_value - pay)
 
 

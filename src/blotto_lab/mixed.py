@@ -6,9 +6,11 @@ marginals exact: a :class:`MarginalProfile` holds integer weights over one
 common denominator and makes Fractions only when asked for them.  The
 structured families (pair-coupled uniform over all levels or over the odd or
 even ones, independent pairs, the swapped-pair variant) build those weights
-directly, so their supports never need to be materialized.  Value rows
-(:func:`value_matrix`) and expected payoffs run in int64 behind bounds that
-rule out overflow, and in Python ints past them.
+directly, so their supports never need to be materialized.  The integer
+tables (:meth:`MarginalProfile.weight_matrix`, :func:`value_matrix`) are
+numpy matrices in one format: int64 behind a bound that rules out overflow,
+and ``object`` (exact Python ints) past it, so each consumer runs one numpy
+expression whichever dtype it gets.
 
 Sampling is seeded and reproducible: every ``sample`` call builds a fresh
 ``numpy.random.Generator`` over PCG64 from the given 64-bit seed, so identical
@@ -31,7 +33,6 @@ from .core import (
     InvalidAllocationError,
     PreconditionError,
     exact_fraction,
-    value_row,
 )
 
 ZERO = Fraction(0)
@@ -48,7 +49,7 @@ class MarginalProfile:
     The profile is validated on, and keeps, its integer form
     (:meth:`scaled`), which also decides equality.  Profiles built from
     integer weights (:meth:`from_weights`) make their Fractions only when
-    asked for them; :meth:`weight_matrix` is the same integer form in int64.
+    asked for them; :meth:`weight_matrix` is the same integer form as one matrix.
     """
 
     __slots__ = ("spec", "_fields", "_scaled", "_matrix", "_values")
@@ -192,15 +193,16 @@ class MarginalProfile:
         """``(den, weights)``: every field as ints over ``den``, the lcm of all denominators."""
         return self._scaled
 
-    def weight_matrix(self) -> "np.ndarray | None":
-        """The weights of :meth:`scaled` as one read-only ``(K, budget + 1)`` int64 matrix.
+    def weight_matrix(self) -> np.ndarray:
+        """The weights of :meth:`scaled` as one read-only ``(K, budget + 1)`` matrix.
 
-        ``None`` when ``den`` does not fit in int64.  Built once, on the
-        first call.
+        int64 while ``den < 2**63`` (no weight exceeds ``den``), ``object``
+        (Python ints) from there on.  Built once, on the first call.
         """
         den, weights = self._scaled
-        if self._matrix is None and den < 1 << 63:
-            matrix = np.empty((len(weights), len(weights[0])), dtype=np.int64)
+        if self._matrix is None:
+            shape = len(weights), len(weights[0])
+            matrix = np.empty(shape, dtype=np.int64 if den < 1 << 63 else object)
             for k, w in enumerate(weights):
                 matrix[k] = matrix[k - 1] if k and w is weights[k - 1] else w
             matrix.flags.writeable = False
@@ -554,23 +556,23 @@ class SwappedPairsWitness(IndependentPairsUniform):
         return [self._swap(bids) for bids in super().sample(seed, count)]
 
 
-def value_matrix(m_opp: MarginalProfile, spec: GameSpec) -> "np.ndarray | None":
-    """:func:`~blotto_lab.core.value_row` of every field of ``m_opp``, as one int64 matrix.
+def value_matrix(m_opp: MarginalProfile, spec: GameSpec) -> np.ndarray:
+    """:func:`~blotto_lab.core.value_row` of every field of ``m_opp``, as one matrix.
 
     Row ``k`` is ``q2 * (weight below x) + p * (weight at x)`` over the
     opponent's weights at battlefield ``k``; no entry exceeds
-    ``(q2 + |p|) * den`` in magnitude.  ``None`` when that bound reaches
-    ``2**62``: the caller then builds the rows in Python ints.  The profile
-    keeps the matrix of the last tie value asked for, read-only, so a payoff
-    and a best response against it build it once.
+    ``(q2 + |p|) * den`` in magnitude.  int64 while that bound stays below
+    ``2**62``, ``object`` (Python ints) from there on.  The profile keeps the
+    matrix of the last tie value asked for, read-only, so a payoff and a
+    best response against it build it once.
     """
     p, q2 = spec.tie_scale
     if m_opp._values is not None and m_opp._values[0] == (p, q2):
         return m_opp._values[1]
     den, _ = m_opp.scaled()
-    if (q2 + abs(p)) * den >= 1 << 62:
-        return None
     weights = m_opp.weight_matrix()
+    if (q2 + abs(p)) * den >= 1 << 62:
+        weights = weights.astype(object)
     below = np.cumsum(weights, axis=1)
     below -= weights
     below *= q2
@@ -585,17 +587,16 @@ def expected_payoff_marginal(
 ) -> Fraction:
     """Expected payoff between independent players from marginals alone.
 
-    One int64 multiply-sum over the weight and value matrices while
+    One multiply-sum over the weight and value matrices, in int64 while
     ``K * (q2 + |p|) * den_self * den_opp < 2**62``, which bounds every
-    partial sum; Python ints otherwise.
+    partial sum, and over ``object`` matrices (Python ints) from there on.
     """
-    den_self, own = m_self.scaled()
-    den_opp, opp = m_opp.scaled()
+    den_self, den_opp = m_self.scaled()[0], m_opp.scaled()[0]
     p, q2 = spec.tie_scale
-    if spec.battlefields * (q2 + abs(p)) * den_self * den_opp < 1 << 62:
-        total = int(np.vdot(m_self.weight_matrix(), value_matrix(m_opp, spec)))
-    else:
-        total = sum(sum(map(mul, o, value_row(w, p, q2))) for o, w in zip(own, opp))
+    own, values = m_self.weight_matrix(), value_matrix(m_opp, spec)
+    if spec.battlefields * (q2 + abs(p)) * den_self * den_opp >= 1 << 62:
+        own, values = own.astype(object), values.astype(object)
+    total = int(np.vdot(own, values))
     return Fraction(total, q2 * den_self * den_opp)
 
 

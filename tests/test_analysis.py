@@ -60,6 +60,33 @@ class TestBestResponse:
         assert res.value == 2
         assert res.argmax == (0, 3, 3)
 
+    @pytest.mark.parametrize(
+        "alpha, den, dtype",
+        [
+            # (2 + 1) * (2**62 - 1) / 3 == 2**62 - 1
+            (Fraction(1), ((1 << 62) - 1) // 3, np.int64),
+            # (2 + 0) * 2**61 == 2**62
+            (Fraction(0), 1 << 61, object),
+        ],
+        ids=["bound-minus-one", "bound"],
+    )
+    def test_value_rows_leave_int64_at_the_bound(self, alpha, den, dtype, monkeypatch):
+        # the value rows are one int64 matrix while (q2 + |p|) * den < 2**62,
+        # one object matrix (Python ints) from there on, past the DP's guard;
+        # both give the enumerated best response
+        sp = GameSpec(3, 3, alpha)
+        p, q2 = sp.tie_scale
+        weights = [[den - 1, 1, 0, 0], [0, den - 2, 1, 1], [1, 0, 0, den - 1]]
+        profile = MarginalProfile.from_weights(sp, den, weights)
+        assert profile.scaled()[0] == den  # lowest terms
+        assert (q2 + abs(p)) * den == (1 << 62) - (dtype is np.int64)
+        seen = []
+        dp = analysis.best_split
+        monkeypatch.setattr(analysis, "best_split", lambda t, b: seen.append(t.dtype) or dp(t, b))
+        res = best_response(profile, sp)
+        assert seen == [np.dtype(dtype)]
+        assert (res.value, res.argmax) == brute_best_response(profile, sp)
+
     def test_overbidding_never_beats_uniform(self):
         for alpha in (Fraction(0), Fraction(1), Fraction(2)):
             sp = GameSpec(12, 4, alpha)
@@ -433,18 +460,18 @@ class TestWeakDominance:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_gap_tables_leave_int64_at_the_bound(self, p, monkeypatch):
-        # the tables are one int64 matrix while q2 + |p| < 2**62, Python-int
-        # rows from there on; both give the enumerated gaps
+        # the tables are one int64 matrix while q2 + |p| < 2**62, one object
+        # matrix (Python ints) from there on; both give the enumerated gaps
         seen = []
         dp = analysis.best_split
-        monkeypatch.setattr(analysis, "best_split", lambda t, b: seen.append(type(t)) or dp(t, b))
+        monkeypatch.setattr(analysis, "best_split", lambda t, b: seen.append(t.dtype) or dp(t, b))
         sp = GameSpec(5, 4, Fraction(p, (1 << 61) - 1))
         top = sum(map(abs, sp.tie_scale))
         assert top == (1 << 62) - 2 + p
         cand, target = (2, 0, 3, 0), (0, 1, 1, 3)
         report = weakly_dominates(cand, target, sp)
         assert (report.min_gap, report.max_gap) == brute_dominance_gaps(cand, target, sp)
-        assert seen == [np.ndarray if top < 1 << 62 else list] * 2
+        assert seen == [np.dtype(np.int64) if top < 1 << 62 else np.dtype(object)] * 2
 
     def test_regime_boundary(self):
         assert no_dominance_regime(GameSpec(120, 6, Fraction(0)))

@@ -62,9 +62,10 @@ def test_best_split_matches_enumeration(game, sign, block):
     scored = [(sum(row[x] for row, x in zip(tables, s)), s) for s in allocations(n, len(tables))]
     optimum = max(v for v, _ in scored) if sign == 1 else min(v for v, _ in scored)
     first = min(s for v, s in scored if v == optimum)
+    matrix = np.array(negated, dtype=np.int64)
     with mock.patch.object(kernels, "ROW_BLOCK", block):
-        for dp in (best_split_python, best_split_numpy, best_split):
-            value, bids = dp(negated, n)
+        for dp, given in ((best_split_python, negated), (best_split_numpy, matrix), (best_split, matrix)):
+            value, bids = dp(given, n)
             assert sign * value == optimum
             assert bids == first
 
@@ -80,11 +81,12 @@ def test_numpy_best_split_matches_python(data):
     tables = [data.draw(row) for _ in range(k)]
     block = data.draw(st.integers(1, n + 2))
     with mock.patch.object(kernels, "ROW_BLOCK", block):
-        assert best_split_numpy(tables, n) == best_split_python(tables, n)
+        assert best_split_numpy(np.array(tables, dtype=np.int64), n) == best_split_python(tables, n)
 
 
-def check_guard_boundary(k, sign, monkeypatch, as_input):
-    # the int64 form runs while K * max|entry| < 2**60, the Python form from there on
+def check_guard_boundary(k, sign, monkeypatch, dtype):
+    # the int64 form runs while K * max|entry| < 2**60, the Python form from
+    # there on, whatever the matrix's dtype
     ran = []
 
     def spy(name):
@@ -104,7 +106,7 @@ def check_guard_boundary(k, sign, monkeypatch, as_input):
         tables = [[(x * 7 + j) % 5 - 2 for x in range(n + 1)] for j in range(k)]
         tables[k // 2][n // 2] = sign * top
         ran.clear()
-        result = best_split(as_input(tables), n)
+        result = best_split(np.array(tables, dtype=dtype), n)
         assert ran == [form]
         assert result == best_split_python(tables, n)
 
@@ -112,14 +114,15 @@ def check_guard_boundary(k, sign, monkeypatch, as_input):
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_guard_boundary_picks_the_form(k, sign, monkeypatch):
-    check_guard_boundary(k, sign, monkeypatch, lambda tables: tables)
+    # an object matrix (Python ints) below the guard still runs in int64
+    check_guard_boundary(k, sign, monkeypatch, object)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_matrix_input_takes_the_same_guard(k, sign, monkeypatch):
-    # a matrix must not bypass the guard; past it, the Python form gets Python ints
-    check_guard_boundary(k, sign, monkeypatch, lambda t: np.array(t, dtype=np.int64))
+    # an int64 matrix must not bypass the guard; past it, the Python form gets Python ints
+    check_guard_boundary(k, sign, monkeypatch, np.int64)
 
 
 def test_exact_side_rows_take_the_int64_form(monkeypatch):
@@ -217,7 +220,7 @@ def test_truncated_best_split_matches_python(data):
         tables[odd] = data.draw(value_rows(n, "outside"))
     block = data.draw(st.integers(1, n + 2))
     with mock.patch.object(kernels, "ROW_BLOCK", block):
-        assert best_split_numpy(tables, n) == best_split_python(tables, n)
+        assert best_split_numpy(np.array(tables, dtype=np.int64), n) == best_split_python(tables, n)
 
 
 @st.composite
@@ -259,8 +262,9 @@ def test_ranged_stages_match_python(data, widths_sum, block):
         tables[odd] = data.draw(value_rows(n, "outside"))
     want = best_split_python(tables, n)
     with mock.patch.object(kernels, "ROW_BLOCK", block):
-        assert best_split_numpy(tables, n) == want
-        assert best_split(np.array(tables, dtype=np.int64), n) == want
+        matrix = np.array(tables, dtype=np.int64)
+        assert best_split_numpy(matrix, n) == want
+        assert best_split(matrix, n) == want
 
 
 @st.composite
@@ -335,8 +339,9 @@ def test_shaped_stages_match_python(data, layout, sign, block):
     tables = [[sign * v for v in row] for row in tables]
     want = best_split_python(tables, n)
     with mock.patch.object(kernels, "ROW_BLOCK", block):
-        assert best_split_numpy(tables, n) == want
-        assert best_split(np.array(tables, dtype=np.int64), n) == want
+        matrix = np.array(tables, dtype=np.int64)
+        assert best_split_numpy(matrix, n) == want
+        assert best_split(matrix, n) == want
 
 
 def fills(monkeypatch):
@@ -372,7 +377,7 @@ def test_fill_follows_the_rows(data, layout):
     with pytest.MonkeyPatch.context() as monkeypatch:
         ran = fills(monkeypatch)
         monkeypatch.setattr(kernels, "ROW_BLOCK", 1)
-        assert best_split_numpy(tables, n) == best_split_python(tables, n)
+        assert best_split_numpy(np.array(tables, dtype=np.int64), n) == best_split_python(tables, n)
     merged = ran.count("_merge_stage")
     assert ran[:merged] == ["_merge_stage"] * merged  # the suffix fills first
     if falls:
@@ -400,19 +405,19 @@ def test_fills_at_600_6(monkeypatch):
     ran = fills(monkeypatch)
     spec = GameSpec(600, 6, "1/3")
     cand, target = (100, 50, 150, 120, 80, 100), (90, 200, 10, 100, 140, 60)
-    gaps = gap_matrix(cand, target, spec)
-    staircase = [[0] * 200 + [3] * 300 + [5] * 101] * 6
+    gaps = np.array(gap_matrix(cand, target, spec), dtype=np.int64)
+    staircase = np.array([[0] * 200 + [3] * 300 + [5] * 101] * 6, dtype=np.int64)
     cases = [
         (mixed.value_matrix(MarginalProfile.uniform(spec), spec), ["_merge_stage"] * 4),
         (gaps, ["_runs_stage"] * 4),
-        ([[-v for v in row] for row in gaps], ["_runs_stage"] * 4),
+        (-gaps, ["_runs_stage"] * 4),
         (mixed.value_matrix(MarginalProfile.point_mass(spec, cand), spec), []),
         (mixed.value_matrix(MarginalProfile.parity(spec, "odd"), spec), []),
         (staircase, []),
     ]
     for tables, want in cases:
         ran.clear()
-        assert best_split(tables, 600) == best_split_python(np.asarray(tables).tolist(), 600)
+        assert best_split(tables, 600) == best_split_python(tables.tolist(), 600)
         assert ran == want
 
 

@@ -24,6 +24,7 @@ from blotto_lab import (
     save_checkpoint,
 )
 from blotto_lab import kernels, learning
+from conftest import examples
 
 SMALL = GameSpec(6, 3, Fraction(0))
 DESK = GameSpec(12, 4, Fraction(0))
@@ -145,10 +146,48 @@ class TestDeterminismAndModes:
         assert state_fingerprint(a) == state_fingerprint(b)
         assert state_fingerprint(a) != state_fingerprint(c)
 
-    def test_bigint_fallback_runs(self):
+    def test_bigint_fallback_runs(self, monkeypatch):
         tiny_tie = GameSpec(4, 2, Fraction(1, 10**15))
         state = fp_run(tiny_tie, 120)
         assert state.hist_a.sum() == 120 * 2
+        # forced onto Python ints, a run plays and traces as it does in int64
+        for tie_break in learning.TIE_BREAKS:
+            run = dict(seed=5, tie_break=tie_break, trace_every=7)
+            fast = fp_run(DESK, 90, **run)
+            picked = []
+            with monkeypatch.context() as m:
+                m.setattr(learning, "_INT64_SAFE", 0)
+                m.setattr(learning, "get_kernels",
+                          lambda name: picked.append(name) or kernels.get_kernels(name))
+                exact = fp_run(DESK, 90, **run)
+            assert picked == ["python"]
+            assert state_fingerprint(exact) == state_fingerprint(fast)
+            assert exact.trace == fast.trace and len(exact.trace) == 14
+
+    @pytest.mark.parametrize(
+        "n, tie_break, kernel",
+        [(38, "random", "numpy"), (39, "random", "python"), (39, "lex", "numpy")],
+        ids=["random-below", "random-at", "lex-at"],
+    )
+    def test_sampler_bound_picks_the_kernels(self, n, tie_break, kernel, monkeypatch):
+        # the numpy sampler counts up to C(N + K - 1, K - 1) completions in
+        # int64: from 2**63 on (K = 30: N = 39) random runs take the Python
+        # kernels; lex runs count nothing
+        picked = []
+        monkeypatch.setattr(learning, "get_kernels",
+                            lambda name: picked.append(name) or kernels.get_kernels(name))
+        fp_run(GameSpec(n, 30), 1, tie_break=tie_break)
+        assert picked == [kernel]
+
+    def test_random_run_past_the_sampler_bound_draws_uniformly(self, monkeypatch):
+        # C(89, 29) >= 2**63: int64 counts would wrap, so the run draws as the Python kernels do
+        spec = GameSpec(60, 30, "1/3")
+        run = dict(seed=3, tie_break="random", trace_every=4)
+        state = fp_run(spec, 12, **run)
+        monkeypatch.setattr(learning, "get_kernels", lambda name: kernels.get_kernels("python"))
+        exact = fp_run(spec, 12, **run)
+        assert state_fingerprint(state) == state_fingerprint(exact)
+        assert state.trace == exact.trace
 
 
 class TestCheckpoints:
@@ -179,7 +218,7 @@ class TestCheckpoints:
         straight = fp_run(DESK, 200, seed=42, tie_break="random")
         assert state_fingerprint(resumed) == state_fingerprint(straight)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(
         n=st.integers(2, 12),
         k=st.integers(2, 4),

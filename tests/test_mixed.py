@@ -207,6 +207,19 @@ class TestIntegerBuiltProfiles:
         assert got.scaled() == want.scaled()
         assert not got.weight_matrix().flags.writeable
 
+    @pytest.mark.parametrize(
+        "den, dtype", [((1 << 63) - 1, np.int64), (1 << 63, object)], ids=["bound-minus-one", "bound"]
+    )
+    def test_weight_matrix_leaves_int64_at_the_bound(self, den, dtype):
+        # int64 while den < 2**63, an object matrix of Python ints from there on
+        sp = GameSpec(3, 2)
+        got = MarginalProfile.from_weights(sp, den, [[den - 1, 1, 0, 0], [0, 0, den - 2, 2]])
+        assert got.scaled()[0] == den  # lowest terms
+        matrix = got.weight_matrix()
+        assert matrix.dtype == dtype and not matrix.flags.writeable
+        assert matrix.tolist() == [list(w) for w in got.scaled()[1]]
+        assert {type(x) for x in matrix.tolist()[0]} == {int}
+
     def test_matrix_with_a_wide_denominator_takes_the_rows(self):
         # past 2**63 / (N + 1) a row sum could wrap in int64: the rows decide
         sp = GameSpec(4, 2)
@@ -271,7 +284,7 @@ class TestPayoffGuard:
             # 3 * (2 + 715827881) * 1 * (2**31 - 1) == 2**62 - 1
             (3, Fraction(715827881), 1, 2**31 - 1, "int64"),
             # 2 * (2 + 0) * 2**30 * 2**30 == 2**62
-            (2, Fraction(0), 2**30, 2**30, "python"),
+            (2, Fraction(0), 2**30, 2**30, "object"),
         ],
         ids=["bound-minus-one", "bound"],
     )
@@ -284,11 +297,19 @@ class TestPayoffGuard:
             sp, den_opp, [[den_opp - 3, 1, 2], [1, den_opp - 1, 0], [0, 1, den_opp - 1]][:k]
         )
         assert (m_self.scaled()[0], m_opp.scaled()[0]) == (den_self, den_opp)  # lowest terms
-        rows = []
-        row = mixed.value_row
-        monkeypatch.setattr(mixed, "value_row", lambda *a: rows.append(a) or row(*a))
+        seen = []
+
+        class SpyNumpy:  # numpy, with the dtypes of each multiply-sum recorded
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def vdot(self, a, b):
+                seen.append((a.dtype, b.dtype))
+                return np.vdot(a, b)
+
+        monkeypatch.setattr(mixed, "np", SpyNumpy())
         got = expected_payoff_marginal(m_self, m_opp, sp)
-        assert bool(rows) == (form == "python")
+        assert seen == [(np.dtype(form),) * 2]
         assert got == brute_marginal_payoff(m_self, m_opp, sp)
 
 
