@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import (
+    EnumerationTooLargeError,
     GameSpec,
     NotCoverableError,
     PreconditionError,
@@ -110,7 +111,11 @@ def uniform_marginal_solver(
     returning the solution with the fewest positive orbits (ties broken by
     the lexicographically smallest orbit list).  Existence is guaranteed
     whenever the budget is divisible by the battlefield count, so a failure
-    here means a cap was hit, not that no solution exists.
+    here means a cap was hit, not that no solution exists: a game with more
+    than ``max_orbits`` orbits is refused up front
+    (:class:`~blotto_lab.core.EnumerationTooLargeError`, a precondition), and
+    a search that examines ``max_subsets`` supports without a solution raises
+    :class:`~blotto_lab.core.SolverFailureError`.
     """
     top = 2 * spec.fair_share
     k = spec.battlefields
@@ -119,8 +124,9 @@ def uniform_marginal_solver(
         if p[0] <= top:
             orbits.append(p)
             if len(orbits) > max_orbits:
-                raise SolverFailureError(
-                    f"more than {max_orbits} orbits; raise max_orbits to proceed"
+                raise EnumerationTooLargeError(
+                    f"more than {max_orbits} partitions with no part above {top} "
+                    f"exceed the solver's cap of {max_orbits} orbits (max_orbits)"
                 )
     orbits.sort()
     # Level-x constraint: sum over orbits of weight * (#parts equal to x)

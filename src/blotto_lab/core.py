@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -78,6 +79,19 @@ def exact_fraction(value: RationalLike) -> Fraction:
 def _is_int(value: object) -> bool:
     """True for ints proper; ``bool`` is an int subclass but not a count."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_seed(seed: object) -> int:
+    """``seed`` as a Python int when it is a non-negative integer, of any size.
+
+    The one check of every seed the package takes (fictitious play, its
+    checkpoints, ``sample``): numpy's PCG64 hashes a non-negative integer of
+    any size into its state, and refuses the rest with a bare ``ValueError``
+    or ``TypeError``.  numpy integers pass; ``bool`` does not.
+    """
+    if isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0:
+        return int(seed)
+    raise PreconditionError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)

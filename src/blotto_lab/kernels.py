@@ -30,7 +30,8 @@ tie values in [0, 2] a belief row is flat above the largest bid seen.  A bid
 above ``w`` scores no more than ``w`` and leaves less budget, and every
 max-plus stage of such rows is non-decreasing too, so a stage maximum needs
 only the bids ``x <= w``; the sampler adds the completions through bids above
-``w`` that tie, in closed form.  :func:`best_split_numpy` also fills each
+``w`` that tie, in closed form, at the stages where any can tie (a flat step
+in the previous stage below ``n - w``).  :func:`best_split_numpy` also fills each
 stage only over the budgets its walk forward can reach, and the flat value
 above them.  Any row that decreases somewhere keeps its full width and full
 range.  The FP walks back stay full width, and the Python forms stay
@@ -377,16 +378,12 @@ def _workspace(n: int) -> _Workspace:
     return _Workspace(n)
 
 
-def _stage(ws: _Workspace, head: np.ndarray, prev: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[r] = max_x head[x] + prev[r - x]`` over the ``len(head)`` bids ``x``.
-
-    Returns the rows of ``ws.buf`` that hold the sums.
-    """
+def _stage(ws: _Workspace, head: np.ndarray, prev: np.ndarray, out: np.ndarray) -> None:
+    """``out[r] = max_x head[x] + prev[r - x]`` over the ``len(head)`` bids ``x``."""
     ws.pad[ws.n :] = prev
     sums = ws.buf[: len(head)]
     np.add(head, ws.windows[: len(head)], out=sums)
     sums.max(axis=0, out=out)
-    return sums
 
 
 def br_lex_numpy(values: Sequence[int], budget: int, fields: int) -> BestReply:
@@ -422,6 +419,15 @@ def br_sampled_numpy(
     :func:`~blotto_lab.space.count_ordered`, ``C(budget + fields - 1, fields - 1)``.
     The caller keeps that below ``2**63``, or the counts wrap and the draw
     stops being uniform.
+
+    Most of a call's time is the fixed cost of each numpy call, so each stage
+    takes few passes: one add and one maximum over the bids ``x <= w``, then
+    one comparison and one masked sum (``np.add.reduce(..., where=optimal)``)
+    for the counts.  The closed-form count of ties through bids above ``w``
+    runs only when the previous stage has a flat step ``prev[t - 1] ==
+    prev[t]`` for some ``t`` in ``1 .. n - w``: without one, every run of
+    equal entries it would sum is empty.  The walk back reads each optimum
+    from the stage below the top instead of recomputing it.
     """
     n = budget
     ws = _workspace(n)
@@ -434,34 +440,41 @@ def br_sampled_numpy(
     stages[0] = v
     counts[0] = 1
     prefix = np.zeros(n + 2, dtype=np.int64)
+    pad, pad_counts = ws.pad[n:], ws.pad_counts[n:]
+    windows, count_windows = ws.windows[: w + 1], ws.count_windows[: w + 1]
+    sums, optimal = ws.buf[: w + 1], ws.optimal[: w + 1]
     # as in br_lex_numpy, the walk back reads stages 0 .. fields - 2 only
     for c in range(1, fields - 1):
-        prev, stage = stages[c - 1], stages[c]
-        sums = _stage(ws, head, prev, stage)
-        ws.pad_counts[n:] = counts[c - 1]
-        optimal = ws.optimal[: w + 1]
+        prev, stage, count = stages[c - 1], stages[c], counts[c]
+        pad[:] = prev
+        np.add(head, windows, out=sums)
+        np.maximum.reduce(sums, axis=0, out=stage)
+        pad_counts[:] = counts[c - 1]
         np.equal(sums, stage, out=optimal)
         # above the diagonal the zero count padding drops every term
-        np.multiply(ws.count_windows[: w + 1], optimal, out=sums)
-        sums.sum(axis=0, out=counts[c])
-        if w < n:
+        np.add.reduce(count_windows, axis=0, where=optimal, out=count)
+        if w < n and np.count_nonzero(prev[: n - w] == prev[1 : n - w + 1]):
             # A bid x > w at r scores v[w] and leaves r - x < t = r - w, so it
             # ties only where v[w] + prev[t] is optimal and prev is flat on
             # [r - x, t]: it adds the counts over the run [L, t - 1] of the
-            # entries of prev equal to prev[t].
+            # entries of prev equal to prev[t].  Without a flat step
+            # prev[t - 1] == prev[t] every such run is empty.
             prev_t = prev[1 : n - w + 1]  # t = 1 .. n - w for r = w + 1 .. n
             run_start = prev.searchsorted(prev_t, "left")  # L
-            np.cumsum(counts[c - 1], out=prefix[1:])
+            np.add.accumulate(counts[c - 1], out=prefix[1:])
             ties = stage[w + 1 :] == prev_t + v[w]
-            counts[c, w + 1 :] += np.where(ties, prefix[1 : n - w + 1] - prefix[run_start], 0)
+            np.add(count[w + 1 :], prefix[1 : n - w + 1] - prefix[run_start],
+                   out=count[w + 1 :], where=ties)
     bids = []
     r = budget
     for c in range(fields - 1, 0, -1):
         cand = v[: r + 1] + stages[c - 1][r::-1]
-        branch = np.where(cand == cand.max(), counts[c - 1][r::-1], 0).cumsum()
+        # the optimum of r is known below the top stage, which is never built
+        target = stages[c, r] if c < fields - 1 else np.maximum.reduce(cand)
+        branch = np.add.accumulate(np.where(cand == target, counts[c - 1][r::-1], 0))
         total = int(branch[-1])
         want = min(int(uniforms[fields - 1 - c] * total), total - 1)
-        x = int(np.searchsorted(branch, want + 1))
+        x = int(branch.searchsorted(want + 1))
         bids.append(x)
         r -= x
     bids.append(r)

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import GameSpec, PreconditionError, as_partition
+from .core import GameSpec, PreconditionError, as_partition, check_seed
 from .kernels import KernelSet, get_kernels
 from .space import count_ordered
 
@@ -133,11 +133,14 @@ def _record(state: FPState, side: str, partition: "tuple[int, ...]", round_index
 
 
 def _belief_values(hist: np.ndarray, p: int, q2: int, bigint: bool) -> np.ndarray:
-    """Scaled value table: q2 * (#bids below x) + p * (#bids at x)."""
+    """Scaled value table: q2 * (#bids below x) + p * (#bids at x).
+
+    Computed as ``q2 * (#bids up to x) - (q2 - p) * (#bids at x)``: no term
+    exceeds ``(q2 + |p|) * rounds * K``, inside the int64 guard of ``fp_run``.
+    """
     if bigint:  # Python ints: the scaled values may not fit in int64
         hist = hist.astype(object)
-    below = np.concatenate(([0], np.cumsum(hist[:-1])))
-    return q2 * below + p * hist
+    return q2 * np.cumsum(hist) - (q2 - p) * hist
 
 
 def fp_run(
@@ -168,6 +171,8 @@ def fp_run(
     """
     if rounds < 1:
         raise PreconditionError(f"rounds must be >= 1, got {rounds}")
+    if seed is not None:
+        seed = check_seed(seed)
     for name, every in (("trace_every", trace_every), ("checkpoint_every", checkpoint_every)):
         if every is not None and every < 1:
             raise PreconditionError(f"{name} must be >= 1, got {every}")
@@ -429,8 +434,9 @@ def _parse_checkpoint(blob: bytes) -> FPState:
     for key, allowed in (("mode", MODES), ("tie_break", TIE_BREAKS)):
         if payload[key] not in allowed:
             raise PreconditionError(f"{key} must be one of {allowed}, got {payload[key]!r}")
+    seed = check_seed(payload["seed"])
     if payload["rng_state"] is not None:  # as fp_run restores it; raises if it cannot
-        np.random.PCG64(payload["seed"]).state = payload["rng_state"]
+        np.random.PCG64(seed).state = payload["rng_state"]
     spec = GameSpec(
         payload["spec"]["budget"],
         payload["spec"]["battlefields"],
@@ -462,7 +468,7 @@ def _parse_checkpoint(blob: bytes) -> FPState:
         spec=spec,
         mode=payload["mode"],
         tie_break=payload["tie_break"],
-        seed=payload["seed"],
+        seed=seed,
         init=tuple(payload["init"]),
         rounds_played=rounds,
         counts_a=counts_a,

@@ -13,8 +13,9 @@ and ``object`` (exact Python ints) past it, so each consumer runs one numpy
 expression whichever dtype it gets.
 
 Sampling is seeded and reproducible: every ``sample`` call builds a fresh
-``numpy.random.Generator`` over PCG64 from the given 64-bit seed, so identical
-seeds give identical draws across processes and releases.
+``numpy.random.Generator`` over PCG64 from the given seed, any non-negative
+integer (:func:`~blotto_lab.core.check_seed`), so identical seeds give
+identical draws across processes and releases.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .core import (
     GameSpec,
     InvalidAllocationError,
     PreconditionError,
+    check_seed,
     exact_fraction,
 )
 
@@ -39,7 +41,7 @@ ZERO = Fraction(0)
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(check_seed(seed)))
 
 
 class MarginalProfile:

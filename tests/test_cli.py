@@ -181,6 +181,13 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["is_equilibrium"] is True
 
+    def test_solver_past_its_orbit_cap_exits_2(self, capsys):
+        # a size cap is a precondition of the input, not an internal fault
+        code, out, err = run(capsys, "verify", "--n", "120", "--k", "6", "--family", "solver")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: more than 2000 ")
+        assert "cap of 2000 orbits" in err
+
 
 class TestClassify:
     def test_never_good_two_fields(self, capsys):
@@ -414,6 +421,19 @@ class TestFp:
         )
         assert code == 2
         assert err.startswith(f"error: {ckpt}")
+
+    @pytest.mark.parametrize("tie_break", ["lex", "random"])
+    def test_negative_seed_exits_2(self, capsys, tie_break):
+        code, out, err = run(capsys, "fp", "--n", "12", "--k", "4", "--rounds", "10",
+                             "--tie-break", tie_break, "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
+    def test_a_seed_past_64_bits_runs(self, capsys):
+        argv = ["fp", "--n", "12", "--k", "4", "--rounds", "30", "--tie-break", "random"]
+        code, out, _ = run(capsys, *argv, "--seed", str(10**23))
+        assert code == 0
+        assert out != run(capsys, *argv, "--seed", "0")[1]
 
 
 class TestUsageErrors:

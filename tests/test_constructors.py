@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from blotto_lab import (
+    EnumerationTooLargeError,
     GameSpec,
     MarginalProfile,
     NotCoverableError,
@@ -162,6 +163,12 @@ class TestParity:
 
 
 class TestSolver:
+    def test_orbit_cap_is_a_precondition(self):
+        # 6/3 has 5 partitions with no part above 4
+        with pytest.raises(EnumerationTooLargeError, match="cap of 4 orbits"):
+            uniform_marginal_solver(GameSpec(6, 3), max_orbits=4)
+        assert uniform_marginal_solver(GameSpec(6, 3), max_orbits=5).support_size() == 13
+
     def test_odd_battlefields_reproduces_published_weights(self):
         sp = GameSpec(6, 3, Fraction(0))
         sigma = uniform_marginal_solver(sp)

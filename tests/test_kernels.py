@@ -1,6 +1,6 @@
 """The budget DP: Python-int reference against brute force, numpy against Python."""
 
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, product
 from unittest import mock
 
 import numpy as np
@@ -419,6 +419,49 @@ def test_fills_at_600_6(monkeypatch):
         ran.clear()
         assert best_split(tables, 600) == best_split_python(tables.tolist(), 600)
         assert ran == want
+
+
+def _tie_count_stages(row, n, k):
+    """The stages ``1 .. k - 2`` at which ``br_sampled_numpy`` counts ties above the width.
+
+    A stage needs the count only when its previous stage has a flat step
+    ``prev[t - 1] == prev[t]`` for some ``t`` in ``1 .. n - w``.  Built here
+    from Python lists, for non-decreasing rows.
+    """
+    w = row.index(max(row))
+    prev, need = list(row), []
+    for c in range(1, k - 1):
+        if any(prev[t - 1] == prev[t] for t in range(1, n - w + 1)):
+            need.append(c)
+        prev = [max(row[x] + prev[r - x] for x in range(r + 1)) for r in range(n + 1)]
+    return need
+
+
+# Non-decreasing rows, by whether some stage counts the ties above the width.
+SKIP_ROWS = [
+    list(range(8)) + [7] * 3,  # w = 7 > n - w: no stage has a flat step below n - w
+    [0, 1, 2, 4, 5, 5, 6, 6, 6, 6],  # flat steps, all of them above n - w = 3
+]
+COUNT_ROWS = [
+    # budgets above K * w: some bid above w ties in every optimum
+    [0, 2] + [3] * 13,  # w = 2 at n = 14
+    value_row([2, 0, 1] + [0] * 18, 1, 2),  # a belief row: w = 3 at n = 20
+]
+
+
+@pytest.mark.parametrize(
+    "row, counted", [(r, False) for r in SKIP_ROWS] + [(r, True) for r in COUNT_ROWS]
+)
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_sampler_tie_count_branch_matches_python(row, counted, k):
+    # every draw of a grid of uniforms, on rows that skip the closed-form
+    # count of ties above the width and rows that need it
+    n = len(row) - 1
+    assert nondecreasing(row) and flat_width(np.array(row)) < n
+    assert bool(_tie_count_stages(row, n, k)) == counted
+    grid = np.linspace(0, 1, 5, endpoint=False)
+    for uniforms in product(grid, repeat=k - 1):
+        assert br_sampled_numpy(row, n, k, uniforms) == br_sampled_python(row, n, k, uniforms)
 
 
 @settings(max_examples=examples(200), deadline=None)

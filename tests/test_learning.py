@@ -1,5 +1,6 @@
 """Fictitious play: protocol, determinism, checkpoints, diagnostics."""
 
+import hashlib
 import io
 import json
 import struct
@@ -24,6 +25,7 @@ from blotto_lab import (
     save_checkpoint,
 )
 from blotto_lab import kernels, learning
+from blotto_lab.core import value_row
 from conftest import examples
 
 SMALL = GameSpec(6, 3, Fraction(0))
@@ -189,6 +191,67 @@ class TestDeterminismAndModes:
         assert state_fingerprint(state) == state_fingerprint(exact)
         assert state.trace == exact.trace
 
+    @pytest.mark.parametrize(
+        "p, q2, bigint",
+        [(p, q2, bigint) for p, q2 in ((0, 2), (1, 6), (-3, 2), (7, 2)) for bigint in (False, True)]
+        + [(10**30 + 1, 2 * 10**31, True)],  # past int64
+    )
+    def test_belief_values_equal_the_below_form(self, p, q2, bigint):
+        hist = np.array([3, 0, 5, 1, 0, 0, 2, 0], dtype=np.int64)
+        got = learning._belief_values(hist, p, q2, bigint)
+        h = hist.astype(object) if bigint else hist
+        below = np.concatenate(([0], np.cumsum(h[:-1])))
+        assert got.dtype == (object if bigint else np.int64)
+        assert got.tolist() == (q2 * below + p * h).tolist() == value_row(hist.tolist(), p, q2)
+
+    # SHA-256 of each run's final checkpoint, pinned from an earlier form of
+    # the numpy sampler's stage loop: a faster sampler must make the same
+    # draws, so the same trace rows and bytes.
+    @pytest.mark.parametrize(
+        "spec, rounds, seed, digest",
+        [
+            (GameSpec(120, 6, Fraction(1, 3)), 500, 7,
+             "8e5205b3b0def8bbaad2e53541e49052241d47efcd3ea2e7e7d2f3451c8c5a0f"),
+            (GameSpec(60, 4, Fraction(1)), 1000, 11,
+             "883bddb3b45325f28b0de7539e6f1752f7835e8a944801ca7425e6e8dacbe468"),
+            # rows that decrease: the full-width stages
+            (GameSpec(24, 3, Fraction(3), allow_any_tie_value=True), 1000, 5,
+             "f9b4767af57b3061e8e3e5e6612c46ddf144fa3a2d89479713f11c9280871e3a"),
+        ],
+        ids=["120/6-1/3", "60/4-1", "24/3-3"],
+    )
+    def test_random_run_checkpoint_bytes(self, tmp_path, spec, rounds, seed, digest):
+        path = tmp_path / "run.fp"
+        fp_run(spec, rounds, seed=seed, tie_break="random", trace_every=100,
+               checkpoint_path=str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.0, True, "3"])
+    @pytest.mark.parametrize("tie_break", learning.TIE_BREAKS)
+    def test_fp_run_refuses_a_bad_seed(self, tmp_path, seed, tie_break):
+        path = tmp_path / "run.fp"
+        with pytest.raises(PreconditionError, match="seed must be a non-negative integer"):
+            fp_run(DESK, 5, seed=seed, tie_break=tie_break, checkpoint_path=str(path))
+        assert not path.exists()
+
+    def test_resume_refuses_a_bad_seed(self, tmp_path):
+        path = tmp_path / "run.fp"
+        fp_run(DESK, 5, seed=3, tie_break="random", checkpoint_path=str(path))
+        with pytest.raises(PreconditionError, match="seed must be a non-negative integer"):
+            fp_run(DESK, 9, seed=-3, resume=str(path))
+
+    @pytest.mark.parametrize("seed", [0, 2**64, 10**23, np.int64(7)])
+    def test_any_non_negative_integer_seeds_a_run(self, tmp_path, seed):
+        path = tmp_path / "run.fp"
+        state = fp_run(DESK, 20, seed=seed, tie_break="random", checkpoint_path=str(path))
+        assert state.seed == seed and type(state.seed) is int
+        again = fp_run(DESK, 30, resume=str(path))
+        assert again.seed == seed
+        assert state_fingerprint(again) == state_fingerprint(
+            fp_run(DESK, 30, seed=int(seed), tie_break="random"))
+
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
@@ -318,6 +381,10 @@ class TestCheckpoints:
         payload["tie_break"] = "coin"
 
     @staticmethod
+    def _negative_seed(payload, side):
+        payload["seed"] = -1
+
+    @staticmethod
     def _bad_rng_state(payload, side):
         payload["rng_state"] = {"bit_generator": "PCG64", "state": 5}
 
@@ -343,6 +410,7 @@ class TestCheckpoints:
             ("_short_row", "malformed checkpoint"),
             ("_unknown_mode", "mode must be one of"),
             ("_unknown_tie_break", "tie_break must be one of"),
+            ("_negative_seed", "seed must be a non-negative integer"),
             ("_bad_rng_state", "malformed checkpoint"),
             ("_not_json", "malformed checkpoint"),
             ("_short_header", "malformed checkpoint"),

@@ -442,6 +442,20 @@ class TestSampling:
             counts[x * 6 // high] += 1
         assert all(abs(c - 1000) < 160 for c in counts), counts
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, True, None])
+    @pytest.mark.parametrize("family", ["explicit", "canonical", "independent-pairs", "witness"])
+    def test_every_sampler_refuses_a_bad_seed(self, family, seed):
+        sp = GameSpec(12, 4)
+        sigma = {
+            "explicit": lambda: unit(sp, (3, 3, 3, 3)),
+            "canonical": lambda: canonical_pair_equilibrium(sp),
+            "independent-pairs": lambda: independent_pairs_strategy(sp),
+            "witness": lambda: constructors.FAMILIES["witness"](sp, (6, 1, 3, 2)),
+        }[family]()
+        with pytest.raises(PreconditionError, match="seed must be a non-negative integer"):
+            sigma.sample(seed, 3)
+        assert sigma.sample(2**64, 3) == sigma.sample(2**64, 3)
+
     def test_explicit_sampler_respects_weights(self):
         sp = GameSpec(4, 2)
         sigma = ExplicitMixed(sp, {(4, 0): Fraction(3, 4), (0, 4): Fraction(1, 4)})
