@@ -89,9 +89,27 @@ def check_seed(seed: object) -> int:
     any size into its state, and refuses the rest with a bare ``ValueError``
     or ``TypeError``.  numpy integers pass; ``bool`` does not.
     """
-    if isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0:
+    if _integer(seed) and seed >= 0:
         return int(seed)
     raise PreconditionError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def check_count(name: str, value: object) -> int:
+    """``value`` as a Python int when it is an integer ``>= 1``: a number of rounds, or a cadence.
+
+    numpy integers pass; ``bool`` and non-integers do not, whatever they
+    would round or compare to.
+    """
+    if not _integer(value):
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise PreconditionError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
+def _integer(value: object) -> bool:
+    """A Python or numpy integer that is not a ``bool``."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

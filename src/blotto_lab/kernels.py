@@ -5,14 +5,17 @@ maximizing ``sum_k tables[k][bid_k]`` over bid vectors that spend the budget
 exactly.  The DP comes in two forms on two kinds of input:
 
 * One table per battlefield (:func:`best_split`) serves the exact side (best
-  responses, dominance), as one 2-D integer matrix: int64, which it reads
-  without a copy, or ``object`` (Python ints) when the entries may not fit.
-  Its int64 form (:func:`best_split_numpy`) runs whenever
-  ``K * max|entry| < 2**60``, so no sum can overflow; otherwise the
-  Python-int form (:func:`best_split_python`) runs on the matrix's rows as
-  Python ints, which never overflows and is the oracle the numpy form is
-  tested against.  That guard alone picks the form, whatever the dtype: no
-  option selects it.
+  responses, dominance), as one 2-D integer matrix: int64, or ``object``
+  (Python ints) when the entries may not fit.  Its numpy form
+  (:func:`best_split_numpy`) runs in the narrowest of int16, int32 and int64
+  in which ``K * max|entry| < 2**(bits - 4)`` (``2**12``, ``2**28``,
+  ``2**60``), so no sum can overflow and every sum through the sentinel
+  ``-2**(bits - 3)`` loses; the matrix is copied into int16 or int32, and
+  read without a copy in int64.  Past ``2**60`` the Python-int form
+  (:func:`best_split_python`) runs on the matrix's rows as Python ints,
+  which never overflows and is the oracle the numpy form is tested against.
+  That one guard alone picks the form and the type, whatever the dtype: no
+  option selects them.
 * One shared table serves fictitious play.  It runs the int64 kernels
   (:func:`br_lex_numpy`, :func:`br_sampled_numpy`, max-plus stages through
   sliding windows) whenever its own overflow guard shows scaled values fit,
@@ -38,14 +41,18 @@ range.  The FP walks back stay full width, and the Python forms stay
 untruncated: they are the oracles.
 
 :func:`best_split_numpy` picks each stage's fill from the shape of the rows,
-by the cheapest under one cost model (next to :data:`ROW_BLOCK`); every fill
-is exact, so the walk forward returns the same lex-smallest argmax whichever
-ran.  Rows with non-increasing increments from a stage on (uniform marginals
-with a tie value in [0, 2]) merge: the max-plus product of concave rows takes
-the largest increments of both (Bussieck et al. 1994), one sort per stage.
-In a call at full range, a row of few constant runs (``dominate``'s difference
-tables: at most five) takes one window maximum of the next stage per run,
-read from a doubling table.  Every other stage keeps the block fill above.
+by the cheapest under one cost model (next to :data:`ROW_BLOCK`, priced per
+integer type); every fill is exact, so the walk forward returns the same
+lex-smallest argmax whichever ran.  Rows with non-increasing increments from
+a stage on (uniform marginals with a tie value in [0, 2]) merge: the
+max-plus product of concave rows takes the largest increments of both
+(Bussieck et al. 1994), one sort per stage.  In a call at full range, a row
+of few constant runs (``dominate``'s difference tables: at most five) takes
+one window maximum of the next stage per run, read from a doubling table.
+Every other stage (point-mass and parity rows, say) takes the block fill,
+oriented as the FP kernels' stages: bids on the first axis, budgets on the
+second, one maximum over bids, in chunks of as many bids as the scratch of
+``ROW_BLOCK * (budget + 1)`` cells holds.
 
 Every pair of forms returns bit-identical results (tested).
 """
@@ -60,21 +67,31 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-NEG = -(1 << 61)  # sentinel for unreachable states; values are guarded below 2**60
-_INT64_GUARD = 1 << 60  # best_split runs in int64 while K * max|entry| stays below
-ROW_BLOCK = 64  # rows of the remaining-budget axis per block of best_split_numpy
+NEG = -(1 << 61)  # the FP kernels' sentinel for unreachable states; values stay below 2**60
+# best_split_numpy's integer types, narrowest first, each with its guard: the
+# type runs while every sum of K entries stays below 2**(bits - 4), so the
+# sentinel -2**(bits - 3) for unreachable states loses to every reachable sum
+_INT_TYPES = (
+    (np.dtype(np.int16), 1 << 12),
+    (np.dtype(np.int32), 1 << 28),
+    (np.dtype(np.int64), 1 << 60),
+)
+ROW_BLOCK = 64  # the block fill's scratch holds ROW_BLOCK * (budget + 1) cells
 # best_split_numpy fills each tail stage with the cheapest exact fill its rows
-# admit.  The price is counted in cells of the block fill (one add and one max
-# for a pair of budget and bid, about 0.7 ns) plus CALL cells per numpy call
-# (about 1 us whatever its length; both timed on a 2-vCPU x86 host, numpy 2.4):
-#   block fill  rows * (width + 1) cells, 2 + 5 * ceil(rows / ROW_BLOCK) calls
-#   merge       5 calls and a sort of 2 * budget increments
+# admit, priced in picoseconds by the itemsize of the type it runs in (timed
+# on a 2-vCPU x86 host, numpy 2.4):
+#   block fill  CELL per pair of bid and budget it adds and maximizes, plus
+#               2 calls and 5 per chunk of ROW_BLOCK * (budget + 1) cells
+#   merge       5 calls and SORT per element and level of a sort of 2 * budget
 #   run fill    bit_length(budget + 1) doubling levels at most, 8 more calls
 #               and 5 per constant run
-# A full-range stage of a 5-run row thus takes the run fill from a budget of
-# 183 on (at 600, 43 calls against 361,201 cells in 10 blocks) and the block
-# fill below (at 120, 40 calls against 14,641 cells in 2 blocks).
-CALL = 1400
+# CALL is one numpy call, whatever its length; CELL is fitted to the block
+# fill's time over about 225 boxes per type, budgets 60 to 900.  A full-range
+# stage of a 5-run row thus takes the run fill from a budget of 332 on in
+# int16 (at 600, 43 calls against 180,901 cells in 5 chunks) and 196 in int64.
+CALL = 1_000_000
+CELL = {2: 450, 4: 850, 8: 1500}
+SORT = {2: 500, 4: 500, 8: 1000}
 
 BestReply = "tuple[int, tuple[int, ...]]"
 
@@ -84,16 +101,18 @@ def best_split(tables: np.ndarray, budget: int) -> BestReply:
 
     Returns the optimum and the lexicographically smallest optimal bid
     vector.  ``tables`` is one ``(K, >= budget + 1)`` integer matrix, int64
-    (read without a copy) or ``object`` (Python ints).  To minimize, pass
-    negated tables and negate the optimum: the minimizers are exactly the
-    maximizers of the negation, so the witness is the lexicographically
-    smallest minimizer.  Runs :func:`best_split_numpy` when every sum of
-    ``K`` entries stays below ``2**60`` in magnitude, else
+    or ``object`` (Python ints).  To minimize, pass negated tables and negate
+    the optimum: the minimizers are exactly the maximizers of the negation,
+    so the witness is the lexicographically smallest minimizer.  Runs
+    :func:`best_split_numpy` in the narrowest of int16, int32 and int64 in
+    which every sum of ``K`` entries stays below ``2**(bits - 4)`` in
+    magnitude (``2**12``, ``2**28``, ``2**60``), else
     :func:`best_split_python` on the rows as Python ints.
     """
-    top = max(int(tables.max()), -int(tables.min()))
-    if len(tables) * top < _INT64_GUARD:
-        return best_split_numpy(tables, budget)
+    bound = len(tables) * max(int(tables.max()), -int(tables.min()))
+    for dtype, guard in _INT_TYPES:
+        if bound < guard:
+            return best_split_numpy(tables[:, : budget + 1].astype(dtype, copy=False), budget)
     return best_split_python(tables.tolist(), budget)
 
 
@@ -191,20 +210,21 @@ def flat_width(row: np.ndarray) -> "int | None":
 
 
 def best_split_numpy(tables: np.ndarray, budget: int) -> BestReply:
-    """:func:`best_split` in int64; the caller keeps every sum of K entries below 2**60.
+    """:func:`best_split` in the matrix's integer type.
 
-    Tail stage ``j`` is ``tail[j][r] = max_{x <= r} row[x] + tail[j + 1][r - x]``.
-    Each stage is filled exactly, by the cheapest fill its rows admit under
-    the cost model next to :data:`ROW_BLOCK`, so the walk forward reads the
-    same tables whichever fill ran:
+    The caller keeps every sum of K entries below ``2**(bits - 4)`` in
+    magnitude (:data:`_INT_TYPES`), so no sum overflows and every sum through
+    the sentinel ``-2**(bits - 3)`` loses to every reachable one.  Tail stage
+    ``j`` is ``tail[j][r] = max_{x <= r} row[x] + tail[j + 1][r - x]``.  Each
+    stage is filled exactly, by the cheapest fill its rows admit under the
+    cost model next to :data:`ROW_BLOCK`, so the walk forward reads the same
+    tables whichever fill ran:
 
-    * The block fill takes ``ROW_BLOCK`` values of ``r`` at a time.  A block
-      reads the columns ``x < r1`` only, so the scratch is
-      ``ROW_BLOCK x (budget + 1)`` and only the block's own diagonal reaches
-      above the triangle ``x <= r``, where the NEG padding keeps it from
-      winning.  When every row is non-decreasing, every tail stage is too,
-      and no bid above the width ``w_j`` (the first maximal entry) beats
-      ``w_j``: field ``j`` reads only the columns ``x <= w_j``, the walk
+    * The block fill (:func:`_block_stage`) adds the row's bids to the next
+      stage, bids on the first axis and budgets on the second, and takes one
+      maximum over bids.  When every row is non-decreasing, every tail stage
+      is too, and no bid above the width ``w_j`` (the first maximal entry)
+      beats ``w_j``: field ``j`` reads only the bids ``x <= w_j``, the walk
       forward only the bids ``x <= min(r, w_j)``, so it reaches stage ``j``
       with at least ``budget - sum(w[:j])`` units left.  Stage ``j`` then
       fills only ``r`` from that many up to ``sum(w[j:])``; above, every
@@ -218,23 +238,30 @@ def best_split_numpy(tables: np.ndarray, budget: int) -> BestReply:
       constant runs, like ``dominate``'s difference tables.
     """
     n = budget
-    t = tables[:, : n + 1].astype(np.int64, copy=False)
+    t = tables[:, : n + 1]
     k = len(t)
-    steps = t[:, 1:] - t[:, :-1]  # no overflow: every |entry| < 2**60
+    cell, sort = CELL[t.itemsize], SORT[t.itemsize]
+    cap = min(ROW_BLOCK, n + 1) * (n + 1)  # the block fill's scratch, in cells
+    neg = -(1 << (8 * t.itemsize - 3))
+    steps = t[:, 1:] - t[:, :-1]  # no overflow: every |entry| < 2**(bits - 5)
     ranged = not np.count_nonzero(steps < 0)
     if ranged:
         widths = (t == t[:, -1:]).argmax(axis=1).tolist()  # the first maximal entries
         after = list(accumulate(widths[::-1]))[::-1]  # after[j] = sum(widths[j:])
-        spans = [(max(0, n - (after[0] - after[j])), min(n, after[j])) for j in range(k - 1)]
+        # stage j: from the fewest units the walk forward reaches it with, up
+        # to the budget above which it is flat
+        spans = [(max(0, n - after[0] + a), min(n, a)) for a in after]
         flat = np.cumsum(t[::-1, -1])[::-1]  # flat[j]: every field j.. at its maximum
     else:  # the stages after a decreasing row may decrease too
         widths = [n] * k
-        spans = [(0, n)] * (k - 1)
+        spans = [(0, n)] * k
     merged = _concave_from(steps) if k > 2 else k  # stages merged..k-2 may merge
-    merge_cost = (5 * CALL + n * (2 * n).bit_length()) * (k - 1 - merged)
-    if merged < k - 1 and merge_cost >= sum(map(_block_cost, spans[merged:], widths[merged:])):
+    merge_cost = (5 * CALL + sort * n * (2 * n).bit_length()) * (k - 1 - merged)
+    if merged < k - 1 and merge_cost >= sum(
+        _block_cost(spans, widths, j, cap, cell) for j in range(merged, k - 1)
+    ):
         merged = k
-    tail = np.full((k, n + 1), NEG, dtype=np.int64)  # below a stage's range: never read
+    tail = np.full((k, n + 1), neg, dtype=t.dtype)  # below a stage's range: never read
     tail[k - 1] = t[k - 1]
     incs = steps[k - 1][::-1]  # while merging: the increments of tail[j + 1], ascending
     pad = None
@@ -242,28 +269,28 @@ def best_split_numpy(tables: np.ndarray, budget: int) -> BestReply:
         if j >= merged:
             incs = _merge_stage(t[j, 0] + tail[j + 1, 0], steps[j], incs, tail[j])
             continue
-        lo, hi = spans[j]
         if not ranged:  # a full-range stage: the run fill may be cheaper
             runs = 1 + np.count_nonzero(steps[j])
             calls = (n + 1).bit_length() + 8 + 5 * runs
-            if calls * CALL < _block_cost(spans[j], widths[j]):
+            if calls * CALL < _block_cost(spans, widths, j, cap, cell):
                 _runs_stage(t[j], steps[j], tail[j + 1], tail[j])
                 continue
-        if pad is None:
-            # windows[n - r, x] reads pad[n - r + x]: tail[j + 1][r - x], NEG
-            # for x > r.  A plain strided view: some thousands of
-            # sliding_window_view calls raise the peak RSS by 1 MB once
-            # (numpy 2.4).
-            pad = np.full(2 * n + 1, NEG, dtype=np.int64)
-            windows = np.ndarray((n + 1, n + 1), np.int64, buffer=pad, strides=pad.strides * 2)
-            scratch = np.empty((min(ROW_BLOCK, n + 1), n + 1), dtype=np.int64)
-        pad[: n + 1] = tail[j + 1][::-1]
-        for r0 in range(lo, hi + 1, ROW_BLOCK):
-            r1 = min(r0 + ROW_BLOCK, hi + 1)
-            cols = min(r1, widths[j] + 1)
-            sums = scratch[: r1 - r0, :cols]
-            np.add(t[j, :cols], windows[n - r1 + 1 : n - r0 + 1][::-1, :cols], out=sums)
-            sums.max(axis=1, out=tail[j, r0:r1])
+        lo, hi = spans[j]
+        if lo <= hi:  # else the span is empty: the stage is flat from lo on
+            if pad is None:
+                # windows[x, r] reads pad[n - x + r]: tail[j + 1][r - x], the
+                # sentinel for x > r.  A plain strided view: some thousands of
+                # sliding_window_view calls raise the peak RSS by 1 MB once
+                # (numpy 2.4).
+                pad = np.full(2 * n + 1, neg, dtype=t.dtype)
+                size = pad.itemsize
+                windows = np.ndarray(
+                    (n + 1, n + 1), t.dtype, buffer=pad, offset=n * size, strides=(-size, size)
+                )
+                scratch = np.empty(cap, dtype=t.dtype)
+            pad[n:] = tail[j + 1]
+            first = max(0, lo - spans[j + 1][1])  # see _block_cost
+            _block_stage(t[j, : widths[j] + 1], windows, lo, hi, first, scratch, tail[j])
         if hi < n:
             tail[j, hi + 1 :] = flat[j]
     bids = []
@@ -277,10 +304,45 @@ def best_split_numpy(tables: np.ndarray, budget: int) -> BestReply:
     return int(t[np.arange(k), bids].sum()), tuple(bids)
 
 
-def _block_cost(span: "tuple[int, int]", width: int) -> int:
-    """The block fill of the budgets in ``span`` over the bids ``0..width``, in cells."""
-    rows = max(0, span[1] - span[0] + 1)  # none: the stage is flat
-    return rows * (width + 1) + CALL * (2 + 5 * -(-rows // ROW_BLOCK))
+def _block_stage(row, windows, lo, hi, first, scratch, out) -> None:
+    """``out[r] = max_x row[x] + windows[x, r]`` for ``lo <= r <= hi``, over the bids ``first..``.
+
+    Bids on the first axis, budgets on the second, one maximum over bids:
+    the bids run from ``first <= lo`` to the end of ``row``, a chunk takes as
+    many as ``scratch`` holds rows of its budgets and skips the budgets below
+    its first bid, where every bid of the chunk reads the sentinel.
+    """
+    x0 = first
+    while x0 < len(row):
+        r0 = max(lo, x0)
+        x1 = min(len(row), x0 + len(scratch) // (hi + 1 - r0))
+        sums = scratch[: (x1 - x0) * (hi + 1 - r0)].reshape(x1 - x0, hi + 1 - r0)
+        np.add(row[x0:x1, None], windows[x0:x1, r0 : hi + 1], out=sums)
+        seg = out[r0 : hi + 1]
+        if x0 > first:
+            np.maximum(seg, np.maximum.reduce(sums, axis=0), out=seg)
+        else:
+            np.maximum.reduce(sums, axis=0, out=seg)
+        x0 = x1
+
+
+def _block_cost(spans, widths, j: int, cap: int, cell: int) -> int:
+    """Stage ``j``'s block fill with ``cap`` cells of scratch, in picoseconds.
+
+    It fills the budgets ``lo..hi`` of ``spans[j]`` over the bids
+    ``first..widths[j]``: the width is at most ``hi``, the sum of the widths
+    from ``j`` on or the budget.  With ``hi'`` the top of stage ``j + 1``,
+    above which it is flat, a bid ``x`` below ``first = lo - hi'`` leaves
+    ``r - x > hi'`` at every budget ``r`` of the span, where bid ``r - hi'``
+    (no lower on the row, and at most the width) scores at least as much.
+    """
+    lo, hi = spans[j]
+    if lo > hi:  # no budgets: the stage is flat
+        return 0
+    first, last = max(0, lo - spans[j + 1][1]), widths[j]
+    over = max(0, last - lo)  # bids above lo skip the budgets below them
+    cells = (last + 1 - first) * (hi + 1 - lo) - over * (over + 1) // 2
+    return cells * cell + CALL * (2 + 5 * -(-cells // cap))
 
 
 def _concave_from(steps: np.ndarray) -> int:

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import GameSpec, PreconditionError, as_partition, check_seed
+from .core import GameSpec, PreconditionError, as_partition, check_count, check_seed
 from .kernels import KernelSet, get_kernels
 from .space import count_ordered
 
@@ -169,13 +169,13 @@ def fp_run(
     most even split, 'two-sided', 0 and 'lex' on a fresh run, and the
     checkpoint's values on a resume, where a given value must match them.
     """
-    if rounds < 1:
-        raise PreconditionError(f"rounds must be >= 1, got {rounds}")
+    rounds = check_count("rounds", rounds)
     if seed is not None:
         seed = check_seed(seed)
-    for name, every in (("trace_every", trace_every), ("checkpoint_every", checkpoint_every)):
-        if every is not None and every < 1:
-            raise PreconditionError(f"{name} must be >= 1, got {every}")
+    if trace_every is not None:
+        trace_every = check_count("trace_every", trace_every)
+    if checkpoint_every is not None:
+        checkpoint_every = check_count("checkpoint_every", checkpoint_every)
     if resume is not None:
         state = load_checkpoint(resume)
         if state.spec != spec:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import argparse
+import hashlib
 import io
 import json
 
@@ -446,3 +447,82 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# Verdict commands whose bytes (exit code and stdout) are pinned, by group:
+# every family pair the CLI builds cheaply ("solver" takes about 0.5 s per
+# 120/6 query) at 120/6 for three tie values and at 600/6, the three
+# `classify` verdicts, `dominate` at both sizes and `psne`.
+CHEAP_FAMILIES = [f for f in FAMILIES if f != "solver"]
+VERDICT_CLASSIFY = ("40,40,40,0,0,0", "30,30,20,20,10,10", "120,0,0,0,0,0", "60,60,0,0,0,0",
+                    "50,30,20,10,5,5", "41,40,39,0,0,0")
+VERDICT_PSNE = ("20,20,20,20,20,20", "40,40,40,0,0,0", "119,1,0,0,0,0")
+
+
+def verdict_table():
+    table = {}
+    for n, alphas in ((120, ("0", "1/3", "1")), (600, ("1/3",))):
+        witness = ",".join(map(str, [n // 3] * 3 + [0] * 3))
+        for alpha in alphas:
+            head = ("--n", str(n), "--k", "6", "--alpha", alpha)
+            table[f"verify {n}/6 {alpha}"] = [
+                ("verify", *head, "--family", a, "--family-b", b)
+                + (("--s", witness) if "witness" in (a, b) else ())
+                for a in CHEAP_FAMILIES
+                for b in CHEAP_FAMILIES
+            ]
+    for alpha in ("0", "1/3", "1"):
+        head = ("--n", "120", "--k", "6", "--alpha", alpha)
+        table[f"classify 120/6 {alpha}"] = [("classify", *head, "--s", s) for s in VERDICT_CLASSIFY]
+        table[f"psne 120/6 {alpha}"] = [("psne", *head, "--s", s) for s in VERDICT_PSNE]
+    table["dominate"] = [
+        ("dominate", "--n", "120", "--k", "6", "--alpha", "1/3",
+         "--candidate", "30,30,20,20,10,10", "--target", "60,40,10,5,3,2"),
+        ("dominate", "--n", "600", "--k", "6", "--alpha", "1/3",
+         "--candidate", "100,50,150,120,80,100", "--target", "90,200,10,100,140,60"),
+    ]
+    head = ("--n", "600", "--k", "6", "--alpha", "1/3")
+    table["600/6 classify psne"] = [
+        ("classify", *head, "--s", "200,200,200,0,0,0"),
+        ("classify", *head, "--s", "250,150,100,50,30,20"),
+        ("psne", *head, "--s", "87,197,62,4,249,1"),
+    ]
+    return table
+
+
+def verdict_digest(capsys, commands):
+    digest = hashlib.sha256()
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+    return digest.hexdigest()
+
+
+# Recorded with an earlier budget DP (an int64 block fill over rows of budgets):
+# a rewrite of the DP must leave every verdict byte as it was.
+VERDICT_DIGESTS = {
+    "600/6 classify psne": "8341b87e9de42043b811ff714fcb904587aad740c080193ce9aa9bd6f39fca89",
+    "classify 120/6 0": "cfc674324d55888e3ea535b736018808b0fd1c9b1b698473fe3befab83031f90",
+    "classify 120/6 1": "28fce763221350d27acedebcb8c15ee66b326ba907477bdf425f444d6fdd128a",
+    "classify 120/6 1/3": "28cb602f5167901f966706ffc86faacd1594d5131851ae54d3a17062b066e79b",
+    "dominate": "63cf979777e92eabefb1514f4f880cd3926ce5693b5449f03670094cd066d409",
+    "psne 120/6 0": "16c69f1aad93f1332809a17e51055a20b9ce69e3b431e2489fb3146058d61cd3",
+    "psne 120/6 1": "59bb4fe5a6cd930206bd510fba201faa8f53d80fbb44981cc53b349dfb876bcb",
+    "psne 120/6 1/3": "3ac528d3c5370bb5ff0b0051fff8bb5f781167451dcc0c36ba2fa83c95be996c",
+    "verify 120/6 0": "2e66fee67e42ead4bd8b83ebae8a1b2649bcf789d832a5b89d9a5204709aa0ab",
+    "verify 120/6 1": "e15bd6448f943a09a9ae515efcfb776d2c29f6557b4df9c6cc27d812e33a8bab",
+    "verify 120/6 1/3": "f18e9bf3fabaae5dfea66ddc2a04ce5bd8cccddb02cff49d8f4f5513c17b0c93",
+    "verify 600/6 1/3": "c03fce3c156c2fb6a002b99e4dd00f0dc4e5fc51a45af9f682fe17c3a3918916",
+}
+
+
+class TestVerdictBytes:
+    def test_the_table_covers_every_verdict(self, capsys):
+        verdicts = {json.loads(run(capsys, *argv)[1])["verdict"]
+                    for group, commands in verdict_table().items() if group.startswith("classify")
+                    for argv in commands}
+        assert verdicts == {"good", "never_good", "unknown"}
+
+    @pytest.mark.parametrize("group", sorted(verdict_table()))
+    def test_verdict_bytes(self, capsys, group):
+        assert verdict_digest(capsys, verdict_table()[group]) == VERDICT_DIGESTS[group]

@@ -56,7 +56,8 @@ def small_games(draw, shared):
 )
 def test_best_split_matches_enumeration(game, sign, block):
     # sign -1 minimizes: the DP runs on negated tables and negates the optimum;
-    # small row blocks make the numpy form run several blocks, the last ragged
+    # small row blocks make the numpy form's block fill run several chunks,
+    # the last ragged
     tables, n = game
     negated = [[sign * v for v in row] for row in tables]
     scored = [(sum(row[x] for row, x in zip(tables, s)), s) for s in allocations(n, len(tables))]
@@ -70,18 +71,30 @@ def test_best_split_matches_enumeration(game, sign, block):
             assert bids == first
 
 
+# The integer types best_split_numpy runs in, and the bound every sum of K
+# entries stays below in each: 2**(bits - 4).
+TYPE_GUARDS = {np.int16: 1 << 12, np.int32: 1 << 28, np.int64: 1 << 60}
+
+
 @settings(max_examples=examples(150), deadline=None)
 @given(data=st.data())
 def test_numpy_best_split_matches_python(data):
-    # budgets past the enumeration tests, row blocks that split them unevenly
+    # budgets past the enumeration tests, row blocks that chunk them unevenly
+    # and entries from each type band: the int64 form, and every narrower
+    # type whose guard the entries stay below
     n = data.draw(st.integers(1, 40))
     k = data.draw(st.integers(1, 6))
-    top = data.draw(st.sampled_from([1, 2, 1000, 2**40]))
+    top = data.draw(st.sampled_from([1, 2, 680, 1000, 2**20, 2**40, 2**56]))
     row = st.lists(st.integers(-top, top), min_size=n + 1, max_size=n + 1)
     tables = [data.draw(row) for _ in range(k)]
     block = data.draw(st.integers(1, n + 2))
+    want = best_split_python(tables, n)
+    bound = k * max(abs(v) for row in tables for v in row)
     with mock.patch.object(kernels, "ROW_BLOCK", block):
-        assert best_split_numpy(np.array(tables, dtype=np.int64), n) == best_split_python(tables, n)
+        assert best_split_numpy(np.array(tables, dtype=np.int64), n) == want
+        for dtype, guard in TYPE_GUARDS.items():
+            if bound < guard:
+                assert best_split_numpy(np.array(tables, dtype=dtype), n) == want
 
 
 def check_guard_boundary(k, sign, monkeypatch, dtype):
@@ -123,6 +136,45 @@ def test_guard_boundary_picks_the_form(k, sign, monkeypatch):
 def test_matrix_input_takes_the_same_guard(k, sign, monkeypatch):
     # an int64 matrix must not bypass the guard; past it, the Python form gets Python ints
     check_guard_boundary(k, sign, monkeypatch, np.int64)
+
+
+def check_type_band(k, sign, monkeypatch, given, guard, below, above):
+    # best_split_numpy runs in the narrowest type whose guard every sum of K
+    # entries stays below, the Python form past int64, whatever the matrix's
+    # dtype: the largest magnitude a band admits takes it, one more the next
+    ran = []
+    numpy_dp, python_dp = kernels.best_split_numpy, kernels.best_split_python
+    monkeypatch.setattr(
+        kernels, "best_split_numpy", lambda t, b: ran.append(t.dtype) or numpy_dp(t, b)
+    )
+    monkeypatch.setattr(
+        kernels, "best_split_python", lambda t, b: ran.append("python") or python_dp(t, b)
+    )
+    n = 5
+    largest = (guard - 1) // k
+    for top, form in ((largest, below), (largest + 1, above)):
+        tables = [[(x * 7 + j) % 5 - 2 for x in range(n + 1)] for j in range(k)]
+        for j in range(k):  # every field reaches the top somewhere: sums near K * top
+            tables[j][(2 * j + 1) % (n + 1)] = sign * top
+        ran.clear()
+        result = best_split(np.array(tables, dtype=given), n)
+        assert ran == [form]
+        assert result == python_dp(tables, n)
+
+
+TYPE_BANDS = [
+    (1 << 12, np.dtype(np.int16), np.dtype(np.int32)),
+    (1 << 28, np.dtype(np.int32), np.dtype(np.int64)),
+    (1 << 60, np.dtype(np.int64), "python"),
+]
+
+
+@pytest.mark.parametrize("guard, below, above", TYPE_BANDS, ids=["2**12", "2**28", "2**60"])
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("given", [object, np.int64], ids=["object", "int64"])
+def test_type_band_boundaries(guard, below, above, k, sign, given, monkeypatch):
+    check_type_band(k, sign, monkeypatch, given, guard, below, above)
 
 
 def test_exact_side_rows_take_the_int64_form(monkeypatch):
@@ -333,8 +385,9 @@ def shaped_tables(draw, layout, min_n=0):
 def test_shaped_stages_match_python(data, layout, sign, block):
     # value and witness against the Python DP, whichever fill each stage
     # takes; the sign flips concave rows to convex ones and rises to falls;
-    # with ROW_BLOCK 1 every block costs a call, so the merge and the run
-    # fill win wherever they apply, with 64 the block fill wins at small N
+    # with ROW_BLOCK 1 the block fill takes a chunk per bid or so and the
+    # merge and the run fill win at most stages, with 64 the block fill wins
+    # at small N
     tables, n = data.draw(shaped_tables(layout))
     tables = [[sign * v for v in row] for row in tables]
     want = best_split_python(tables, n)
@@ -364,10 +417,10 @@ def concave(row):
 @given(data=st.data(), layout=st.sampled_from(sorted(LAYOUTS)))
 def test_fill_follows_the_rows(data, layout):
     # A call of non-decreasing rows never takes the run fill.  In a call with
-    # a decreasing row every stage runs at full range, and with ROW_BLOCK 1
-    # each of its blocks costs a call, so the block fill is dearest: every
-    # stage whose row and later rows are concave merges, and every other
-    # stage whose row has few runs takes the run fill (N >= 8).
+    # a decreasing row every stage runs at full range, and with its cells
+    # priced out of reach (and ROW_BLOCK 1, a chunk per bid or so) the block
+    # fill is dearest: every stage whose row and later rows are concave
+    # merges, and every other stage whose row has few runs takes the run fill.
     tables, n = data.draw(shaped_tables(layout, min_n=8))
     k = len(tables)
     falls = any(b < a for row in tables for a, b in zip(row, row[1:]))
@@ -377,6 +430,7 @@ def test_fill_follows_the_rows(data, layout):
     with pytest.MonkeyPatch.context() as monkeypatch:
         ran = fills(monkeypatch)
         monkeypatch.setattr(kernels, "ROW_BLOCK", 1)
+        monkeypatch.setattr(kernels, "CELL", dict.fromkeys(kernels.CELL, 10**9))
         assert best_split_numpy(np.array(tables, dtype=np.int64), n) == best_split_python(tables, n)
     merged = ran.count("_merge_stage")
     assert ran[:merged] == ["_merge_stage"] * merged  # the suffix fills first
@@ -386,6 +440,96 @@ def test_fill_follows_the_rows(data, layout):
     else:
         assert merged <= merges
         assert "_runs_stage" not in ran
+
+
+def block_fills(monkeypatch):
+    """Record each block fill best_split_numpy runs: ``((lo, hi, first, last bid), cells)``."""
+    ran = []
+    fill = kernels._block_stage
+
+    def spy(row, windows, lo, hi, first, scratch, out):
+        ran.append(((lo, hi, first, len(row) - 1), len(scratch)))
+        fill(row, windows, lo, hi, first, scratch, out)
+
+    monkeypatch.setattr(kernels, "_block_stage", spy)
+    return ran
+
+
+def chunks(box, cells):
+    """The ``(first bid, bids, first budget)`` of each chunk of a block fill.
+
+    A chunk takes as many bids as ``cells`` holds rows of its budgets, which
+    start at its first bid or at ``lo``, whichever is higher.
+    """
+    lo, hi, x0, last = box
+    out = []
+    while x0 <= last:
+        r0 = max(lo, x0)
+        size = min(last + 1 - x0, cells // (hi + 1 - r0))
+        out.append((x0, size, r0))
+        x0 += size
+    return out
+
+
+def zigzag(n, width, step=1):
+    """``n + 1`` entries rising by ``step`` and ``3 * step`` in turn up to ``width``, flat above.
+
+    Non-decreasing and not concave, like the parity marginals' rows: neither
+    the merge nor (in a ranged call) the run fill serves them.
+    """
+    incs = [step * (1 + 2 * (x % 2)) for x in range(width)] + [0] * (n - width)
+    return list(accumulate(incs, initial=0))
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_block_fill_skips_an_empty_span(block, monkeypatch):
+    # widths summing below N: every stage is flat over the budgets the walk
+    # reaches, so no block fill runs (the span lo > hi has no rows to chunk)
+    n, widths = 40, (3, 9, 0, 5, 2, 7)
+    tables = [zigzag(n, w) for w in widths]
+    ran, other = block_fills(monkeypatch), fills(monkeypatch)
+    monkeypatch.setattr(kernels, "ROW_BLOCK", block)
+    assert best_split_numpy(np.array(tables, dtype=np.int16), n) == best_split_python(tables, n)
+    assert ran == other == []
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_block_fill_chunks_above_lo(block, monkeypatch):
+    # a ranged stage whose budgets start at lo = 100: the first chunk takes
+    # the bids from 0, and a later chunk starts at a bid above lo and skips
+    # the budgets below it; with ROW_BLOCK 1 each chunk holds a few bids
+    n = 200
+    tables = [zigzag(n, 100, 3), zigzag(n, 150), zigzag(n, 150, 2)]
+    ran = block_fills(monkeypatch)
+    monkeypatch.setattr(kernels, "ROW_BLOCK", block)
+    for dtype in (np.int16, np.int32, np.int64):
+        ran.clear()
+        assert best_split_numpy(np.array(tables, dtype=dtype), n) == best_split_python(tables, n)
+        [(box, cells)] = ran
+        assert box == (100, 200, 0, 150)
+        parts = chunks(box, cells)
+        assert any(x0 > 100 and r0 == x0 for x0, _, r0 in parts)
+        if block == 1:
+            assert parts[0] == (0, 1, 100) and len(parts) > 100
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_block_fill_one_bid_per_chunk(block, monkeypatch):
+    # a call at full range (the last row falls): with ROW_BLOCK 1 a chunk
+    # holds one bid while its budgets fill more than half the scratch, so
+    # every stage runs chunks of single bids; the larger blocks take several
+    n, k = 150, 4
+    tables = [[(x * 37 + 11 * j) % 23 for x in range(n + 1)] for j in range(k)]
+    ran = block_fills(monkeypatch)
+    monkeypatch.setattr(kernels, "ROW_BLOCK", block)
+    for sign in (1, -1):
+        rows = [[sign * v for v in row] for row in tables]
+        ran.clear()
+        assert best_split(np.array(rows, dtype=np.int64), n) == best_split_python(rows, n)
+        assert [box for box, _ in ran] == [(0, n, 0, n)] * (k - 2)
+        sizes = [size for box, cells in ran for _, size, _ in chunks(box, cells)]
+        assert sizes.count(1) >= (n // 2 if block == 1 else 0)
+        assert sum(sizes) == (k - 2) * (n + 1)
 
 
 def gap_matrix(candidate, target, spec):

@@ -253,6 +253,40 @@ class TestSeeds:
             fp_run(DESK, 30, seed=int(seed), tie_break="random"))
 
 
+class TestCounts:
+    @pytest.mark.parametrize("rounds", [2.5, 3.0, True, "3", Fraction(3)])
+    def test_fp_run_refuses_a_non_integer_round_count(self, rounds):
+        # 2.5 used to play 3 rounds, and True 1
+        with pytest.raises(PreconditionError, match="rounds must be an integer"):
+            fp_run(DESK, rounds)
+
+    @pytest.mark.parametrize("name", ["trace_every", "checkpoint_every"])
+    @pytest.mark.parametrize("every", [2.5, 1.0, True])
+    def test_fp_run_refuses_a_non_integer_cadence(self, tmp_path, name, every):
+        # trace_every=2.5 on 5 rounds used to trace rounds 1 and 5 only
+        path = tmp_path / "run.fp"
+        with pytest.raises(PreconditionError, match=f"{name} must be an integer"):
+            fp_run(DESK, 5, checkpoint_path=str(path), **{name: every})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["rounds", "trace_every", "checkpoint_every"])
+    def test_fp_run_refuses_a_count_below_one(self, tmp_path, name):
+        counts = dict(rounds=5, trace_every=1, checkpoint_every=1)
+        counts[name] = np.int64(0)
+        with pytest.raises(PreconditionError, match=f"{name} must be >= 1, got 0"):
+            fp_run(DESK, counts.pop("rounds"), checkpoint_path=str(tmp_path / "run.fp"), **counts)
+
+    def test_numpy_integer_counts_run_as_ints(self, tmp_path):
+        path = tmp_path / "run.fp"
+        state = fp_run(DESK, np.int64(5), trace_every=np.int32(2),
+                       checkpoint_path=str(path), checkpoint_every=np.uint8(3))
+        assert state.rounds_played == 5 and type(state.rounds_played) is int
+        assert [row.round_index for row in state.trace] == [1, 2, 4, 5]
+        plain = fp_run(DESK, 5, trace_every=2, checkpoint_path=str(tmp_path / "b.fp"),
+                       checkpoint_every=3)
+        assert state_fingerprint(state) == state_fingerprint(plain)
+
+
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "state.fp"
