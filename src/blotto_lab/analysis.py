@@ -10,13 +10,14 @@ opponent's marginals over one common denominator
 (:meth:`MarginalProfile.scaled`, kept by the profile), turned into one
 integer value row per battlefield (:func:`blotto_lab.core.value_row`), all
 rows at once as one matrix (:func:`blotto_lab.mixed.value_matrix`), int64
-while its entries fit and Python ints past that.  The matrix goes to the
-int64 form of the DP whenever ``K * max|entry| < 2**60``, and to the
-Python-int form otherwise; both give the same optimum and the same
-lexicographically smallest argmax.  Each best response and dominance
-witness is re-scored in integers apart from the tables and the DP, and a
-mismatch raises :class:`~blotto_lab.core.SolverFailureError`.  Everything
-returns exact rationals; a gap of zero means zero.
+while its entries fit and Python ints past that.  The DP runs in the
+narrowest integer type in which ``K * max|entry|`` fits its guard, up to
+``2**60`` in int64, and on Python ints past that; every type gives the
+same optimum and the same lexicographically smallest argmax.  Each best
+response and dominance witness is re-scored in integers apart from the
+tables and the DP, and a mismatch raises
+:class:`~blotto_lab.core.SolverFailureError`.  Everything returns exact
+rationals; a gap of zero means zero.
 """
 
 from __future__ import annotations

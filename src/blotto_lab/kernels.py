@@ -2,31 +2,33 @@
 
 Every exact best response and every fictitious-play round reduces to
 maximizing ``sum_k tables[k][bid_k]`` over bid vectors that spend the budget
-exactly.  The DP comes in two forms on two kinds of input:
+exactly.  One engine serves both, as numpy max-plus stages, on two kinds of
+input:
 
 * One table per battlefield (:func:`best_split`) serves the exact side (best
   responses, dominance), as one 2-D integer matrix: int64, or ``object``
-  (Python ints) when the entries may not fit.  Its numpy form
-  (:func:`best_split_numpy`) runs in the narrowest of int16, int32 and int64
-  in which ``K * max|entry| < 2**(bits - 4)`` (``2**12``, ``2**28``,
-  ``2**60``), so no sum can overflow and every sum through the sentinel
-  ``-2**(bits - 3)`` loses; the matrix is copied into int16 or int32, and
-  read without a copy in int64.  Past ``2**60`` the Python-int form
-  (:func:`best_split_python`) runs on the matrix's rows as Python ints,
-  which never overflows and is the oracle the numpy form is tested against.
-  That one guard alone picks the form and the type, whatever the dtype: no
-  option selects them.
-* One shared table serves fictitious play.  It runs the int64 kernels
-  (:func:`br_lex_numpy`, :func:`br_sampled_numpy`, max-plus stages through
-  sliding windows) whenever its own overflow guard shows scaled values fit,
-  and the Python-int forms (:func:`br_lex_python`, :func:`br_sampled_python`)
-  otherwise; the sampler's counts have a bound of their own
-  (:func:`br_sampled_numpy`).  The two numpy kernels reuse one cached
-  workspace of buffers for the last budget they saw, so they are not
-  reentrant: no two calls may run at once (the package starts no threads).
+  (Python ints) when the entries may not fit.  :func:`best_split_numpy` runs
+  in the narrowest of int16, int32 and int64 in which ``K * max|entry| <
+  2**(bits - 4)`` (``2**12``, ``2**28``, ``2**60``), so no sum can overflow,
+  and on ``object`` past that; the matrix is copied into int16, int32 or
+  ``object``, and read without a copy in its own type.  That one guard alone
+  picks the type, whatever the dtype: no option selects it.
+* One shared table serves fictitious play (:func:`br_lex_numpy`,
+  :func:`br_sampled_numpy`, max-plus stages through sliding windows).  They
+  run in the type of the value row the caller hands them: ``object`` stays
+  ``object``, and the sampler's counts take the row's type; any other row
+  runs in int64, under the caller's guards on the values and on the counts
+  (:func:`br_sampled_numpy`).  The two reuse one cached workspace of buffers
+  for the last budget and type they saw, so they are not reentrant: no two
+  calls may run at once (the package starts no threads).
   :func:`best_split_numpy` keeps nothing between calls.
 
-All three numpy DPs apply one width rule (:func:`flat_width`;
+Every DP marks unreachable states with one sentinel (:func:`_sentinel`), a
+value below every reachable sum by more than the largest entry, so a sum
+through it loses to every reachable one: ``-2**(bits - 3)`` in a fixed-width
+type, and in ``object`` a Python int taken from the entries themselves.
+
+All three DPs apply one width rule (:func:`flat_width`;
 :func:`best_split_numpy` applies it to all its rows at once).  A
 non-decreasing value row is flat from its first maximal entry ``w`` on: with
 tie values in [0, 2] a belief row is flat above the largest bid seen.  A bid
@@ -37,8 +39,7 @@ only the bids ``x <= w``; the sampler adds the completions through bids above
 in the previous stage below ``n - w``).  :func:`best_split_numpy` also fills each
 stage only over the budgets its walk forward can reach, and the flat value
 above them.  Any row that decreases somewhere keeps its full width and full
-range.  The FP walks back stay full width, and the Python forms stay
-untruncated: they are the oracles.
+range.  The FP walks back stay full width.
 
 :func:`best_split_numpy` picks each stage's fill from the shape of the rows,
 by the cheapest under one cost model (next to :data:`ROW_BLOCK`, priced per
@@ -54,7 +55,10 @@ oriented as the FP kernels' stages: bids on the first axis, budgets on the
 second, one maximum over bids, in chunks of as many bids as the scratch of
 ``ROW_BLOCK * (budget + 1)`` cells holds.
 
-Every pair of forms returns bit-identical results (tested).
+The tests check every DP here against plain Python-int loops kept in the
+test oracles.  :class:`KernelSet` and :func:`get_kernels` remain only as the
+hook through which a tracer counts the FP kernel calls, by the name the
+caller asks for.
 """
 
 from __future__ import annotations
@@ -62,24 +66,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
 
-NEG = -(1 << 61)  # the FP kernels' sentinel for unreachable states; values stay below 2**60
-# best_split_numpy's integer types, narrowest first, each with its guard: the
-# type runs while every sum of K entries stays below 2**(bits - 4), so the
-# sentinel -2**(bits - 3) for unreachable states loses to every reachable sum
-_INT_TYPES = (
-    (np.dtype(np.int16), 1 << 12),
-    (np.dtype(np.int32), 1 << 28),
-    (np.dtype(np.int64), 1 << 60),
-)
+# The fixed-width integer types, narrowest first, each with its guard: a DP
+# runs in the type while every sum of K entries stays below 2**(bits - 4).
+# Past int64's, best_split runs on object (Python ints).
+_INT_TYPES = {
+    np.dtype(np.int16): 1 << 12,
+    np.dtype(np.int32): 1 << 28,
+    np.dtype(np.int64): 1 << 60,
+}
 ROW_BLOCK = 64  # the block fill's scratch holds ROW_BLOCK * (budget + 1) cells
 # best_split_numpy fills each tail stage with the cheapest exact fill its rows
 # admit, priced in picoseconds by the itemsize of the type it runs in (timed
-# on a 2-vCPU x86 host, numpy 2.4):
+# on a 2-vCPU x86 host, numpy 2.4; object takes int64's prices, which may
+# cost it speed but never change a result):
 #   block fill  CELL per pair of bid and budget it adds and maximizes, plus
 #               2 calls and 5 per chunk of ROW_BLOCK * (budget + 1) cells
 #   merge       5 calls and SORT per element and level of a sort of 2 * budget
@@ -106,92 +109,30 @@ def best_split(tables: np.ndarray, budget: int) -> BestReply:
     so the witness is the lexicographically smallest minimizer.  Runs
     :func:`best_split_numpy` in the narrowest of int16, int32 and int64 in
     which every sum of ``K`` entries stays below ``2**(bits - 4)`` in
-    magnitude (``2**12``, ``2**28``, ``2**60``), else
-    :func:`best_split_python` on the rows as Python ints.
+    magnitude (``2**12``, ``2**28``, ``2**60``), else on ``object``.
     """
     bound = len(tables) * max(int(tables.max()), -int(tables.min()))
-    for dtype, guard in _INT_TYPES:
-        if bound < guard:
-            return best_split_numpy(tables[:, : budget + 1].astype(dtype, copy=False), budget)
-    return best_split_python(tables.tolist(), budget)
+    dtype = next((d for d, guard in _INT_TYPES.items() if bound < guard), np.dtype(object))
+    return best_split_numpy(tables[:, : budget + 1].astype(dtype, copy=False), budget)
 
 
-# ---------------------------------------------------------------------------
-# Python ints: never overflows
-# ---------------------------------------------------------------------------
+def _sentinel(a: np.ndarray, fields: int) -> int:
+    """The value of an unreachable state in a DP over ``fields`` fields of ``a``'s entries.
 
-
-def best_split_python(tables: Sequence[Sequence[int]], budget: int) -> BestReply:
-    """:func:`best_split` on Python ints: never overflows."""
-    k = len(tables)
-    # tail[j][r]: optimum over fields j.. with r units left; every r is
-    # reachable since bids may be zero or take the rest.
-    tail = [None] * k
-    tail[k - 1] = list(tables[k - 1][: budget + 1])
-    for j in range(k - 2, 0, -1):
-        row, prev = tables[j], tail[j + 1]
-        tail[j] = [max(map(add, row, prev[r::-1])) for r in range(budget + 1)]
-    bids = []
-    r = budget
-    for j in range(k - 1):
-        cand = list(map(add, tables[j], tail[j + 1][r::-1]))
-        x = cand.index(max(cand))
-        bids.append(x)
-        r -= x
-    bids.append(r)
-    return sum(row[x] for row, x in zip(tables, bids)), tuple(bids)
-
-
-def br_lex_python(values: Sequence[int], budget: int, fields: int) -> BestReply:
-    """Shared-table form of :func:`best_split_python`, the signature of ``br_lex_numpy``."""
-    return best_split_python([list(values)] * fields, budget)
-
-
-def br_sampled_python(
-    values: Sequence[int], budget: int, fields: int, uniforms: Sequence[float]
-) -> BestReply:
-    """Uniform draw over all optimal bid vectors, driven by ``uniforms``.
-
-    Counts optimal completions per state and walks stages choosing each bid
-    with probability proportional to the completions it leaves open, so the
-    draw is uniform over the full argmax set (up to float resolution of the
-    supplied uniforms).
+    Minus twice a bound on the magnitude of every sum of ``fields`` entries:
+    the type's guard (:data:`_INT_TYPES`) in a fixed-width type, which the
+    caller keeps, so the sentinel is ``-2**(bits - 3)``; ``fields *
+    max|entry| + 1`` on ``object``.  A stage holds sums of fewer than
+    ``fields`` entries, so an entry plus the sentinel loses to each of them,
+    and in a fixed-width type nothing overflows.
     """
-    values = list(values)
-    suffix = [values[: budget + 1]]
-    counts = [[1] * (budget + 1)]
-    for _ in range(1, fields):
-        prev, prev_counts = suffix[-1], counts[-1]
-        row, row_counts = [], []
-        for r in range(budget + 1):
-            best = max(values[x] + prev[r - x] for x in range(r + 1))
-            row.append(best)
-            row_counts.append(
-                sum(prev_counts[r - x] for x in range(r + 1) if values[x] + prev[r - x] == best)
-            )
-        suffix.append(row)
-        counts.append(row_counts)
-    bids = []
-    r = budget
-    for c in range(fields - 1, 0, -1):
-        target = suffix[c][r]
-        prev, prev_counts = suffix[c - 1], counts[c - 1]
-        total = counts[c][r]
-        want = min(int(uniforms[fields - 1 - c] * total), total - 1)
-        acc = 0
-        for x in range(r + 1):
-            if values[x] + prev[r - x] == target:
-                acc += prev_counts[r - x]
-                if acc > want:
-                    bids.append(x)
-                    r -= x
-                    break
-    bids.append(r)
-    return suffix[fields - 1][budget], tuple(bids)
+    if a.dtype != object:
+        return -2 * _INT_TYPES[a.dtype]
+    return -2 * (fields * max(a.max(), -a.min()) + 1)
 
 
 # ---------------------------------------------------------------------------
-# numpy int64: stage-wise max-plus products through sliding windows
+# stage-wise max-plus products through sliding windows
 # ---------------------------------------------------------------------------
 
 
@@ -210,12 +151,13 @@ def flat_width(row: np.ndarray) -> "int | None":
 
 
 def best_split_numpy(tables: np.ndarray, budget: int) -> BestReply:
-    """:func:`best_split` in the matrix's integer type.
+    """:func:`best_split` in the matrix's integer type: fixed-width or ``object``.
 
-    The caller keeps every sum of K entries below ``2**(bits - 4)`` in
-    magnitude (:data:`_INT_TYPES`), so no sum overflows and every sum through
-    the sentinel ``-2**(bits - 3)`` loses to every reachable one.  Tail stage
-    ``j`` is ``tail[j][r] = max_{x <= r} row[x] + tail[j + 1][r - x]``.  Each
+    In a fixed-width type the caller keeps every sum of K entries below
+    ``2**(bits - 4)`` in magnitude (:data:`_INT_TYPES`), so no sum
+    overflows; in every type a sum through the sentinel (:func:`_sentinel`)
+    loses to every reachable one.  Tail stage ``j`` is ``tail[j][r] =
+    max_{x <= r} row[x] + tail[j + 1][r - x]``.  Each
     stage is filled exactly, by the cheapest fill its rows admit under the
     cost model next to :data:`ROW_BLOCK`, so the walk forward reads the same
     tables whichever fill ran:
@@ -242,7 +184,7 @@ def best_split_numpy(tables: np.ndarray, budget: int) -> BestReply:
     k = len(t)
     cell, sort = CELL[t.itemsize], SORT[t.itemsize]
     cap = min(ROW_BLOCK, n + 1) * (n + 1)  # the block fill's scratch, in cells
-    neg = -(1 << (8 * t.itemsize - 3))
+    neg = _sentinel(t, k)
     steps = t[:, 1:] - t[:, :-1]  # no overflow: every |entry| < 2**(bits - 5)
     ranged = not np.count_nonzero(steps < 0)
     if ranged:
@@ -416,28 +358,46 @@ def _runs_stage(row: np.ndarray, steps: np.ndarray, prev: np.ndarray, out: np.nd
 
 
 class _Workspace:
-    """The buffers of one budget ``n``, reused by every numpy kernel call.
+    """The buffers of one budget ``n`` and one type, reused by every FP kernel call.
 
     ``windows[x, r]`` reads ``pad[n - x + r]``: the previous stage at
-    ``r - x`` for ``x <= r`` and NEG (or a zero count) above the diagonal.
-    Calls write only ``pad[n:]`` and ``pad_counts[n:]``, so the padding
-    stays constant.
+    ``r - x`` for ``x <= r`` and the sentinel (or a zero count) above the
+    diagonal.  Calls write ``pad[n:]`` and ``pad_counts[n:]``.  In a
+    fixed-width type the padding ``pad[:n]`` holds the type's sentinel for
+    good; on ``object`` each call writes its own (:func:`_fp_row`).
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, dtype: type) -> None:
         view = np.lib.stride_tricks.sliding_window_view
         self.n = n
-        self.pad = np.full(2 * n + 1, NEG, dtype=np.int64)
+        self.pad = np.zeros(2 * n + 1, dtype=dtype)
+        if dtype != object:
+            self.pad[:n] = _sentinel(self.pad, 0)
         self.windows = view(self.pad, n + 1)[::-1]
-        self.pad_counts = np.zeros(2 * n + 1, dtype=np.int64)
+        self.pad_counts = np.zeros(2 * n + 1, dtype=dtype)
         self.count_windows = view(self.pad_counts, n + 1)[::-1]
-        self.buf = np.empty((n + 1, n + 1), dtype=np.int64)
+        self.buf = np.empty((n + 1, n + 1), dtype=dtype)
         self.optimal = np.empty((n + 1, n + 1), dtype=bool)
 
 
 @lru_cache(maxsize=1)
-def _workspace(n: int) -> _Workspace:
-    return _Workspace(n)
+def _workspace(n: int, dtype: type) -> _Workspace:
+    return _Workspace(n, dtype)
+
+
+def _fp_row(values: Sequence[int], budget: int, fields: int) -> "tuple[np.ndarray, _Workspace]":
+    """The value row in the type the FP kernels run in, and the workspace for it.
+
+    An ``object`` row (Python ints) stays ``object``; any other runs in
+    int64.  An ``object`` row's sentinel grows with its values, as they do
+    with the rounds, so the workspace's padding takes it on every call.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == object:
+        v = values[: budget + 1]
+        ws = _workspace(budget, object)
+        ws.pad[:budget] = _sentinel(v, fields)
+        return v, ws
+    return np.asarray(values, dtype=np.int64)[: budget + 1], _workspace(budget, np.int64)
 
 
 def _stage(ws: _Workspace, head: np.ndarray, prev: np.ndarray, out: np.ndarray) -> None:
@@ -449,13 +409,13 @@ def _stage(ws: _Workspace, head: np.ndarray, prev: np.ndarray, out: np.ndarray) 
 
 
 def br_lex_numpy(values: Sequence[int], budget: int, fields: int) -> BestReply:
-    ws = _workspace(budget)
-    v = np.asarray(values, dtype=np.int64)[: budget + 1]
+    """:func:`best_split` on ``fields`` copies of one value row, in the row's type (:func:`_fp_row`)."""
+    v, ws = _fp_row(values, budget, fields)
     w = flat_width(v)
     w = budget if w is None else w
     head = v[: w + 1, None]
     # the walk back from the full budget reads stages 0 .. fields - 2 only
-    stages = np.empty((fields, budget + 1), dtype=np.int64)
+    stages = np.empty((fields, budget + 1), dtype=v.dtype)
     stages[0] = v
     for c in range(1, fields - 1):
         _stage(ws, head, stages[c - 1], stages[c])
@@ -472,15 +432,21 @@ def br_lex_numpy(values: Sequence[int], budget: int, fields: int) -> BestReply:
 def br_sampled_numpy(
     values: Sequence[int], budget: int, fields: int, uniforms: Sequence[float]
 ) -> BestReply:
-    """:func:`br_sampled_python` in int64: the same draw from the same ``uniforms``.
+    """A uniform draw over every optimal bid vector, driven by ``uniforms``.
+
+    Counts the optimal completions of every state and walks the stages back,
+    choosing each bid with probability proportional to the completions it
+    leaves open, so the draw is uniform over the full argmax set (up to the
+    float resolution of the uniforms).  Runs in the row's type
+    (:func:`_fp_row`), and so do the counts.
 
     Stage ``c`` counts the optimal completions of each budget ``r``: at most
     the ``C(r + c, c)`` bid vectors of ``c + 1`` fields spending ``r``.  A
     prefix sum of them is at most ``C(n + c, c)``, and a partial sum of the
     walk back at most a count, so nothing exceeds
     :func:`~blotto_lab.space.count_ordered`, ``C(budget + fields - 1, fields - 1)``.
-    The caller keeps that below ``2**63``, or the counts wrap and the draw
-    stops being uniform.
+    In int64 the caller keeps that below ``2**63``, or the counts wrap and
+    the draw stops being uniform.
 
     Most of a call's time is the fixed cost of each numpy call, so each stage
     takes few passes: one add and one maximum over the bids ``x <= w``, then
@@ -492,16 +458,16 @@ def br_sampled_numpy(
     from the stage below the top instead of recomputing it.
     """
     n = budget
-    ws = _workspace(n)
-    v = np.asarray(values, dtype=np.int64)[: n + 1]
+    v, ws = _fp_row(values, n, fields)
     w = flat_width(v)
     w = n if w is None else w
     head = v[: w + 1, None]
-    stages = np.empty((fields, n + 1), dtype=np.int64)
-    counts = np.empty((fields, n + 1), dtype=np.int64)
+    stages = np.empty((fields, n + 1), dtype=v.dtype)
+    counts = np.empty((fields, n + 1), dtype=v.dtype)
     stages[0] = v
     counts[0] = 1
-    prefix = np.zeros(n + 2, dtype=np.int64)
+    prefix = np.zeros(n + 2, dtype=v.dtype)
+    big = v.dtype == object
     pad, pad_counts = ws.pad[n:], ws.pad_counts[n:]
     windows, count_windows = ws.windows[: w + 1], ws.count_windows[: w + 1]
     sums, optimal = ws.buf[: w + 1], ws.optimal[: w + 1]
@@ -513,8 +479,12 @@ def br_sampled_numpy(
         np.maximum.reduce(sums, axis=0, out=stage)
         pad_counts[:] = counts[c - 1]
         np.equal(sums, stage, out=optimal)
-        # above the diagonal the zero count padding drops every term
-        np.add.reduce(count_windows, axis=0, where=optimal, out=count)
+        # above the diagonal the zero count padding drops every term; on
+        # object a masked sum has no identity, so it starts from 0
+        if big:
+            np.add.reduce(count_windows, axis=0, where=optimal, out=count, initial=0)
+        else:
+            np.add.reduce(count_windows, axis=0, where=optimal, out=count)
         if w < n and np.count_nonzero(prev[: n - w] == prev[1 : n - w + 1]):
             # A bid x > w at r scores v[w] and leaves r - x < t = r - w, so it
             # ties only where v[w] + prev[t] is optimal and prev is flat on
@@ -550,12 +520,14 @@ class KernelSet:
     sampled: Callable
 
 
+# Both names run the same kernels.  fp_run asks for "python" when its values
+# are Python ints, so a tracer that wraps get_kernels counts those calls apart.
 _KERNELS = {
     "numpy": KernelSet("numpy", br_lex_numpy, br_sampled_numpy),
-    "python": KernelSet("python", br_lex_python, br_sampled_python),
+    "python": KernelSet("python", br_lex_numpy, br_sampled_numpy),
 }
 
 
 def get_kernels(name: str = "numpy") -> KernelSet:
-    """The shared-table kernels: ``"numpy"`` (int64) or ``"python"`` (Python ints)."""
+    """The shared-table kernels under ``name``: ``"numpy"`` or ``"python"`` (the same kernels)."""
     return _KERNELS[name]

@@ -10,9 +10,10 @@ budget DP over that shared table (see :mod:`blotto_lab.kernels`).
 That table is the integer value row of the opponent's bid histogram
 (:func:`blotto_lab.core.value_row`), in units of ``1 / (q2 * rounds * K)``
 with ``(p, q2) = spec.tie_scale``, as one numpy array: int64, or ``object``
-(Python ints) when the run takes the pure-Python kernels.  It takes them when
-the scaled range could overflow int64, and with random tie-breaking when the
-sampler's completion counts could (:func:`blotto_lab.kernels.br_sampled_numpy`).
+(Python ints) when the scaled range could overflow int64, and with random
+tie-breaking when the sampler's completion counts could
+(:func:`blotto_lab.kernels.br_sampled_numpy`).  The kernels run in the
+array's type.
 Runs are deterministic given (init, mode, seed) and serialize to a versioned
 binary checkpoint that is byte-identical across identical runs.
 """
@@ -213,6 +214,7 @@ def fp_run(
     bigint = k * (q2 + abs(p)) * rounds * k >= _INT64_SAFE or (
         state.tie_break == "random" and count_ordered(spec) >= 1 << 63
     )
+    # one pair of kernels under two names, so a tracer can count the calls on Python ints
     kern = get_kernels("python" if bigint else "numpy")
 
     rng = None

@@ -459,6 +459,24 @@ VERDICT_CLASSIFY = ("40,40,40,0,0,0", "30,30,20,20,10,10", "120,0,0,0,0,0", "60,
 VERDICT_PSNE = ("20,20,20,20,20,20", "40,40,40,0,0,0", "119,1,0,0,0,0")
 
 
+# A tie value whose 21-digit denominator takes every table past the int64
+# guard, so these verdicts run the budget DP on Python ints: the strategies
+# classified, checked as pure equilibria and compared for dominance, by game.
+BIG_ALPHA = "1/100000000000000000001"
+BIG_VERDICTS = {
+    (12, 4): (
+        ("4,4,4,0", "3,3,3,3", "12,0,0,0", "6,6,0,0", "5,4,2,1", "7,3,1,1"),
+        ("3,3,3,3", "4,4,4,0", "11,1,0,0"),
+        (("5,4,2,1", "6,3,2,1"), ("4,4,4,0", "12,0,0,0")),
+    ),
+    (120, 6): (
+        VERDICT_CLASSIFY,
+        VERDICT_PSNE,
+        (("30,30,20,20,10,10", "60,40,10,5,3,2"), ("40,40,40,0,0,0", "120,0,0,0,0,0")),
+    ),
+}
+
+
 def verdict_table():
     table = {}
     for n, alphas in ((120, ("0", "1/3", "1")), (600, ("1/3",))):
@@ -487,6 +505,20 @@ def verdict_table():
         ("classify", *head, "--s", "250,150,100,50,30,20"),
         ("psne", *head, "--s", "87,197,62,4,249,1"),
     ]
+    for (n, k), (classified, pure, dominance) in BIG_VERDICTS.items():
+        head = ("--n", str(n), "--k", str(k), "--alpha", BIG_ALPHA)
+        witness = ",".join(map(str, [n // 3] * 3 + [0] * (k - 3)))
+        table[f"verify {n}/{k} big"] = [
+            ("verify", *head, "--family", a, "--family-b", b)
+            + (("--s", witness) if "witness" in (a, b) else ())
+            for a in CHEAP_FAMILIES
+            for b in CHEAP_FAMILIES
+        ]
+        table[f"classify {n}/{k} big"] = [("classify", *head, "--s", s) for s in classified]
+        table[f"psne {n}/{k} big"] = [("psne", *head, "--s", s) for s in pure]
+        table[f"dominate {n}/{k} big"] = [
+            ("dominate", *head, "--candidate", c, "--target", t) for c, t in dominance
+        ]
     return table
 
 
@@ -498,9 +530,18 @@ def verdict_digest(capsys, commands):
     return digest.hexdigest()
 
 
-# Recorded with an earlier budget DP (an int64 block fill over rows of budgets):
-# a rewrite of the DP must leave every verdict byte as it was.
+# Recorded with an earlier budget DP (an int64 block fill over rows of budgets,
+# and the pure-Python DP for the "big" groups): a rewrite of the DP must leave
+# every verdict byte as it was.
 VERDICT_DIGESTS = {
+    "classify 12/4 big": "2a0c599e61d974594cc543e702f45e9b3a029e95df64359f0973f5260cc91a45",
+    "classify 120/6 big": "74277c0860481bba9cf7dc5c019d28c5ebd43953ff8a2d96c7f2730bbecccfec",
+    "dominate 12/4 big": "de5f76372c3cf4d0b290bc76297e9350f5a62e0575c882272444f1cc7ec106eb",
+    "dominate 120/6 big": "22955bb5d0b343262e80e3163bcfdf2796ee01d811544eae6930d92d8e821aa7",
+    "psne 12/4 big": "c101029dba5fb702cfa7a77896a90c18d370cda1b90cd7b84a5510c26e9aeafb",
+    "psne 120/6 big": "b47d6be962b09ec307884207702718ca66d6b0f46d3f18a0f0b77b9e742138a1",
+    "verify 12/4 big": "12596f642b5bfa658cf752a4bc691490f3b678e0731fe2e8097773d417c1ae67",
+    "verify 120/6 big": "5c35ce5d0ce875c86dbae67bf348bc894947b8d000062342844f584d83566e4b",
     "600/6 classify psne": "8341b87e9de42043b811ff714fcb904587aad740c080193ce9aa9bd6f39fca89",
     "classify 120/6 0": "cfc674324d55888e3ea535b736018808b0fd1c9b1b698473fe3befab83031f90",
     "classify 120/6 1": "28fce763221350d27acedebcb8c15ee66b326ba907477bdf425f444d6fdd128a",
@@ -526,3 +567,43 @@ class TestVerdictBytes:
     @pytest.mark.parametrize("group", sorted(verdict_table()))
     def test_verdict_bytes(self, capsys, group):
         assert verdict_digest(capsys, verdict_table()[group]) == VERDICT_DIGESTS[group]
+
+
+# fp runs on Python ints, past the int64 guard of the scaled beliefs (at the
+# 21-digit tie value, and outside [0, 2] where the rows fall) and past the
+# sampler's bound on its counts of optimal completions (60/30, random).
+BIG_FP_RUNS = {
+    "12/4 big lex": ("--n", "12", "--k", "4", "--alpha", BIG_ALPHA, "--rounds", "300"),
+    "12/4 big random": ("--n", "12", "--k", "4", "--alpha", BIG_ALPHA, "--rounds", "300",
+                        "--tie-break", "random", "--seed", "7"),
+    "12/4 big override": ("--n", "12", "--k", "4", "--alpha=-" + BIG_ALPHA, "--alpha-override",
+                          "--rounds", "200", "--mode", "self-play"),
+    "60/30 random": ("--n", "60", "--k", "30", "--alpha", "1/3", "--rounds", "20",
+                     "--tie-break", "random", "--seed", "3"),
+}
+
+
+def fp_digest(capsys, tmp_path, argv):
+    """SHA-256 of an fp run's exit code, rank CSV, stderr, trace rows and checkpoint."""
+    ckpt, trace = tmp_path / "run.fp", tmp_path / "trace.csv"
+    code, out, err = run(capsys, "fp", *argv, "--checkpoint", str(ckpt),
+                         "--trace", str(trace), "--trace-every", "5")
+    digest = hashlib.sha256(f"{code}\n{out}{err}".encode())
+    digest.update(trace.read_bytes().split(b"\n", 1)[1])  # the header line names the paths
+    digest.update(ckpt.read_bytes())
+    return digest.hexdigest()
+
+
+# Recorded with the pure-Python budget DP these runs took before the numpy
+# kernels ran on Python ints: the engine may change, the bytes may not.
+BIG_FP_DIGESTS = {
+    "12/4 big lex": "ca3db709fedb00c48f3c520e9abfda755f4ffd05b8c303f21da63ac1900f0c82",
+    "12/4 big override": "5af7ea2b28499297be8ac46ca01fa48d1949fc73d5eee389f57d13e6b1423719",
+    "12/4 big random": "30edd660080f2fcaa3d005971e1b4172b6b5655bb68146e517b807eed5e16be6",
+    "60/30 random": "e1e33ef9774ed2c2c83facebf86083d7c432feebdde35c45039033494e941fb1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIG_FP_RUNS))
+def test_big_integer_fp_bytes(capsys, tmp_path, name):
+    assert fp_digest(capsys, tmp_path, BIG_FP_RUNS[name]) == BIG_FP_DIGESTS[name]

@@ -1,4 +1,4 @@
-"""The budget DP: Python-int reference against brute force, numpy against Python."""
+"""The budget DP: the Python-int oracles against brute force, numpy against the oracles."""
 
 from itertools import accumulate, combinations_with_replacement, product
 from unittest import mock
@@ -14,15 +14,16 @@ from conftest import examples
 from blotto_lab.kernels import (
     best_split,
     best_split_numpy,
-    best_split_python,
     br_lex_numpy,
     br_sampled_numpy,
-    br_sampled_python,
     flat_width,
     get_kernels,
 )
+from oracles import best_split_python, br_lex_python, br_sampled_python, oracle_kernels
 
+# The FP kernels by name: "python" is the Python-int oracle pair.
 BACKENDS = ("numpy", "python")
+KERNELS = {"numpy": get_kernels("numpy"), "python": oracle_kernels}
 
 
 def random_values(rng, n, lo=-50, hi=500):
@@ -92,30 +93,21 @@ def test_numpy_best_split_matches_python(data):
     bound = k * max(abs(v) for row in tables for v in row)
     with mock.patch.object(kernels, "ROW_BLOCK", block):
         assert best_split_numpy(np.array(tables, dtype=np.int64), n) == want
+        assert best_split_numpy(np.array(tables, dtype=object), n) == want
         for dtype, guard in TYPE_GUARDS.items():
             if bound < guard:
                 assert best_split_numpy(np.array(tables, dtype=dtype), n) == want
 
 
 def check_guard_boundary(k, sign, monkeypatch, dtype):
-    # the int64 form runs while K * max|entry| < 2**60, the Python form from
-    # there on, whatever the matrix's dtype
+    # best_split_numpy runs in int64 while K * max|entry| < 2**60 and on
+    # object (Python ints) from there on, whatever the matrix's dtype
     ran = []
-
-    def spy(name):
-        dp = getattr(kernels, name)
-
-        def run(tables, budget):
-            ran.append(name)
-            return dp(tables, budget)
-
-        monkeypatch.setattr(kernels, name, run)
-
-    spy("best_split_numpy")
-    spy("best_split_python")
+    dp = kernels.best_split_numpy
+    monkeypatch.setattr(kernels, "best_split_numpy", lambda t, b: ran.append(t.dtype) or dp(t, b))
     n = 5
     largest = ((1 << 60) - 1) // k  # the largest magnitude the guard admits
-    for top, form in ((largest, "best_split_numpy"), (largest + 1, "best_split_python")):
+    for top, form in ((largest, np.dtype(np.int64)), (largest + 1, np.dtype(object))):
         tables = [[(x * 7 + j) % 5 - 2 for x in range(n + 1)] for j in range(k)]
         tables[k // 2][n // 2] = sign * top
         ran.clear()
@@ -134,21 +126,18 @@ def test_guard_boundary_picks_the_form(k, sign, monkeypatch):
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_matrix_input_takes_the_same_guard(k, sign, monkeypatch):
-    # an int64 matrix must not bypass the guard; past it, the Python form gets Python ints
+    # an int64 matrix must not bypass the guard; past it, the DP runs on Python ints
     check_guard_boundary(k, sign, monkeypatch, np.int64)
 
 
 def check_type_band(k, sign, monkeypatch, given, guard, below, above):
     # best_split_numpy runs in the narrowest type whose guard every sum of K
-    # entries stays below, the Python form past int64, whatever the matrix's
+    # entries stays below, on object past int64, whatever the matrix's
     # dtype: the largest magnitude a band admits takes it, one more the next
     ran = []
-    numpy_dp, python_dp = kernels.best_split_numpy, kernels.best_split_python
+    numpy_dp = kernels.best_split_numpy
     monkeypatch.setattr(
         kernels, "best_split_numpy", lambda t, b: ran.append(t.dtype) or numpy_dp(t, b)
-    )
-    monkeypatch.setattr(
-        kernels, "best_split_python", lambda t, b: ran.append("python") or python_dp(t, b)
     )
     n = 5
     largest = (guard - 1) // k
@@ -159,13 +148,13 @@ def check_type_band(k, sign, monkeypatch, given, guard, below, above):
         ran.clear()
         result = best_split(np.array(tables, dtype=given), n)
         assert ran == [form]
-        assert result == python_dp(tables, n)
+        assert result == best_split_python(tables, n)
 
 
 TYPE_BANDS = [
     (1 << 12, np.dtype(np.int16), np.dtype(np.int32)),
     (1 << 28, np.dtype(np.int32), np.dtype(np.int64)),
-    (1 << 60, np.dtype(np.int64), "python"),
+    (1 << 60, np.dtype(np.int64), np.dtype(object)),
 ]
 
 
@@ -395,6 +384,69 @@ def test_shaped_stages_match_python(data, layout, sign, block):
         matrix = np.array(tables, dtype=np.int64)
         assert best_split_numpy(matrix, n) == want
         assert best_split(matrix, n) == want
+
+
+OBJECT_SHAPES = ("ranged", "decreasing", "concave", "few runs")
+
+
+@st.composite
+def object_tables(draw):
+    """``(tables, budget)``: 2 to 6 rows of the shapes the fills key on, past int64.
+
+    Each row is one shape times a signed factor of ``2**55`` to ``2**201``,
+    plus a shift of up to that size (a shift changes no argmax), so its
+    entries are Python ints from about ``2**55`` to past ``2**200`` in
+    magnitude.
+    """
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(2, 6))
+    tables = []
+    for _ in range(k):
+        shape = draw(st.sampled_from(OBJECT_SHAPES))
+        row = draw({
+            "ranged": flat_topped_row(n, draw(st.integers(0, n))),
+            "decreasing": value_rows(n, "outside"),
+            "concave": concave_row(n),
+            "few runs": run_row(n),
+        }[shape])
+        bits = draw(st.integers(55, 200))
+        scale = draw(st.integers(1 << bits, 1 << (bits + 1))) * draw(st.sampled_from([1, -1]))
+        shift = draw(st.integers(-(1 << bits), 1 << bits))
+        tables.append([scale * v + shift for v in row])
+    return tables, n
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(data=st.data(), block=st.sampled_from([1, 3, 64]))
+def test_object_dps_match_the_oracles(data, block):
+    # every DP on object matrices and rows (Python ints), whichever fill each
+    # stage of best_split takes and however the scratch chunks it, against
+    # the Python-int oracles
+    tables, n = data.draw(object_tables())
+    k = len(tables)
+    uniforms = data.draw(
+        st.lists(st.floats(0, 1, exclude_max=True), min_size=k - 1, max_size=k - 1)
+    )
+    matrix = np.array(tables, dtype=object)
+    want = best_split_python(tables, n)
+    with mock.patch.object(kernels, "ROW_BLOCK", block):
+        assert best_split_numpy(matrix, n) == want
+        assert best_split(matrix, n) == want
+    row = matrix[0]
+    assert br_lex_numpy(row, n, k) == br_lex_python(tables[0], n, k)
+    assert br_sampled_numpy(row, n, k, uniforms) == br_sampled_python(tables[0], n, k, uniforms)
+
+
+def test_object_sentinel_lies_below_every_reachable_sum():
+    # Every split of 2 units over 3 fields of this row scores -2**65 at best,
+    # below int64's sentinel -2**61: that sentinel plus the entry 0 would beat
+    # the reachable sums, and every DP would return a wrong argmax.
+    row = [-(1 << 64), -(1 << 64), 0]
+    matrix = np.array([row] * 3, dtype=object)
+    assert best_split(matrix, 2) == best_split_python([row] * 3, 2) == (-(1 << 65), (0, 0, 2))
+    assert br_lex_numpy(matrix[0], 2, 3) == br_lex_python(row, 2, 3)
+    for uniforms in ([0.1, 0.1], [0.9, 0.9]):
+        assert br_sampled_numpy(matrix[0], 2, 3, uniforms) == br_sampled_python(row, 2, 3, uniforms)
 
 
 def fills(monkeypatch):
@@ -650,7 +702,7 @@ def test_numpy_kernels_carry_nothing_between_budgets(data):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_lex_against_exhaustive_search(backend):
-    kern = get_kernels(backend)
+    kern = KERNELS[backend]
     rng = np.random.default_rng(1)
     for n, k in ((6, 3), (9, 2), (5, 4), (12, 4)):
         for _ in range(12):
@@ -668,55 +720,57 @@ def test_lex_against_exhaustive_search(backend):
 
 
 def test_all_backends_identical_lex():
+    # the numpy kernel in int64 and on object against the oracle
     rng = np.random.default_rng(7)
-    kerns = [get_kernels(b) for b in BACKENDS]
+    kerns = [KERNELS[b] for b in BACKENDS]
     for n, k in ((10, 4), (20, 6), (40, 3)):
         for _ in range(10):
             values = random_values(rng, n)
             results = [kern.lex(values, n, k) for kern in kerns]
+            results.append(br_lex_numpy(values.astype(object), n, k))
             assert len({(t, b) for t, b in results}) == 1, results
 
 
 def test_all_backends_identical_sampled():
     rng = np.random.default_rng(11)
-    kerns = [get_kernels(b) for b in BACKENDS]
+    kerns = [KERNELS[b] for b in BACKENDS]
     for n, k in ((10, 4), (14, 3)):
         for _ in range(10):
             values = random_values(rng, n, lo=0, hi=5)  # small range forces ties
             uniforms = rng.random(k - 1)
             results = [kern.sampled(values, n, k, uniforms) for kern in kerns]
+            results.append(br_sampled_numpy(values.astype(object), n, k, uniforms))
             assert len({(t, b) for t, b in results}) == 1, results
 
 
 def test_sampled_value_matches_lex_value():
     rng = np.random.default_rng(3)
-    kern = get_kernels("python")
-    for _ in range(20):
-        values = random_values(rng, 12, lo=0, hi=4)
-        total_lex, _ = kern.lex(values, 12, 4)
-        total_sampled, bids = kern.sampled(values, 12, 4, rng.random(3))
-        assert total_sampled == total_lex
-        assert sum(int(values[x]) for x in bids) == total_lex
+    for kern in KERNELS.values():
+        for _ in range(20):
+            values = random_values(rng, 12, lo=0, hi=4)
+            total_lex, _ = kern.lex(values, 12, 4)
+            total_sampled, bids = kern.sampled(values, 12, 4, rng.random(3))
+            assert total_sampled == total_lex
+            assert sum(int(values[x]) for x in bids) == total_lex
 
 
 def test_sampled_spreads_over_maximizers():
     # all-zero values: every allocation is optimal; the sampler should reach
     # several distinct ones while lex always returns (0, 0, ..., n)
-    kern = get_kernels("python")
     n, k = 6, 3
     values = [0] * (n + 1)
-    rng = np.random.default_rng(5)
-    seen = {kern.sampled(values, n, k, rng.random(k - 1))[1] for _ in range(200)}
-    assert len(seen) > 5
-    assert kern.lex(values, n, k)[1] == (0, 0, 6)
+    for kern in KERNELS.values():
+        rng = np.random.default_rng(5)
+        seen = {kern.sampled(values, n, k, rng.random(k - 1))[1] for _ in range(200)}
+        assert len(seen) > 5
+        assert kern.lex(values, n, k)[1] == (0, 0, 6)
 
 
 def test_python_backend_handles_big_integers():
-    kern = get_kernels("python")
     huge = [x * x * 10**30 for x in range(11)]  # convex: all-in on one field wins
-    total, bids = kern.lex(huge, 10, 2)
-    assert total == 100 * 10**30
-    assert bids == (0, 10)
+    for total, bids in (br_lex_python(huge, 10, 2), br_lex_numpy(np.array(huge, dtype=object), 10, 2)):
+        assert total == 100 * 10**30
+        assert bids == (0, 10)
 
 
 def test_kernel_agrees_with_exact_best_response():
@@ -730,6 +784,6 @@ def test_kernel_agrees_with_exact_best_response():
     p, q2 = sp.tie_scale
     values = value_row(weights[0], p, q2)
     for backend in BACKENDS:
-        total, bids = get_kernels(backend).lex(values, sp.budget, sp.battlefields)
+        total, bids = KERNELS[backend].lex(values, sp.budget, sp.battlefields)
         assert Fraction(total, q2 * den) == exact.value
         assert bids == exact.argmax

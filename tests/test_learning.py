@@ -27,6 +27,7 @@ from blotto_lab import (
 from blotto_lab import kernels, learning
 from blotto_lab.core import value_row
 from conftest import examples
+from oracles import oracle_kernels
 
 SMALL = GameSpec(6, 3, Fraction(0))
 DESK = GameSpec(12, 4, Fraction(0))
@@ -126,7 +127,7 @@ class TestDeterminismAndModes:
 
     def test_backends_agree(self, monkeypatch):
         fast = fp_run(DESK, 150)
-        monkeypatch.setattr(learning, "get_kernels", lambda name: kernels.get_kernels("python"))
+        monkeypatch.setattr(learning, "get_kernels", lambda name: oracle_kernels)
         reference = fp_run(DESK, 150)
         assert state_fingerprint(fast) == state_fingerprint(reference)
 
@@ -153,6 +154,7 @@ class TestDeterminismAndModes:
         state = fp_run(tiny_tie, 120)
         assert state.hist_a.sum() == 120 * 2
         # forced onto Python ints, a run plays and traces as it does in int64
+        # and as it does on the oracle kernels
         for tie_break in learning.TIE_BREAKS:
             run = dict(seed=5, tie_break=tie_break, trace_every=7)
             fast = fp_run(DESK, 90, **run)
@@ -162,9 +164,11 @@ class TestDeterminismAndModes:
                 m.setattr(learning, "get_kernels",
                           lambda name: picked.append(name) or kernels.get_kernels(name))
                 exact = fp_run(DESK, 90, **run)
+                m.setattr(learning, "get_kernels", lambda name: oracle_kernels)
+                reference = fp_run(DESK, 90, **run)
             assert picked == ["python"]
-            assert state_fingerprint(exact) == state_fingerprint(fast)
-            assert exact.trace == fast.trace and len(exact.trace) == 14
+            assert state_fingerprint(exact) == state_fingerprint(fast) == state_fingerprint(reference)
+            assert exact.trace == fast.trace == reference.trace and len(exact.trace) == 14
 
     @pytest.mark.parametrize(
         "n, tie_break, kernel",
@@ -173,8 +177,8 @@ class TestDeterminismAndModes:
     )
     def test_sampler_bound_picks_the_kernels(self, n, tie_break, kernel, monkeypatch):
         # the numpy sampler counts up to C(N + K - 1, K - 1) completions in
-        # int64: from 2**63 on (K = 30: N = 39) random runs take the Python
-        # kernels; lex runs count nothing
+        # int64: from 2**63 on (K = 30: N = 39) random runs ask for the
+        # kernels on Python ints; lex runs count nothing
         picked = []
         monkeypatch.setattr(learning, "get_kernels",
                             lambda name: picked.append(name) or kernels.get_kernels(name))
@@ -182,11 +186,12 @@ class TestDeterminismAndModes:
         assert picked == [kernel]
 
     def test_random_run_past_the_sampler_bound_draws_uniformly(self, monkeypatch):
-        # C(89, 29) >= 2**63: int64 counts would wrap, so the run draws as the Python kernels do
+        # C(89, 29) >= 2**63: int64 counts would wrap, so the run counts in
+        # Python ints and draws as the oracle kernels do
         spec = GameSpec(60, 30, "1/3")
         run = dict(seed=3, tie_break="random", trace_every=4)
         state = fp_run(spec, 12, **run)
-        monkeypatch.setattr(learning, "get_kernels", lambda name: kernels.get_kernels("python"))
+        monkeypatch.setattr(learning, "get_kernels", lambda name: oracle_kernels)
         exact = fp_run(spec, 12, **run)
         assert state_fingerprint(state) == state_fingerprint(exact)
         assert state.trace == exact.trace
