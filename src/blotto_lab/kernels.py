@@ -23,6 +23,15 @@ input:
   calls may run at once (the package starts no threads).
   :func:`best_split_numpy` keeps nothing between calls.
 
+The sampler builds the stage maxima as the lex kernel does, then looks for a
+certificate that every optimal bid vector orders one partition: a
+depth-first search over partitions, largest part first, that stops at a
+second optimal one or once it has tested as many candidates as the count DP
+would fill cells.  With the certificate it draws the ordering in closed form
+from multinomial counts, in Python ints; without it the count DP counts the
+optimal completions of every state over the stages already built, and only
+those counts are bound to ``2**63`` in int64.
+
 Every DP marks unreachable states with one sentinel (:func:`_sentinel`), a
 value below every reachable sum by more than the largest entry, so a sum
 through it loses to every reachable one: ``-2**(bits - 3)`` in a fixed-width
@@ -66,6 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from math import factorial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -434,49 +444,152 @@ def br_sampled_numpy(
 ) -> BestReply:
     """A uniform draw over every optimal bid vector, driven by ``uniforms``.
 
-    Counts the optimal completions of every state and walks the stages back,
-    choosing each bid with probability proportional to the completions it
-    leaves open, so the draw is uniform over the full argmax set (up to the
-    float resolution of the uniforms).  Runs in the row's type
-    (:func:`_fp_row`), and so do the counts.
+    Walks the fields in order, choosing each bid with probability
+    proportional to the optimal completions it leaves open, so the draw is
+    uniform over the full argmax set (up to the float resolution of the
+    uniforms): ``u = uniforms[i]`` picks bid ``i`` as the first, in
+    ascending order, whose running sum of completions exceeds
+    ``min(int(u * total), total - 1)``.
+    Runs in the row's type (:func:`_fp_row`).
 
-    Stage ``c`` counts the optimal completions of each budget ``r``: at most
-    the ``C(r + c, c)`` bid vectors of ``c + 1`` fields spending ``r``.  A
-    prefix sum of them is at most ``C(n + c, c)``, and a partial sum of the
-    walk back at most a count, so nothing exceeds
-    :func:`~blotto_lab.space.count_ordered`, ``C(budget + fields - 1, fields - 1)``.
-    In int64 the caller keeps that below ``2**63``, or the counts wrap and
-    the draw stops being uniform.
+    It builds the stage maxima as :func:`br_lex_numpy` does, then asks for a
+    certificate (:func:`_unique_partition`): every optimal bid vector is an
+    ordering of one partition ``M``.  Then the completions of a bid ``x``
+    with ``s`` fields left are ``total * m_x / s`` of the ``total =
+    s! / prod(m_y!)`` orderings of what is left, and the walk draws from
+    them in closed form, in Python ints: the same numbers, branch by branch,
+    as the counts.  When two partitions tie, or the search for a second one
+    has tested as many candidates as the count DP fills cells, the walk
+    reads the counts of :func:`_completion_counts` instead.
 
-    Most of a call's time is the fixed cost of each numpy call, so each stage
-    takes few passes: one add and one maximum over the bids ``x <= w``, then
-    one comparison and one masked sum (``np.add.reduce(..., where=optimal)``)
-    for the counts.  The closed-form count of ties through bids above ``w``
-    runs only when the previous stage has a flat step ``prev[t - 1] ==
-    prev[t]`` for some ``t`` in ``1 .. n - w``: without one, every run of
-    equal entries it would sum is empty.  The walk back reads each optimum
-    from the stage below the top instead of recomputing it.
+    The counts of stage ``c`` are at most the ``C(r + c, c)`` bid vectors of
+    ``c + 1`` fields spending ``r``.  A prefix sum of them is at most
+    ``C(n + c, c)``, and a partial sum of the walk back at most a count, so
+    nothing exceeds :func:`~blotto_lab.space.count_ordered`, ``C(budget +
+    fields - 1, fields - 1)``.  In int64 the caller keeps that below
+    ``2**63``, or the counts wrap and the draw stops being uniform.
     """
     n = budget
     v, ws = _fp_row(values, n, fields)
+    if fields == 1:
+        return int(v[n]), (n,)
     w = flat_width(v)
     w = n if w is None else w
     head = v[: w + 1, None]
-    stages = np.empty((fields, n + 1), dtype=v.dtype)
-    counts = np.empty((fields, n + 1), dtype=v.dtype)
+    # as in br_lex_numpy, the walk reads stages 0 .. fields - 2 only
+    stages = np.empty((fields - 1, n + 1), dtype=v.dtype)
     stages[0] = v
+    for c in range(1, fields - 1):
+        _stage(ws, head, stages[c - 1], stages[c])
+    cand = v + stages[fields - 2][::-1]  # the first bid x: v[x] + the best of the rest
+    top = np.maximum.reduce(cand)
+    # the search may test as many candidates as the count DP fills cells
+    parts = _unique_partition(stages, cand, top, (fields - 2) * (w + 1) * (n + 1))
+    if parts is None:
+        return int(top), _count_walk(v, ws, w, stages, cand, top, uniforms)
+    return int(top), _multinomial_walk(parts, uniforms)
+
+
+def _unique_partition(stages: np.ndarray, cand: np.ndarray, top, limit: int):
+    """The one partition every optimal bid vector orders, or ``None``.
+
+    ``stages[c][r]`` is the best value of ``c + 1`` fields spending ``r``
+    and ``cand[x]`` the best value of the full budget with a first bid ``x``
+    (``top`` the largest).  A depth-first search over partitions, largest
+    part first: at a state of ``c + 1`` fields, ``r`` units and parts at most
+    ``cap``, a largest part ``x`` from ``ceil(r / (c + 1))`` to ``min(r,
+    cap)`` leads to an optimal partition only if ``v[x] + stages[c - 1][r -
+    x] == stages[c][r]``, and every optimal partition passes that test at
+    each of its parts.  The top level reads ``cand`` in one numpy pass, the
+    others the stages as Python lists.  Returns the parts, descending, or
+    ``None`` once it finds a second partition or has tested more than
+    ``limit`` candidates below the top.  An explicit stack, not recursion:
+    a call leaves no reference cycle for the collector to find.
+    """
+    fields, n = len(stages) + 1, len(cand) - 1
+    lo = -(-n // fields)
+    firsts = (np.flatnonzero(cand[lo:] == top) + lo).tolist()  # ascending: popped largest first
+    rows = stages.tolist()
+    v = rows[0]
+    found = None
+    tests = 0
+    stack = [(fields - 2, n - x, x, (x,)) for x in firsts]
+    while stack:
+        c, r, cap, parts = stack.pop()
+        if c == 0:  # one field left: the part r <= cap (see below)
+            if found is not None:
+                return None
+            found = parts + (r,)
+            continue
+        f, prev = rows[c][r], rows[c - 1]
+        lo, hi = -(-r // (c + 1)), min(r, cap)
+        tests += hi + 1 - lo
+        if tests > limit:
+            return None
+        # x >= ceil(r / (c + 1)) leaves r - x <= c * x: the c fields after
+        # it can always take parts of at most x
+        for x in range(lo, hi + 1):
+            if v[x] + prev[r - x] == f:
+                stack.append((c - 1, r - x, x, parts + (x,)))
+    return found
+
+
+def _multinomial_walk(parts: "tuple[int, ...]", uniforms: Sequence[float]) -> "tuple[int, ...]":
+    """The draw of :func:`br_sampled_numpy` over the orderings of one partition.
+
+    With ``s`` parts left, ``m_x`` of them equal to ``x``, a first bid ``x``
+    leaves ``total * m_x / s`` of the ``total`` orderings open: exact in
+    Python ints, whatever their size.
+    """
+    left = {}
+    for x in parts:
+        left[x] = left.get(x, 0) + 1
+    total = factorial(len(parts))
+    for m in left.values():
+        total //= factorial(m)
+    order = sorted(left)
+    bids = []
+    for i, s in enumerate(range(len(parts), 1, -1)):
+        want = min(int(uniforms[i] * total), total - 1)
+        acc = 0
+        for x in order:
+            branch = total * left[x] // s
+            acc += branch
+            if acc > want:
+                break
+        bids.append(x)
+        total = branch
+        left[x] -= 1
+        if not left[x]:
+            order.remove(x)
+    bids.append(order[0])
+    return tuple(bids)
+
+
+def _completion_counts(v: np.ndarray, ws: _Workspace, w: int, stages: np.ndarray) -> np.ndarray:
+    """``counts[c][r]``: the optimal bid vectors of ``c + 1`` fields spending ``r``.
+
+    Reads the stage maxima and takes few numpy passes per stage, since most
+    of their time is the fixed cost of each call: one add over the bids
+    ``x <= w``, one comparison with the stage and one masked sum
+    (``np.add.reduce(..., where=optimal)``).  The closed-form count of ties
+    through bids above ``w`` runs only when the previous stage has a flat
+    step ``prev[t - 1] == prev[t]`` for some ``t`` in ``1 .. n - w``:
+    without one, every run of equal entries it would sum is empty.
+    """
+    n = len(v) - 1
+    head = v[: w + 1, None]
+    counts = np.empty_like(stages)
     counts[0] = 1
     prefix = np.zeros(n + 2, dtype=v.dtype)
     big = v.dtype == object
     pad, pad_counts = ws.pad[n:], ws.pad_counts[n:]
     windows, count_windows = ws.windows[: w + 1], ws.count_windows[: w + 1]
     sums, optimal = ws.buf[: w + 1], ws.optimal[: w + 1]
-    # as in br_lex_numpy, the walk back reads stages 0 .. fields - 2 only
-    for c in range(1, fields - 1):
+    for c in range(1, len(stages)):
         prev, stage, count = stages[c - 1], stages[c], counts[c]
         pad[:] = prev
         np.add(head, windows, out=sums)
-        np.maximum.reduce(sums, axis=0, out=stage)
         pad_counts[:] = counts[c - 1]
         np.equal(sums, stage, out=optimal)
         # above the diagonal the zero count padding drops every term; on
@@ -497,20 +610,31 @@ def br_sampled_numpy(
             ties = stage[w + 1 :] == prev_t + v[w]
             np.add(count[w + 1 :], prefix[1 : n - w + 1] - prefix[run_start],
                    out=count[w + 1 :], where=ties)
+    return counts
+
+
+def _count_walk(v, ws, w, stages, cand, top, uniforms) -> "tuple[int, ...]":
+    """The draw of :func:`br_sampled_numpy` from the counts of optimal completions.
+
+    ``cand`` and ``top`` are the first field's candidates and their maximum;
+    below the first field the walk reads each optimum from the stages.
+    """
+    counts = _completion_counts(v, ws, w, stages)
+    fields = len(stages) + 1
     bids = []
-    r = budget
+    r = len(v) - 1
     for c in range(fields - 1, 0, -1):
-        cand = v[: r + 1] + stages[c - 1][r::-1]
-        # the optimum of r is known below the top stage, which is never built
-        target = stages[c, r] if c < fields - 1 else np.maximum.reduce(cand)
-        branch = np.add.accumulate(np.where(cand == target, counts[c - 1][r::-1], 0))
+        if c < fields - 1:
+            cand = v[: r + 1] + stages[c - 1][r::-1]
+            top = stages[c, r]
+        branch = np.add.accumulate(np.where(cand == top, counts[c - 1][r::-1], 0))
         total = int(branch[-1])
         want = min(int(uniforms[fields - 1 - c] * total), total - 1)
         x = int(branch.searchsorted(want + 1))
         bids.append(x)
         r -= x
     bids.append(r)
-    return int(v[bids].sum()), tuple(bids)
+    return tuple(bids)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ budget DP over that shared table (see :mod:`blotto_lab.kernels`).
 That table is the integer value row of the opponent's bid histogram
 (:func:`blotto_lab.core.value_row`), in units of ``1 / (q2 * rounds * K)``
 with ``(p, q2) = spec.tie_scale``, as one numpy array: int64, or ``object``
-(Python ints) when the scaled range could overflow int64, and with random
-tie-breaking when the sampler's completion counts could
-(:func:`blotto_lab.kernels.br_sampled_numpy`).  The kernels run in the
-array's type.
+(Python ints) from the first round whose scaled range could overflow int64,
+and with random tie-breaking, for the whole run, when the sampler's
+completion counts could (:func:`blotto_lab.kernels.br_sampled_numpy`).  The
+kernels run in the array's type.
 Runs are deterministic given (init, mode, seed) and serialize to a versioned
 binary checkpoint that is byte-identical across identical runs.
 """
@@ -210,12 +210,22 @@ def fp_run(
         raise PreconditionError(f"{rounds} rounds would overflow the bid counters")
 
     p, q2 = spec.tie_scale
-    # the numpy sampler's int64 counts reach count_ordered(spec)
-    bigint = k * (q2 + abs(p)) * rounds * k >= _INT64_SAFE or (
-        state.tie_break == "random" and count_ordered(spec) >= 1 << 63
-    )
+    # Beliefs over r rounds fit the int64 guard while k * (q2 + |p|) * r * k
+    # does; from first_big rounds read on they run on Python ints.  The
+    # numpy sampler's int64 counts reach count_ordered(spec), whatever the
+    # round, so past 2**63 a random run takes Python ints from the start.
+    if state.tie_break == "random" and count_ordered(spec) >= 1 << 63:
+        first_big = 0
+    else:
+        first_big = -(-_INT64_SAFE // (k * k * (q2 + abs(p))))
     # one pair of kernels under two names, so a tracer can count the calls on Python ints
-    kern = get_kernels("python" if bigint else "numpy")
+    kernel_sets: dict = {}
+
+    def kernels_for(bigint: bool) -> KernelSet:
+        name = "python" if bigint else "numpy"
+        if name not in kernel_sets:
+            kernel_sets[name] = get_kernels(name)
+        return kernel_sets[name]
 
     rng = None
     if state.tie_break == "random":
@@ -234,29 +244,36 @@ def fp_run(
 
     target = rounds
     while state.rounds_played < target:
-        r = state.rounds_played + 1
-        if r == 1:
-            play_a = play_b = state.init
-        elif state.shared_history:
-            play_a = play_b = best_reply(state.hist_a)
-        else:
-            play_a = best_reply(state.hist_b)
-            play_b = best_reply(state.hist_a)
-        _record(state, "a", play_a, r)
-        if not state.shared_history:
-            _record(state, "b", play_b, r)
-        state.rounds_played = r
-        if trace_every is not None and (r == 1 or r % trace_every == 0 or r == target):
-            state.trace.append(_trace_row(state, kern, p, q2, bigint))
-        if (
-            checkpoint_path is not None
-            and checkpoint_every is not None
-            and (r % checkpoint_every == 0 or r == target)
-        ):
-            state.rng_state = rng.bit_generator.state if rng is not None else None
-            save_checkpoint(state, checkpoint_path)
-        if progress is not None:
-            progress(r, target)
+        # one stretch of rounds whose replies run in one type: the reply of
+        # round r reads r - 1 rounds
+        bigint = state.rounds_played >= first_big
+        kern = kernels_for(bigint)
+        stop = target if bigint else min(target, first_big)
+        while state.rounds_played < stop:
+            r = state.rounds_played + 1
+            if r == 1:
+                play_a = play_b = state.init
+            elif state.shared_history:
+                play_a = play_b = best_reply(state.hist_a)
+            else:
+                play_a = best_reply(state.hist_b)
+                play_b = best_reply(state.hist_a)
+            _record(state, "a", play_a, r)
+            if not state.shared_history:
+                _record(state, "b", play_b, r)
+            state.rounds_played = r
+            if trace_every is not None and (r == 1 or r % trace_every == 0 or r == target):
+                big = r >= first_big  # a trace row reads r rounds
+                state.trace.append(_trace_row(state, kernels_for(big), p, q2, big))
+            if (
+                checkpoint_path is not None
+                and checkpoint_every is not None
+                and (r % checkpoint_every == 0 or r == target)
+            ):
+                state.rng_state = rng.bit_generator.state if rng is not None else None
+                save_checkpoint(state, checkpoint_path)
+            if progress is not None:
+                progress(r, target)
     state.rng_state = rng.bit_generator.state if rng is not None else None
     if checkpoint_path is not None and checkpoint_every is None:
         save_checkpoint(state, checkpoint_path)

@@ -607,3 +607,56 @@ BIG_FP_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(BIG_FP_RUNS))
 def test_big_integer_fp_bytes(capsys, tmp_path, name):
     assert fp_digest(capsys, tmp_path, BIG_FP_RUNS[name]) == BIG_FP_DIGESTS[name]
+
+
+# Random-tie-break runs on the numpy sampler, recorded before it drew from a
+# unique optimal partition in closed form: it must make the same draws, so
+# every byte stays.  A name ending in "resumed" cuts the run at half its
+# rounds and resumes it from that checkpoint.
+RANDOM_FP_RUNS = {
+    f"120/6 {alpha} {mode}{cut}": (
+        "--n", "120", "--k", "6", "--alpha", alpha, "--mode", mode, "--rounds", "200",
+        "--tie-break", "random", "--seed", "17",
+    )
+    for alpha in ("0", "1/3", "1")
+    for mode in ("two-sided", "self-play")
+    for cut in ("", " resumed")
+}
+RANDOM_FP_RUNS["600/6 1/3 two-sided"] = (
+    "--n", "600", "--k", "6", "--alpha", "1/3", "--rounds", "50",
+    "--tie-break", "random", "--seed", "4",
+)
+
+
+def random_fp_digest(capsys, tmp_path, name):
+    argv = list(RANDOM_FP_RUNS[name])
+    if name.endswith("resumed"):
+        mid = tmp_path / "mid.fp"
+        at = argv.index("--rounds") + 1
+        cut = argv[:at] + [str(int(argv[at]) // 2)] + argv[at + 1 :]
+        code, _, _ = run(capsys, "fp", *cut, "--checkpoint", str(mid))
+        assert code == 0
+        argv += ["--resume", str(mid)]
+    return fp_digest(capsys, tmp_path, argv)
+
+
+RANDOM_FP_DIGESTS = {
+    "120/6 0 self-play": "fa4169d6384247a8a9da16c1fd21d7208afbb14627b2248ecdde9cab4ecddf31",
+    "120/6 0 self-play resumed": "59afa6760934bd1b029273aad4cfd53bc42c8ab2f9402e43edd6d87cf7559c5c",
+    "120/6 0 two-sided": "0ef3895afaf71954e8c097da5e1db2a17a47ff60c37e625d8602e2273b5a19d3",
+    "120/6 0 two-sided resumed": "396c425f713f9a630570527224035c403f6728def3a813100cec2130a1fba6cd",
+    "120/6 1 self-play": "4fc03424a7dcda8970f73aae655886ba922dc2d223b166cc07bdf520fc946586",
+    "120/6 1 self-play resumed": "0eb15c85dda09d922b26af4ca182ac64f74424606c1264591959a1df0b6aa584",
+    "120/6 1 two-sided": "b5d8210da1e903750b8098600cd6338ce9b7d6b5ec7a02ba204d1f56fe9a38d6",
+    "120/6 1 two-sided resumed": "69d318b4d872d0e964bc007cd1f72c33ae3fd1eafd3ce69e6cbfffaa706a781e",
+    "120/6 1/3 self-play": "146c22613700f4e342aaa8a4ec01c9cce4f11921079af0fed0e5102588163558",
+    "120/6 1/3 self-play resumed": "8c386017670be4a37d2e21f0e46d4c0dc60d1ce679ca1b0bc9efdc4a17909e0e",
+    "120/6 1/3 two-sided": "f9eefd7c00afe6d1f7a3d6c4a5acac6b4568506433a67aeb715fbb28ddd131d1",
+    "120/6 1/3 two-sided resumed": "377ae9b24c264808212879bde32e8be5deb12fbd670b860c6b0de9cc21c0feaf",
+    "600/6 1/3 two-sided": "34ac9a8404403d792a002ed590cc5bc89dc7a00377f9e5861c4c3a3b024af0fc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_FP_RUNS))
+def test_random_fp_bytes(capsys, tmp_path, name):
+    assert random_fp_digest(capsys, tmp_path, name) == RANDOM_FP_DIGESTS[name]

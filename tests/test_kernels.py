@@ -1,5 +1,6 @@
 """The budget DP: the Python-int oracles against brute force, numpy against the oracles."""
 
+import gc
 from itertools import accumulate, combinations_with_replacement, product
 from unittest import mock
 
@@ -175,7 +176,7 @@ def test_exact_side_rows_take_the_int64_form(monkeypatch):
     assert ran == [60]
 
 
-ROW_KINDS = ("monotone", "flat", "rising", "outside")
+ROW_KINDS = ("monotone", "flat", "rising", "outside", "linear")
 
 
 @st.composite
@@ -185,10 +186,14 @@ def value_rows(draw, n, kind=None):
     ``monotone``: a sparse histogram with 0 <= p <= q2, flat above its
     largest bid; ``flat``: flat from bid 0; ``rising``: never flat (every bid
     seen, p > 0); ``outside``: p > q2 or p < 0 and a seen bid whose neighbour
-    on one side is empty, so the row decreases there.
+    on one side is empty, so the row decreases there; ``linear``: every bid
+    seen equally often, so the row rises in equal steps and every bid vector
+    ties.
     """
     kind = kind or draw(st.sampled_from(ROW_KINDS))
     q2 = draw(st.integers(1, 6))
+    if kind == "linear":
+        return value_row([draw(st.integers(1, 3))] * (n + 1), draw(st.integers(-q2, 2 * q2)), q2)
     if kind == "rising":
         p = draw(st.integers(1, q2))
         return value_row(draw(st.lists(st.integers(1, 3), min_size=n + 1, max_size=n + 1)), p, q2)
@@ -223,7 +228,7 @@ def test_width_rule(data):
     want = row.index(max(row)) if nondecreasing(row) else None
     assert flat_width(np.array(row)) == want
     if kind != "monotone":
-        assert want == {"flat": 0, "rising": n, "outside": None}[kind]
+        assert want == {"flat": 0, "rising": n, "outside": None, "linear": n}[kind]
 
 
 @settings(max_examples=examples(300), deadline=None)
@@ -645,19 +650,143 @@ COUNT_ROWS = [
 ]
 
 
+def count_dp_draw(row, n, k, uniforms):
+    """``br_sampled_numpy``'s draw from the completion counts, with no certificate."""
+    with mock.patch.object(kernels, "_unique_partition", lambda *args: None):
+        return br_sampled_numpy(row, n, k, uniforms)
+
+
 @pytest.mark.parametrize(
     "row, counted", [(r, False) for r in SKIP_ROWS] + [(r, True) for r in COUNT_ROWS]
 )
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_sampler_tie_count_branch_matches_python(row, counted, k):
     # every draw of a grid of uniforms, on rows that skip the closed-form
-    # count of ties above the width and rows that need it
+    # count of ties above the width and rows that need it; the count DP runs
+    # on every row, though [0, 1, 2, 4, 5, 5, 6, 6, 6, 6] has one optimal
+    # partition and the kernel itself draws from it in closed form
     n = len(row) - 1
     assert nondecreasing(row) and flat_width(np.array(row)) < n
     assert bool(_tie_count_stages(row, n, k)) == counted
     grid = np.linspace(0, 1, 5, endpoint=False)
     for uniforms in product(grid, repeat=k - 1):
+        want = br_sampled_python(row, n, k, uniforms)
+        assert br_sampled_numpy(row, n, k, uniforms) == want
+        assert count_dp_draw(row, n, k, uniforms) == want
+
+
+@pytest.fixture
+def count_dp_calls(monkeypatch):
+    """The calls of the sampler's count DP (``kernels._completion_counts``)."""
+    calls = []
+    counts = kernels._completion_counts
+
+    def spy(*args):
+        calls.append(args)
+        return counts(*args)
+
+    monkeypatch.setattr(kernels, "_completion_counts", spy)
+    return calls
+
+
+# (row, fields): every optimal bid vector orders one partition, so the
+# sampler draws in closed form and never counts completions
+ONE_PARTITION_ROWS = [
+    ([0, 10, 18, 24, 28, 30, 31], 3),  # concave: (2, 2, 2)
+    ([0, 10, 18, 24, 28, 30, 31, 31], 3),  # concave: (3, 2, 2), three orderings
+    ([0, 1, 2, 4, 5, 5, 6, 6, 6, 6], 4),  # (3, 2, 2, 2): ties above the width, all orderings
+    (value_row([4, 1, 0, 2, 0, 0, 3] + [0] * 9, 1, 3), 5),  # a belief row, n = 15
+    ([5, -3, 8, -1, 2, 9, 0, 4, 1], 4),  # decreasing: full width
+    ([0, 0, 0, 0, 0, 0, 0, 0, 1], 2),  # (8, 0)
+]
+# two or more optimal partitions tie: the walk reads the counts
+TIED_PARTITION_ROWS = [
+    ([0, 0, 1, 1, 2], 2),  # (4, 0) and (2, 2)
+    ([0, 0, 1, 1, 2], 3),
+    ([0, 1, 2, 3, 4, 5, 6, 7], 4),  # linear: every bid vector ties
+    ([0, 2] + [3] * 13, 3),  # bids above the width tie
+    ([0] * 6, 5),  # flat: every bid vector ties
+]
+
+
+@pytest.mark.parametrize(
+    "row, k, closed",
+    [(r, k, True) for r, k in ONE_PARTITION_ROWS] + [(r, k, False) for r, k in TIED_PARTITION_ROWS],
+)
+def test_sampler_branches_match_python(row, k, closed, count_dp_calls):
+    # a grid of uniforms reaches every ordering the rows admit; the closed
+    # form runs exactly when one partition is optimal
+    n = len(row) - 1
+    grid = np.linspace(0, 1, 7, endpoint=False)
+    for uniforms in product(grid, repeat=k - 1):
+        count_dp_calls.clear()
         assert br_sampled_numpy(row, n, k, uniforms) == br_sampled_python(row, n, k, uniforms)
+        assert (not count_dp_calls) == closed
+
+
+def optimal_partitions(row, n, k):
+    """The partitions that some optimal bid vector orders, by enumeration."""
+    scores = {s: sum(row[x] for x in s) for s in allocations(n, k)}
+    best = max(scores.values())
+    return {tuple(sorted(s, reverse=True)) for s, score in scores.items() if score == best}
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(data=st.data())
+def test_partition_certificate_matches_enumeration(data):
+    # the certificate names the one optimal partition or none, by brute
+    # force; with or without it the draw is the oracle's, on belief rows,
+    # signed rows and object rows past int64
+    n = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(2, 5))
+    shape = data.draw(st.sampled_from(("belief", "signed", "object")))
+    if shape == "belief":
+        row = data.draw(value_rows(n))
+    else:
+        top = data.draw(st.sampled_from([1, 3, 50]))
+        row = data.draw(st.lists(st.integers(-top, top), min_size=n + 1, max_size=n + 1))
+    if shape == "object":
+        scale = data.draw(st.integers(1 << 64, 1 << 70)) * data.draw(st.sampled_from([1, -1]))
+        row = np.array([scale * x for x in row], dtype=object)
+    uniforms = data.draw(
+        st.lists(st.floats(0, 1, exclude_max=True), min_size=k - 1, max_size=k - 1)
+    )
+    found = []
+    search = kernels._unique_partition
+
+    def spy(*args):
+        found.append(search(*args))
+        return found[-1]
+
+    with mock.patch.object(kernels, "_unique_partition", spy):
+        got = br_sampled_numpy(row, n, k, uniforms)
+    want = optimal_partitions(list(row), n, k)
+    assert found[0] is None or {found[0]} == want
+    if len(want) > 1:
+        assert found[0] is None
+    assert got == count_dp_draw(row, n, k, uniforms) == br_sampled_python(row, n, k, uniforms)
+
+
+def test_fp_kernel_calls_leave_no_reference_cycle():
+    # 120/6 belief rows, with one optimal partition and with tied ones: a
+    # call's buffers are freed by reference counting alone, so a run's RSS
+    # does not wait on the cyclic collector
+    rng = np.random.default_rng(2)
+    rows = [value_row(np.bincount(rng.integers(0, 41, 6 * rounds), minlength=121).tolist(), 1, 6)
+            for rounds in (1, 5, 40, 300)]
+    rows.append(list(range(121)))  # every bid vector ties
+    for row in rows:  # warm the cached workspace
+        br_sampled_numpy(row, 120, 6, [0.5] * 5)
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(200):
+            row = rows[i % len(rows)]
+            br_sampled_numpy(row, 120, 6, rng.random(5))
+            br_lex_numpy(row, 120, 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=examples(200), deadline=None)

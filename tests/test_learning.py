@@ -170,6 +170,60 @@ class TestDeterminismAndModes:
             assert state_fingerprint(exact) == state_fingerprint(fast) == state_fingerprint(reference)
             assert exact.trace == fast.trace == reference.trace and len(exact.trace) == 14
 
+    # SHA-256 of the checkpoints, recorded when a run took Python ints from
+    # round 1 whenever its target passed the guard: the type may change per
+    # round, the bytes may not.
+    @pytest.mark.parametrize(
+        "tie_break, digest",
+        [("lex", "dec6d57b5fbed6f016629b5ffb5dbccda32f97605b5587e710ff9f417b466d2a"),
+         ("random", "ccfdde0f26ff34e8abd90e840d9ed35bb2781eb2dc97dfc786dc068a3dc0287c")],
+    )
+    def test_rounds_below_the_guard_run_in_int64(self, tmp_path, tie_break, digest, monkeypatch):
+        # at alpha 0.123456789012 beliefs over 30,164 rounds pass the int64
+        # guard, so only a trace row of the last round would need Python
+        # ints: the first 100 rounds of a run to 30,164 take the int64 form
+        class Stop(Exception):
+            pass
+
+        def stop_at_100(r, target):
+            if r == 100:
+                raise Stop
+
+        picked = []
+        monkeypatch.setattr(learning, "get_kernels",
+                            lambda name: picked.append(name) or kernels.get_kernels(name))
+        path = tmp_path / "run.fp"
+        with pytest.raises(Stop):
+            fp_run(GameSpec(120, 6, Fraction("0.123456789012")), 30164, seed=3,
+                   tie_break=tie_break, checkpoint_path=str(path), checkpoint_every=100,
+                   progress=stop_at_100)
+        assert picked == ["numpy"]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "tie_break, digest",
+        [("lex", "f781245419e25470c23dd035cf26a3fffc6eab42058a85090ba3dc6fb9c1d367"),
+         ("random", "d6921ec3a0473f6726d2dc9ff22d9e025b805f33c6b77a438c6296a1e23add46")],
+    )
+    def test_a_run_crosses_the_guard_between_rounds(self, tmp_path, tie_break, digest,
+                                                    monkeypatch):
+        # at 12/4 and alpha 1e-15 beliefs over 19 rounds pass the guard: the
+        # replies of rounds 2..19 and the trace rows up to round 18 run in
+        # int64, the rest on Python ints, with the bytes of an all-Python run
+        picked = []
+        monkeypatch.setattr(learning, "get_kernels",
+                            lambda name: picked.append(name) or kernels.get_kernels(name))
+        spec = GameSpec(12, 4, Fraction(1, 10**15))
+        run = dict(seed=3, tie_break=tie_break, trace_every=1)
+        path = tmp_path / "run.fp"
+        state = fp_run(spec, 40, checkpoint_path=str(path), **run)
+        assert picked == ["numpy", "python"]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        monkeypatch.setattr(learning, "get_kernels", lambda name: oracle_kernels)
+        reference = fp_run(spec, 40, **run)
+        assert state_fingerprint(state) == state_fingerprint(reference)
+        assert state.trace == reference.trace
+
     @pytest.mark.parametrize(
         "n, tie_break, kernel",
         [(38, "random", "numpy"), (39, "random", "python"), (39, "lex", "numpy")],
