@@ -14,14 +14,17 @@ input:
   ``object``, and read without a copy in its own type.  That one guard alone
   picks the type, whatever the dtype: no option selects it.
 * One shared table serves fictitious play (:func:`br_lex_numpy`,
-  :func:`br_sampled_numpy`, max-plus stages through sliding windows).  They
-  run in the type of the value row the caller hands them: ``object`` stays
-  ``object``, and the sampler's counts take the row's type; any other row
-  runs in int64, under the caller's guards on the values and on the counts
-  (:func:`br_sampled_numpy`).  The two reuse one cached workspace of buffers
-  for the last budget and type they saw, so they are not reentrant: no two
-  calls may run at once (the package starts no threads).
-  :func:`best_split_numpy` keeps nothing between calls.
+  :func:`br_sampled_numpy`).  They run in the type of the value row the
+  caller hands them: ``object`` stays ``object``, and the sampler's counts
+  take the row's type; any other row runs in int64, under the caller's
+  guards on the values and on the counts (:func:`br_sampled_numpy`).
+
+The FP kernels fill every stage, and :func:`best_split_numpy` every stage no
+cheaper exact fill serves, with one block fill (:func:`_block_plan`): bids on
+the first axis, budgets on the second, one maximum over bids, in chunks of as
+many bids as a scratch of ``ROW_BLOCK * (budget + 1)`` cells holds.  The three
+DPs share one cached workspace (:class:`_Workspace`), so none is reentrant
+(the package starts no threads); each needs O(``ROW_BLOCK*N + K*N``) cells.
 
 The sampler builds the stage maxima as the lex kernel does, then looks for a
 certificate that every optimal bid vector orders one partition: a
@@ -59,10 +62,7 @@ max-plus product of concave rows takes the largest increments of both
 (Bussieck et al. 1994), one sort per stage.  In a call at full range, a row
 of few constant runs (``dominate``'s difference tables: at most five) takes
 one window maximum of the next stage per run, read from a doubling table.
-Every other stage (point-mass and parity rows, say) takes the block fill,
-oriented as the FP kernels' stages: bids on the first axis, budgets on the
-second, one maximum over bids, in chunks of as many bids as the scratch of
-``ROW_BLOCK * (budget + 1)`` cells holds.
+Every other stage (point-mass and parity rows, say) takes the block fill.
 
 The tests check every DP here against plain Python-int loops kept in the
 test oracles.  :class:`KernelSet` and :func:`get_kernels` remain only as the
@@ -142,7 +142,7 @@ def _sentinel(a: np.ndarray, fields: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# stage-wise max-plus products through sliding windows
+# stage-wise max-plus products through strided windows
 # ---------------------------------------------------------------------------
 
 
@@ -172,7 +172,7 @@ def best_split_numpy(tables: np.ndarray, budget: int) -> BestReply:
     cost model next to :data:`ROW_BLOCK`, so the walk forward reads the same
     tables whichever fill ran:
 
-    * The block fill (:func:`_block_stage`) adds the row's bids to the next
+    * The block fill (:func:`_block_plan`) adds the row's bids to the next
       stage, bids on the first axis and budgets on the second, and takes one
       maximum over bids.  When every row is non-decreasing, every tail stage
       is too, and no bid above the width ``w_j`` (the first maximal entry)
@@ -193,8 +193,11 @@ def best_split_numpy(tables: np.ndarray, budget: int) -> BestReply:
     t = tables[:, : n + 1]
     k = len(t)
     cell, sort = CELL[t.itemsize], SORT[t.itemsize]
-    cap = min(ROW_BLOCK, n + 1) * (n + 1)  # the block fill's scratch, in cells
+    ws = _workspace(n, t.dtype, ROW_BLOCK)
+    cap = len(ws.scratch)  # the block fill's scratch, in cells
     neg = _sentinel(t, k)
+    if t.dtype == object:
+        ws.pad[:n] = neg
     steps = t[:, 1:] - t[:, :-1]  # no overflow: every |entry| < 2**(bits - 5)
     ranged = not np.count_nonzero(steps < 0)
     if ranged:
@@ -216,7 +219,6 @@ def best_split_numpy(tables: np.ndarray, budget: int) -> BestReply:
     tail = np.full((k, n + 1), neg, dtype=t.dtype)  # below a stage's range: never read
     tail[k - 1] = t[k - 1]
     incs = steps[k - 1][::-1]  # while merging: the increments of tail[j + 1], ascending
-    pad = None
     for j in range(k - 2, 0, -1):
         if j >= merged:
             incs = _merge_stage(t[j, 0] + tail[j + 1, 0], steps[j], incs, tail[j])
@@ -229,20 +231,10 @@ def best_split_numpy(tables: np.ndarray, budget: int) -> BestReply:
                 continue
         lo, hi = spans[j]
         if lo <= hi:  # else the span is empty: the stage is flat from lo on
-            if pad is None:
-                # windows[x, r] reads pad[n - x + r]: tail[j + 1][r - x], the
-                # sentinel for x > r.  A plain strided view: some thousands of
-                # sliding_window_view calls raise the peak RSS by 1 MB once
-                # (numpy 2.4).
-                pad = np.full(2 * n + 1, neg, dtype=t.dtype)
-                size = pad.itemsize
-                windows = np.ndarray(
-                    (n + 1, n + 1), t.dtype, buffer=pad, offset=n * size, strides=(-size, size)
-                )
-                scratch = np.empty(cap, dtype=t.dtype)
-            pad[n:] = tail[j + 1]
+            ws.pad[n:] = tail[j + 1]
             first = max(0, lo - spans[j + 1][1])  # see _block_cost
-            _block_stage(t[j, : widths[j] + 1], windows, lo, hi, first, scratch, tail[j])
+            plan = _block_plan(t[j, : widths[j] + 1], ws.windows, lo, hi, first, ws.scratch)
+            _block_fill(plan, tail[j, lo : hi + 1])
         if hi < n:
             tail[j, hi + 1 :] = flat[j]
     bids = []
@@ -256,26 +248,36 @@ def best_split_numpy(tables: np.ndarray, budget: int) -> BestReply:
     return int(t[np.arange(k), bids].sum()), tuple(bids)
 
 
-def _block_stage(row, windows, lo, hi, first, scratch, out) -> None:
-    """``out[r] = max_x row[x] + windows[x, r]`` for ``lo <= r <= hi``, over the bids ``first..``.
+def _block_plan(row, windows, lo, hi, first, scratch) -> list:
+    """The chunks of a block fill of the budgets ``lo..hi`` over the bids ``first..``.
 
-    Bids on the first axis, budgets on the second, one maximum over bids:
-    the bids run from ``first <= lo`` to the end of ``row``, a chunk takes as
-    many as ``scratch`` holds rows of its budgets and skips the budgets below
-    its first bid, where every bid of the chunk reads the sentinel.
+    The bids run from ``first <= lo`` to the last of ``row``, at most
+    ``hi``; a chunk takes as many as ``scratch`` holds rows of its budgets,
+    from ``lo`` or its first bid, below which each of them reads the
+    sentinel (or a zero count).  A chunk is ``(off, head, win, sums)``: its
+    first budget less ``lo``, its bids as a column, its windows and its
+    scratch, all views: a plan serves every stage that refills the pad.
     """
-    x0 = first
-    while x0 < len(row):
-        r0 = max(lo, x0)
-        x1 = min(len(row), x0 + len(scratch) // (hi + 1 - r0))
+    plan = []
+    x0, end, cells = first, len(row), len(scratch)
+    while x0 < end:
+        r0 = lo if lo > x0 else x0
+        x1 = min(end, x0 + cells // (hi + 1 - r0))
         sums = scratch[: (x1 - x0) * (hi + 1 - r0)].reshape(x1 - x0, hi + 1 - r0)
-        np.add(row[x0:x1, None], windows[x0:x1, r0 : hi + 1], out=sums)
-        seg = out[r0 : hi + 1]
-        if x0 > first:
-            np.maximum(seg, np.maximum.reduce(sums, axis=0), out=seg)
-        else:
-            np.maximum.reduce(sums, axis=0, out=seg)
+        plan.append((r0 - lo, row[x0:x1, None], windows[x0:x1, r0 : hi + 1], sums))
         x0 = x1
+    return plan
+
+
+def _block_fill(plan, out) -> None:
+    """``out[r - lo] = max_x row[x] + windows[x, r]`` over a plan's span (:func:`_block_plan`)."""
+    _, head, win, sums = plan[0]
+    np.add(head, win, out=sums)
+    np.maximum.reduce(sums, axis=0, out=out)
+    for off, head, win, sums in plan[1:]:
+        np.add(head, win, out=sums)
+        seg = out[off:]
+        np.maximum(seg, np.maximum.reduce(sums, axis=0), out=seg)
 
 
 def _block_cost(spans, widths, j: int, cap: int, cell: int) -> int:
@@ -368,67 +370,74 @@ def _runs_stage(row: np.ndarray, steps: np.ndarray, prev: np.ndarray, out: np.nd
 
 
 class _Workspace:
-    """The buffers of one budget ``n`` and one type, reused by every FP kernel call.
+    """The buffers of one budget ``n``, one type and one block size, for every DP.
 
     ``windows[x, r]`` reads ``pad[n - x + r]``: the previous stage at
-    ``r - x`` for ``x <= r`` and the sentinel (or a zero count) above the
-    diagonal.  Calls write ``pad[n:]`` and ``pad_counts[n:]``.  In a
-    fixed-width type the padding ``pad[:n]`` holds the type's sentinel for
-    good; on ``object`` each call writes its own (:func:`_fp_row`).
+    ``r - x`` for ``x <= r`` and the sentinel above the diagonal;
+    ``count_windows`` reads ``pad_counts`` so, with zero counts there.  Calls
+    write ``pad[n:]`` and ``pad_counts[n:]``; in a fixed-width type
+    ``pad[:n]`` holds the type's sentinel for good, and on ``object`` each
+    call writes its own.  A block fill adds into ``scratch`` and the count
+    DP compares into ``mask``, ``min(block, n + 1) * (n + 1)`` cells each.
+    The FP kernels keep their stages in ``stages`` and, in ``plans``, the
+    block plans of up to two widths: the two sides of a run alternate.
     """
 
-    def __init__(self, n: int, dtype: type) -> None:
-        view = np.lib.stride_tricks.sliding_window_view
-        self.n = n
+    def __init__(self, n: int, dtype: np.dtype, block: int) -> None:
         self.pad = np.zeros(2 * n + 1, dtype=dtype)
         if dtype != object:
             self.pad[:n] = _sentinel(self.pad, 0)
-        self.windows = view(self.pad, n + 1)[::-1]
         self.pad_counts = np.zeros(2 * n + 1, dtype=dtype)
-        self.count_windows = view(self.pad_counts, n + 1)[::-1]
-        self.buf = np.empty((n + 1, n + 1), dtype=dtype)
-        self.optimal = np.empty((n + 1, n + 1), dtype=bool)
+        size = self.pad.itemsize  # plain strided views: sliding_window_view raises RSS
+        self.windows, self.count_windows = (
+            np.ndarray((n + 1, n + 1), dtype, buffer=pad, offset=n * size, strides=(-size, size))
+            for pad in (self.pad, self.pad_counts)
+        )
+        cells = min(block, n + 1) * (n + 1)
+        self.scratch, self.mask = np.empty(cells, dtype=dtype), np.empty(cells, dtype=bool)
+        self.stages, self.plans = np.empty((1, n + 1), dtype=dtype), {}
 
 
-@lru_cache(maxsize=1)
-def _workspace(n: int, dtype: type) -> _Workspace:
-    return _Workspace(n, dtype)
+# the one cached workspace, keyed on the block size too: a call passes ROW_BLOCK
+_workspace = lru_cache(maxsize=1)(_Workspace)
 
 
-def _fp_row(values: Sequence[int], budget: int, fields: int) -> "tuple[np.ndarray, _Workspace]":
-    """The value row in the type the FP kernels run in, and the workspace for it.
+def _fp_stages(values: Sequence[int], budget: int, fields: int):
+    """``(v, ws, w, stages, plan)``: the start of both FP kernels.
 
-    An ``object`` row (Python ints) stays ``object``; any other runs in
-    int64.  An ``object`` row's sentinel grows with its values, as they do
-    with the rounds, so the workspace's padding takes it on every call.
+    The value row in the type they run in (``object`` stays ``object``, and
+    its sentinel, which grows with its values, goes into the padding on
+    every call; any other row runs in int64), its workspace and width, the
+    stages ``0 .. fields - 2`` the walk back reads (``stages[c][r]``: the best
+    value of ``c + 1`` fields spending ``r``) and the block plan they share.
     """
-    if isinstance(values, np.ndarray) and values.dtype == object:
-        v = values[: budget + 1]
-        ws = _workspace(budget, object)
+    big = isinstance(values, np.ndarray) and values.dtype == object
+    v = values[: budget + 1] if big else np.asarray(values, dtype=np.int64)[: budget + 1]
+    ws = _workspace(budget, v.dtype, ROW_BLOCK)
+    if big:
         ws.pad[:budget] = _sentinel(v, fields)
-        return v, ws
-    return np.asarray(values, dtype=np.int64)[: budget + 1], _workspace(budget, np.int64)
-
-
-def _stage(ws: _Workspace, head: np.ndarray, prev: np.ndarray, out: np.ndarray) -> None:
-    """``out[r] = max_x head[x] + prev[r - x]`` over the ``len(head)`` bids ``x``."""
-    ws.pad[ws.n :] = prev
-    sums = ws.buf[: len(head)]
-    np.add(head, ws.windows[: len(head)], out=sums)
-    sums.max(axis=0, out=out)
+    w = flat_width(v)
+    w = budget if w is None else w
+    if len(ws.stages) < fields - 1:
+        ws.stages, ws.plans = np.empty((fields - 1, budget + 1), dtype=v.dtype), {}
+    stages = ws.stages[: max(fields - 1, 1)]
+    stages[0] = prev = v
+    plan = ws.plans.get(w)
+    if plan is None:  # full range over the bids x <= w of the row in stages[0]
+        if len(ws.plans) > 1:
+            ws.plans.clear()
+        plan = ws.plans[w] = _block_plan(stages[0, : w + 1], ws.windows, 0, budget, 0, ws.scratch)
+    pad = ws.pad[budget:]
+    for stage in stages[1:]:
+        pad[:] = prev
+        _block_fill(plan, stage)
+        prev = stage
+    return v, ws, w, stages, plan
 
 
 def br_lex_numpy(values: Sequence[int], budget: int, fields: int) -> BestReply:
-    """:func:`best_split` on ``fields`` copies of one value row, in the row's type (:func:`_fp_row`)."""
-    v, ws = _fp_row(values, budget, fields)
-    w = flat_width(v)
-    w = budget if w is None else w
-    head = v[: w + 1, None]
-    # the walk back from the full budget reads stages 0 .. fields - 2 only
-    stages = np.empty((fields, budget + 1), dtype=v.dtype)
-    stages[0] = v
-    for c in range(1, fields - 1):
-        _stage(ws, head, stages[c - 1], stages[c])
+    """:func:`best_split` on ``fields`` copies of one value row (:func:`_fp_stages`)."""
+    v, _, _, stages, _ = _fp_stages(values, budget, fields)
     bids = []
     r = budget
     for c in range(fields - 1, 0, -1):
@@ -449,8 +458,7 @@ def br_sampled_numpy(
     uniform over the full argmax set (up to the float resolution of the
     uniforms): ``u = uniforms[i]`` picks bid ``i`` as the first, in
     ascending order, whose running sum of completions exceeds
-    ``min(int(u * total), total - 1)``.
-    Runs in the row's type (:func:`_fp_row`).
+    ``min(int(u * total), total - 1)``, in the row's type (:func:`_fp_stages`).
 
     It builds the stage maxima as :func:`br_lex_numpy` does, then asks for a
     certificate (:func:`_unique_partition`): every optimal bid vector is an
@@ -470,23 +478,15 @@ def br_sampled_numpy(
     ``2**63``, or the counts wrap and the draw stops being uniform.
     """
     n = budget
-    v, ws = _fp_row(values, n, fields)
+    v, ws, w, stages, plan = _fp_stages(values, n, fields)
     if fields == 1:
         return int(v[n]), (n,)
-    w = flat_width(v)
-    w = n if w is None else w
-    head = v[: w + 1, None]
-    # as in br_lex_numpy, the walk reads stages 0 .. fields - 2 only
-    stages = np.empty((fields - 1, n + 1), dtype=v.dtype)
-    stages[0] = v
-    for c in range(1, fields - 1):
-        _stage(ws, head, stages[c - 1], stages[c])
     cand = v + stages[fields - 2][::-1]  # the first bid x: v[x] + the best of the rest
     top = np.maximum.reduce(cand)
     # the search may test as many candidates as the count DP fills cells
     parts = _unique_partition(stages, cand, top, (fields - 2) * (w + 1) * (n + 1))
     if parts is None:
-        return int(top), _count_walk(v, ws, w, stages, cand, top, uniforms)
+        return int(top), _count_walk(v, ws, w, stages, plan, cand, top, uniforms)
     return int(top), _multinomial_walk(parts, uniforms)
 
 
@@ -566,38 +566,38 @@ def _multinomial_walk(parts: "tuple[int, ...]", uniforms: Sequence[float]) -> "t
     return tuple(bids)
 
 
-def _completion_counts(v: np.ndarray, ws: _Workspace, w: int, stages: np.ndarray) -> np.ndarray:
+def _completion_counts(v: np.ndarray, ws: _Workspace, w: int, stages: np.ndarray, plan):
     """``counts[c][r]``: the optimal bid vectors of ``c + 1`` fields spending ``r``.
 
-    Reads the stage maxima and takes few numpy passes per stage, since most
-    of their time is the fixed cost of each call: one add over the bids
-    ``x <= w``, one comparison with the stage and one masked sum
-    (``np.add.reduce(..., where=optimal)``).  The closed-form count of ties
-    through bids above ``w`` runs only when the previous stage has a flat
-    step ``prev[t - 1] == prev[t]`` for some ``t`` in ``1 .. n - w``:
+    Runs the stages' block plan again: per chunk the add, a comparison with
+    the stage into the mask and one masked sum.  The closed-form count of
+    ties through bids above ``w`` runs only when the previous stage has a
+    flat step ``prev[t - 1] == prev[t]`` for some ``t`` in ``1 .. n - w``:
     without one, every run of equal entries it would sum is empty.
     """
     n = len(v) - 1
-    head = v[: w + 1, None]
     counts = np.empty_like(stages)
     counts[0] = 1
     prefix = np.zeros(n + 2, dtype=v.dtype)
-    big = v.dtype == object
     pad, pad_counts = ws.pad[n:], ws.pad_counts[n:]
-    windows, count_windows = ws.windows[: w + 1], ws.count_windows[: w + 1]
-    sums, optimal = ws.buf[: w + 1], ws.optimal[: w + 1]
+    # a full-range plan from bid 0: a chunk's first bid is its offset
+    chunks = [
+        (off, head, win, sums, ws.count_windows[off : off + len(head), off:],
+         ws.mask[: sums.size].reshape(sums.shape))
+        for off, head, win, sums in plan
+    ]
     for c in range(1, len(stages)):
         prev, stage, count = stages[c - 1], stages[c], counts[c]
         pad[:] = prev
-        np.add(head, windows, out=sums)
         pad_counts[:] = counts[c - 1]
-        np.equal(sums, stage, out=optimal)
-        # above the diagonal the zero count padding drops every term; on
-        # object a masked sum has no identity, so it starts from 0
-        if big:
-            np.add.reduce(count_windows, axis=0, where=optimal, out=count, initial=0)
-        else:
-            np.add.reduce(count_windows, axis=0, where=optimal, out=count)
+        # zero counts pad above the diagonal; on object a masked sum needs a start
+        for off, head, win, sums, count_win, mask in chunks:
+            np.add(head, win, out=sums)
+            np.equal(sums, stage[off:], out=mask)
+            if off:  # a later chunk adds to the budgets from its first bid
+                count[off:] += np.add.reduce(count_win, axis=0, where=mask, initial=0)
+            else:
+                np.add.reduce(count_win, axis=0, where=mask, out=count, initial=0)
         if w < n and np.count_nonzero(prev[: n - w] == prev[1 : n - w + 1]):
             # A bid x > w at r scores v[w] and leaves r - x < t = r - w, so it
             # ties only where v[w] + prev[t] is optimal and prev is flat on
@@ -613,13 +613,13 @@ def _completion_counts(v: np.ndarray, ws: _Workspace, w: int, stages: np.ndarray
     return counts
 
 
-def _count_walk(v, ws, w, stages, cand, top, uniforms) -> "tuple[int, ...]":
+def _count_walk(v, ws, w, stages, plan, cand, top, uniforms) -> "tuple[int, ...]":
     """The draw of :func:`br_sampled_numpy` from the counts of optimal completions.
 
     ``cand`` and ``top`` are the first field's candidates and their maximum;
     below the first field the walk reads each optimum from the stages.
     """
-    counts = _completion_counts(v, ws, w, stages)
+    counts = _completion_counts(v, ws, w, stages, plan)
     fields = len(stages) + 1
     bids = []
     r = len(v) - 1

@@ -1,6 +1,7 @@
 """The budget DP: the Python-int oracles against brute force, numpy against the oracles."""
 
 import gc
+import tracemalloc
 from itertools import accumulate, combinations_with_replacement, product
 from unittest import mock
 
@@ -500,15 +501,15 @@ def test_fill_follows_the_rows(data, layout):
 
 
 def block_fills(monkeypatch):
-    """Record each block fill best_split_numpy runs: ``((lo, hi, first, last bid), cells)``."""
+    """Record each block fill a DP plans: ``((lo, hi, first, last bid), cells)``."""
     ran = []
-    fill = kernels._block_stage
+    plan = kernels._block_plan
 
-    def spy(row, windows, lo, hi, first, scratch, out):
+    def spy(row, windows, lo, hi, first, scratch):
         ran.append(((lo, hi, first, len(row) - 1), len(scratch)))
-        fill(row, windows, lo, hi, first, scratch, out)
+        return plan(row, windows, lo, hi, first, scratch)
 
-    monkeypatch.setattr(kernels, "_block_stage", spy)
+    monkeypatch.setattr(kernels, "_block_plan", spy)
     return ran
 
 
@@ -775,14 +776,21 @@ def test_fp_kernel_calls_leave_no_reference_cycle():
     rows = [value_row(np.bincount(rng.integers(0, 41, 6 * rounds), minlength=121).tolist(), 1, 6)
             for rounds in (1, 5, 40, 300)]
     rows.append(list(range(121)))  # every bid vector ties
+    # best_split_numpy on the same rows (ranged, from its block fill) and on
+    # rows that fall somewhere (full range)
+    matrices = [np.array([row] * 6, dtype=np.int64) for row in rows]
+    matrices.append(rng.integers(-50, 50, (6, 121)))
     for row in rows:  # warm the cached workspace
         br_sampled_numpy(row, 120, 6, [0.5] * 5)
+    for matrix in matrices:
+        best_split_numpy(matrix, 120)
     gc.collect()
     gc.disable()
     try:
         for i in range(200):
             row = rows[i % len(rows)]
             br_sampled_numpy(row, 120, 6, rng.random(5))
+            best_split_numpy(matrices[i % len(matrices)], 120)
             br_lex_numpy(row, 120, 6)
         assert gc.collect() == 0
     finally:
@@ -812,21 +820,90 @@ def test_numpy_sampler_matches_python_sampler(game, data):
 @settings(max_examples=examples(100), deadline=None)
 @given(data=st.data())
 def test_numpy_kernels_carry_nothing_between_budgets(data):
-    # the numpy kernels share one cached per-budget workspace: switching
-    # budgets N1, N2, N1 in one example must not leak a stage from one call
-    # into the next
+    # every numpy DP shares one cached per-budget workspace, which also keeps
+    # the FP stages and the block plans of the last widths: switching budgets
+    # N1, N2, N1 in one example, two rows of their own widths and field
+    # counts in turn (the two sides of a run), and best_split_numpy between
+    # the FP kernels at the same budget and type (int64 or object, whose
+    # sentinels come from each call's own entries) must not leak a stage, a
+    # plan, a sentinel or a count from one call into the next
     n1, n2 = data.draw(st.lists(st.integers(1, 10), min_size=2, max_size=2, unique=True))
     for n in (n1, n2, n1):
-        k = data.draw(st.integers(1, 4))
-        top = data.draw(st.sampled_from([1, 2, 100]))
-        values = data.draw(st.lists(st.integers(-top, top), min_size=n + 1, max_size=n + 1))
-        uniforms = data.draw(
-            st.lists(st.floats(0, 1, exclude_max=True), min_size=k - 1, max_size=k - 1)
+        dtype = data.draw(st.sampled_from([np.int64, object]))
+        top, table_top = (data.draw(st.sampled_from([1, 2, 100])) for _ in range(2))
+        side = st.one_of(
+            value_rows(n), st.lists(st.integers(-top, top), min_size=n + 1, max_size=n + 1)
         )
-        assert br_lex_numpy(values, n, k) == best_split_python([values] * k, n)
-        assert br_sampled_numpy(values, n, k, uniforms) == br_sampled_python(
-            values, n, k, uniforms
-        )
+        sides = [(data.draw(side), data.draw(st.integers(1, 4))) for _ in range(2)]
+        row = st.lists(st.integers(-table_top, table_top), min_size=n + 1, max_size=n + 1)
+        tables = [data.draw(row) for _ in range(data.draw(st.integers(1, 4)))]
+        matrix = np.array(tables, dtype=dtype)
+        for values, k in sides * 2:
+            uniforms = data.draw(
+                st.lists(st.floats(0, 1, exclude_max=True), min_size=k - 1, max_size=k - 1)
+            )
+            given_values = np.array(values, dtype=object) if dtype is object else values
+            assert best_split_numpy(matrix, n) == best_split_python(tables, n)
+            assert br_lex_numpy(given_values, n, k) == best_split_python([values] * k, n)
+            assert br_sampled_numpy(given_values, n, k, uniforms) == br_sampled_python(
+                values, n, k, uniforms
+            )
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(data=st.data(), block=st.sampled_from([1, 3, 64]), big=st.booleans())
+def test_fp_stages_fill_in_several_chunks(data, block, big):
+    # rows as wide as the budget (rising, or linear: every bid vector ties)
+    # or at full width (they decrease somewhere), with w + 1 > ROW_BLOCK:
+    # every FP stage takes several chunks of the block fill, the later ones
+    # from their first bid on, and the count DP sums its mask over the same
+    # chunks; on int64 rows and object rows past 2**64
+    n = data.draw(st.integers(block, block + 12))
+    k = data.draw(st.integers(3, 5))
+    row = data.draw(value_rows(n, data.draw(st.sampled_from(("rising", "linear", "outside")))))
+    uniforms = data.draw(
+        st.lists(st.floats(0, 1, exclude_max=True), min_size=k - 1, max_size=k - 1)
+    )
+    values = row
+    if big:
+        scale = data.draw(st.integers(1 << 64, 1 << 70))
+        row = [scale * x for x in row]
+        values = np.array(row, dtype=object)
+    want = br_sampled_python(row, n, k, uniforms)
+    kernels._workspace.cache_clear()  # a fresh workspace plans the first call's width
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        ran = block_fills(monkeypatch)
+        monkeypatch.setattr(kernels, "ROW_BLOCK", block)
+        assert br_lex_numpy(values, n, k) == br_lex_python(row, n, k)
+        assert br_sampled_numpy(values, n, k, uniforms) == want
+        assert count_dp_draw(values, n, k, uniforms) == want
+    [(box, cells)] = ran  # the sampler and its count DP reuse the lex call's plan
+    assert box == (0, n, 0, n) and len(chunks(box, cells)) > 1
+
+
+def test_dps_peak_in_block_memory(count_dp_calls):
+    # at N = 5,000, K = 6, one call of each numpy DP, every stage at full
+    # width, allocates O(ROW_BLOCK * N + K * N) cells: no (N + 1)**2 buffer
+    # (200 MB in int64); the sampler's linear row ties every bid vector, so
+    # the count DP runs
+    n, k = 5000, 6
+    rng = np.random.default_rng(3)
+    linear = np.arange(n + 1, dtype=np.int64)
+    calls = [
+        lambda: br_lex_numpy(rng.integers(0, 1000, n + 1), n, k),
+        lambda: br_sampled_numpy(linear, n, k, [0.5] * (k - 1)),
+        lambda: best_split_numpy(rng.integers(-1000, 1000, (k, n + 1)), n),
+    ]
+    for call in calls:
+        kernels._workspace.cache_clear()  # the workspace counts too
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+    assert len(count_dp_calls) == 1
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
