@@ -6,11 +6,12 @@ so best responses against any marginal profile cost O(K * N^2) instead of a
 scan over all C(N+K-1, K-1) bid vectors.  Because payoffs between independent
 mixers depend only on marginals, checking deviations against marginals is
 sufficient for equilibrium verification.  The DP runs on integers: the
-opponent's marginals over one common denominator
-(:meth:`MarginalProfile.scaled`, kept by the profile), turned into one
-integer value row per battlefield (:func:`blotto_lab.core.value_row`), all
-rows at once as one matrix (:func:`blotto_lab.mixed.value_matrix`), int64
-while its entries fit and Python ints past that.  The DP runs in the
+opponent's weight matrix over one common denominator
+(:meth:`MarginalProfile.weight_matrix`, the one form the profile keeps),
+turned into one integer value row per battlefield
+(:func:`blotto_lab.core.value_row`), all rows at once as one matrix
+(:func:`blotto_lab.mixed.value_matrix`), int64 while its entries fit and
+Python ints past that.  The DP runs in the
 narrowest integer type in which ``K * max|entry|`` fits its guard, up to
 ``2**60`` in int64, and on Python ints past that; every type gives the
 same optimum and the same lexicographically smallest argmax.  Each best
@@ -62,14 +63,15 @@ class BestResponseResult:
 def best_response(m_opp: MarginalProfile, spec: GameSpec) -> BestResponseResult:
     """Maximize the expected payoff of a pure strategy against ``m_opp``.
 
-    The DP's optimum is re-scored at its argmax from the profile's Python-int
-    weights, apart from the value rows and the DP; a mismatch raises
+    The DP's optimum is re-scored at its argmax from the profile's weight
+    matrix, apart from the value rows and the DP; a mismatch raises
     :class:`SolverFailureError`.
     """
-    den, weights = m_opp.scaled()
+    den, weights = m_opp._den, m_opp.weight_matrix()
     p, q2 = spec.tie_scale
     value, argmax = best_split(value_matrix(m_opp, spec), spec.budget)
-    rescored = sum(q2 * sum(w[:x]) + p * w[x] for w, x in zip(weights, argmax))
+    # no int64 prefix of a row wraps: each is at most den
+    rescored = sum(q2 * int(w[:x].sum()) + p * int(w[x]) for w, x in zip(weights, argmax))
     if rescored != value:
         raise SolverFailureError(
             f"best response {argmax} scores {rescored}, not the optimum {value} "

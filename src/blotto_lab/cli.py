@@ -2,9 +2,10 @@
 
 One subcommand per operation family; all outputs are deterministic functions
 of the arguments (plus the seed where one applies).  Rationals are printed in
-lowest terms as "num/den".  Precondition violations and file errors exit
-with status 2, internal failures with 1.  File outputs start with a provenance comment line
-carrying the tool version and the full invocation.
+lowest terms as "num/den".  Precondition violations, file errors and games
+too large for the memory at hand exit with status 2, internal failures with
+1.  File outputs start with a provenance comment line carrying the tool
+version and the full invocation.
 """
 
 from __future__ import annotations
@@ -427,6 +428,10 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except BlottoError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass  # report it once the except clause has let go of the frames' tables
+    print(f"error: not enough memory for this game (blotto {args.command})", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ tied battlefields are lost by both sides.
 All payoff arithmetic is exact, so an equilibrium gap that is truly zero can
 be distinguished from one that is merely tiny.  Single matchups are scored in
 :class:`fractions.Fraction`; sums over bid distributions go through
-:func:`value_row`, the tie rule in integers (:attr:`GameSpec.tie_scale`), so
-the budget DPs never touch a Fraction.
+:func:`value_row`, the tie rule in integers (:attr:`GameSpec.tie_scale`), or
+:func:`value_rows`, the same rule over numpy arrays, so the budget DPs never
+touch a Fraction.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 from typing import Sequence, Union
+
+import numpy as np
 
 RationalLike = Union[int, str, Fraction]
 
@@ -223,6 +226,17 @@ def value_row(weights: Sequence[int], p: int, q2: int) -> "list[int]":
         row.append(q2 * below + p * w)
         below += w
     return row
+
+
+def value_rows(weights: np.ndarray, p: int, q2: int) -> np.ndarray:
+    """:func:`value_row` along the last axis of ``weights``, as one numpy expression.
+
+    Computed as ``q2 * (weight up to x) - (q2 - p) * (weight at x)``: with
+    ``total`` the weight of a row, no term exceeds ``(q2 + |p|) * total`` in
+    magnitude.  The result takes the dtype of ``weights``; the caller picks
+    ``object`` (Python ints) where int64 could overflow.
+    """
+    return q2 * np.cumsum(weights, axis=-1) - (q2 - p) * weights
 
 
 def battle_outcome(s: Sequence[int], t: Sequence[int], spec: GameSpec) -> BattlefieldOutcome:

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import GameSpec, PreconditionError, as_partition, check_count, check_seed
+from .core import GameSpec, PreconditionError, as_partition, check_count, check_seed, value_rows
 from .kernels import KernelSet, get_kernels
 from .space import count_ordered
 
@@ -136,12 +136,12 @@ def _record(state: FPState, side: str, partition: "tuple[int, ...]", round_index
 def _belief_values(hist: np.ndarray, p: int, q2: int, bigint: bool) -> np.ndarray:
     """Scaled value table: q2 * (#bids below x) + p * (#bids at x).
 
-    Computed as ``q2 * (#bids up to x) - (q2 - p) * (#bids at x)``: no term
-    exceeds ``(q2 + |p|) * rounds * K``, inside the int64 guard of ``fp_run``.
+    :func:`~blotto_lab.core.value_rows` of the histogram: no term exceeds
+    ``(q2 + |p|) * rounds * K``, inside the int64 guard of ``fp_run``.
     """
     if bigint:  # Python ints: the scaled values may not fit in int64
         hist = hist.astype(object)
-    return q2 * np.cumsum(hist) - (q2 - p) * hist
+    return value_rows(hist, p, q2)
 
 
 def fp_run(

@@ -2,14 +2,15 @@
 
 Because the two players randomize independently, expected payoffs depend only
 on the per-battlefield marginal distributions.  Everything here keeps those
-marginals exact: a :class:`MarginalProfile` holds integer weights over one
-common denominator and makes Fractions only when asked for them.  The
-structured families (pair-coupled uniform over all levels or over the odd or
-even ones, independent pairs, the swapped-pair variant) build those weights
-directly, so their supports never need to be materialized.  The integer
-tables (:meth:`MarginalProfile.weight_matrix`, :func:`value_matrix`) are
-numpy matrices in one format: int64 behind a bound that rules out overflow,
-and ``object`` (exact Python ints) past it, so each consumer runs one numpy
+marginals exact: a :class:`MarginalProfile` is one read-only matrix of
+integer weights over one common denominator in lowest terms, and makes
+Fractions only when asked for them.  The structured families (pair-coupled
+uniform over all levels or over the odd or even ones, independent pairs, the
+swapped-pair variant) build that matrix directly, so their supports never
+need to be materialized.  The integer tables
+(:meth:`MarginalProfile.weight_matrix`, :func:`value_matrix`) are numpy
+matrices in one format: int64 behind a bound that rules out overflow, and
+``object`` (exact Python ints) past it, so each consumer runs one numpy
 expression whichever dtype it gets.
 
 Sampling is seeded and reproducible: every ``sample`` call builds a fresh
@@ -35,6 +36,7 @@ from .core import (
     PreconditionError,
     check_seed,
     exact_fraction,
+    value_rows,
 )
 
 ZERO = Fraction(0)
@@ -47,44 +49,24 @@ def _rng(seed: int) -> np.random.Generator:
 class MarginalProfile:
     """One exact bid-level distribution per battlefield.
 
-    ``field(k)`` is a tuple of ``budget + 1`` Fractions summing to one.
-    The profile is validated on, and keeps, its integer form
-    (:meth:`scaled`), which also decides equality.  Profiles built from
-    integer weights (:meth:`from_weights`) make their Fractions only when
-    asked for them; :meth:`weight_matrix` is the same integer form as one matrix.
+    The profile stores one thing: its weights over one common denominator in
+    lowest terms, as one read-only ``(K, budget + 1)`` matrix
+    (:meth:`weight_matrix`), int64 while the denominator is below ``2**63``
+    (no weight exceeds it) and ``object`` (Python ints) from there on.  Every
+    constructor validates through :meth:`_build`.  Equality, :meth:`scaled`
+    and ``field(k)``, a tuple of ``budget + 1`` Fractions summing to one,
+    derive from the matrix; the Fractions are made once, when first asked for.
     """
 
-    __slots__ = ("spec", "_fields", "_scaled", "_matrix", "_values")
+    __slots__ = ("spec", "_den", "_matrix", "_fields", "_values")
 
     def __init__(self, spec: GameSpec, per_field: Sequence[Sequence[Fraction]]):
-        if len(per_field) != spec.battlefields:
-            raise PreconditionError(
-                f"expected {spec.battlefields} marginal vectors, got {len(per_field)}"
-            )
-        fields = []  # (Fractions, their lcm denominator, ints over it) per field
-        for k, vec in enumerate(per_field):
-            if k and vec is per_field[k - 1]:  # the same field again: checked already
-                fields.append(fields[-1])
-                continue
-            vec = tuple([x if isinstance(x, Fraction) else Fraction(x) for x in vec])
-            if len(vec) != spec.budget + 1:
-                raise PreconditionError(
-                    f"marginal {k} has {len(vec)} levels, expected {spec.budget + 1}"
-                )
-            ratios = [x.as_integer_ratio() for x in vec]
-            den = math.lcm(*{d for _, d in ratios})
-            weights = tuple([n * (den // d) for n, d in ratios])
-            if min(weights) < 0 or sum(weights) != den:
-                raise PreconditionError(f"marginal {k} is not a probability vector")
-            fields.append((vec, den, weights))
-        den = math.lcm(*(d for _, d, _ in fields))
-        self.spec = spec
-        self._fields = tuple(vec for vec, _, _ in fields)
-        self._scaled = den, tuple(
-            w if d == den else tuple(x * (den // d) for x in w) for _, d, w in fields
-        )
-        self._matrix = None
-        self._values = None
+        fields = [tuple([x if isinstance(x, Fraction) else Fraction(x) for x in vec])
+                  for vec in per_field]
+        den = math.lcm(*{x.denominator for vec in fields for x in vec})
+        self._build(spec, den, [[x.numerator * (den // x.denominator) for x in vec]
+                                for vec in fields])
+        self._fields = tuple(fields)
 
     @classmethod
     def from_weights(
@@ -92,86 +74,70 @@ class MarginalProfile:
     ) -> "MarginalProfile":
         """The profile whose field ``k`` is ``per_field[k][x] / den``, built without Fractions.
 
-        Runs the constructor's checks with its messages and reduces by the
-        gcd, so it equals, and hashes like, the profile of the same Fractions.
-        Equal fields are checked once and share one tuple.  ``per_field`` may
-        also be one ``(K, budget + 1)`` integer array: it is checked in numpy
-        and a copy kept as :meth:`weight_matrix`.
+        ``per_field`` is one row of ints per field, or one ``(K, budget + 1)``
+        integer array.  Either way the checks and messages are the
+        constructor's, and the profile keeps a read-only copy in lowest
+        terms, so it equals, and hashes like, the profile of the same Fractions.
         """
-        if len(per_field) != spec.battlefields:
-            raise PreconditionError(
-                f"expected {spec.battlefields} marginal vectors, got {len(per_field)}"
-            )
-        if isinstance(per_field, np.ndarray):
-            return cls._from_matrix(spec, den, per_field)
-        fields, seen = [], {}
-        g = den
-        for k, w in enumerate(per_field):
-            if k and w is per_field[k - 1]:
-                fields.append(fields[-1])
-                continue
-            w = tuple(w)
-            if w not in seen:
-                if len(w) != spec.budget + 1:
-                    raise PreconditionError(
-                        f"marginal {k} has {len(w)} levels, expected {spec.budget + 1}"
-                    )
-                if den < 1 or min(w) < 0 or sum(w) != den:
-                    raise PreconditionError(f"marginal {k} is not a probability vector")
-                if g > 1:
-                    g = math.gcd(g, *w)
-                seen[w] = w
-            fields.append(seen[w])
-        if g > 1:  # lowest terms, as the lcm of reduced Fractions gives
-            den //= g
-            reduced = {w: tuple([x // g for x in w]) for w in seen}
-            fields = [reduced[w] for w in fields]
         self = cls.__new__(cls)
-        self.spec = spec
-        self._fields = None
-        self._scaled = den, tuple(fields)
-        self._matrix = None
-        self._values = None
+        self._build(spec, den, per_field)
         return self
 
-    @classmethod
-    def _from_matrix(cls, spec: GameSpec, den: int, weights: np.ndarray) -> "MarginalProfile":
-        levels = weights.shape[1]
-        if levels != spec.budget + 1:
+    def _build(self, spec: GameSpec, den: int, weights: Sequence[Sequence[int]]) -> None:
+        """Check ``weights / den`` field by field and keep it as the matrix in lowest terms.
+
+        The first bad field wins, whether it has the wrong length or is not a
+        probability vector.
+        """
+        fields, levels = spec.battlefields, spec.budget + 1
+        if len(weights) != fields:
+            raise PreconditionError(f"expected {fields} marginal vectors, got {len(weights)}")
+        if isinstance(weights, np.ndarray):
+            good = fields if weights.shape[1] == levels else 0
+        else:  # the fields before the first one of the wrong length
+            good = next((k for k, w in enumerate(weights) if len(w) != levels), fields)
+        # int64 while no row of weights in [0, den] can sum past 2**63
+        wide = not 1 <= den < (1 << 63) // levels
+        try:
+            matrix = np.array(weights[:good], dtype=object if wide else np.int64)
+        except OverflowError:  # a weight past int64, so past den: found bad below
+            matrix = np.array(weights[:good], dtype=object)
+        matrix = matrix.reshape(good, levels)
+        # each field's largest weight, a negative weight counting as past den
+        if matrix.dtype == object:
+            highs = [den + 1 if lo < 0 else hi
+                     for lo, hi in zip(matrix.min(axis=1).tolist(), matrix.max(axis=1).tolist())]
+        else:  # as uint64 a negative weight reads as 2**63 or more
+            highs = matrix.view(np.uint64).max(axis=1).tolist()
+        totals = matrix.sum(axis=1).tolist()
+        bad = [den < 1 or hi > den or t != den for hi, t in zip(highs, totals)]
+        if True in bad:
+            raise PreconditionError(f"marginal {bad.index(True)} is not a probability vector")
+        if good < fields:
             raise PreconditionError(
-                f"marginal 0 has {levels} levels, expected {spec.budget + 1}"
+                f"marginal {good} has {len(weights[good])} levels, expected {levels}"
             )
-        if not 1 <= den < (1 << 63) // levels:  # past it, a row sum could wrap
-            return cls.from_weights(spec, den, weights.tolist())
-        # a row holding an entry above den cannot sum to it: no sum can wrap
-        bad = (weights.min(axis=1) < 0) | (weights.max(axis=1) > den)
-        bad |= weights.sum(axis=1) != den
-        if bad.any():
-            raise PreconditionError(f"marginal {int(bad.argmax())} is not a probability vector")
-        g = math.gcd(den, int(np.gcd.reduce(weights, axis=None))) if den > 1 else 1
-        matrix = np.array(weights, dtype=np.int64)
-        if g > 1:  # lowest terms, as the list form reduces
+        # lowest terms, as the lcm of reduced Fractions gives; the gcd divides
+        # field 0's largest weight, which often brings it down to 1 already
+        g = math.gcd(den, highs[0])
+        if g > 1:
+            g = math.gcd(g, int(np.gcd.reduce(matrix, axis=None)))
             matrix //= g
+            den //= g
+        if den < 1 << 63:
+            matrix = matrix.astype(np.int64, copy=False)
         matrix.flags.writeable = False
-        self = cls.__new__(cls)
         self.spec = spec
-        self._fields = None
-        self._scaled = den // g, tuple(map(tuple, matrix.tolist()))
+        self._den = den
         self._matrix = matrix
+        self._fields = None
         self._values = None
-        return self
 
     def _fractions(self) -> "tuple[tuple[Fraction, ...], ...]":
         if self._fields is None:
-            den, weights = self._scaled
-            fields = []
-            for k, w in enumerate(weights):
-                fields.append(
-                    fields[-1] if k and w is weights[k - 1] else tuple(
-                        [Fraction(x, den) for x in w]
-                    )
-                )
-            self._fields = tuple(fields)
+            rows = self._matrix.tolist()
+            fractions = {x: Fraction(x, self._den) for x in set().union(*rows)}
+            self._fields = tuple(tuple([fractions[x] for x in row]) for row in rows)
         return self._fields
 
     def field(self, k: int) -> "tuple[Fraction, ...]":
@@ -185,35 +151,28 @@ class MarginalProfile:
         return (
             isinstance(other, MarginalProfile)
             and self.spec == other.spec
-            and self._scaled == other._scaled
+            and self._den == other._den
+            and np.array_equal(self._matrix, other._matrix)
         )
 
     def __hash__(self) -> int:
-        return hash((self.spec, self._scaled))
+        return hash((self.spec, self._den, tuple(self._matrix.ravel().tolist())))
 
     def scaled(self) -> "tuple[int, tuple[tuple[int, ...], ...]]":
         """``(den, weights)``: every field as ints over ``den``, the lcm of all denominators."""
-        return self._scaled
+        return self._den, tuple(map(tuple, self._matrix.tolist()))
 
     def weight_matrix(self) -> np.ndarray:
         """The weights of :meth:`scaled` as one read-only ``(K, budget + 1)`` matrix.
 
         int64 while ``den < 2**63`` (no weight exceeds ``den``), ``object``
-        (Python ints) from there on.  Built once, on the first call.
+        (Python ints) from there on.
         """
-        den, weights = self._scaled
-        if self._matrix is None:
-            shape = len(weights), len(weights[0])
-            matrix = np.empty(shape, dtype=np.int64 if den < 1 << 63 else object)
-            for k, w in enumerate(weights):
-                matrix[k] = matrix[k - 1] if k and w is weights[k - 1] else w
-            matrix.flags.writeable = False
-            self._matrix = matrix
         return self._matrix
 
     def expected_total(self) -> Fraction:
         """Sum over battlefields of the expected bid."""
-        den, weights = self._scaled
+        den, weights = self.scaled()
         return Fraction(sum(sum(map(mul, range(len(w)), w)) for w in weights), den)
 
     @classmethod
@@ -224,12 +183,11 @@ class MarginalProfile:
         return cls.from_weights(spec, 1, weights)
 
     @classmethod
-    def on_levels(cls, spec: GameSpec, levels: Sequence[int]) -> "MarginalProfile":
-        """Uniform on the given bid levels at every battlefield."""
-        w = [0] * (spec.budget + 1)
-        for x in levels:
-            w[x] = 1
-        return cls.from_weights(spec, len(levels), [w] * spec.battlefields)
+    def on_levels(cls, spec: GameSpec, levels: range) -> "MarginalProfile":
+        """Uniform on the bid levels in ``levels`` at every battlefield."""
+        weights = np.zeros((spec.battlefields, spec.budget + 1), dtype=np.int64)
+        weights[:, levels.start : levels.stop : levels.step] = 1
+        return cls.from_weights(spec, len(levels), weights)
 
     @classmethod
     def uniform(cls, spec: GameSpec) -> "MarginalProfile":
@@ -242,13 +200,13 @@ class MarginalProfile:
         return cls.on_levels(spec, parity_levels(spec, parity))
 
 
-def parity_levels(spec: GameSpec, parity: str) -> "tuple[int, ...]":
+def parity_levels(spec: GameSpec, parity: str) -> range:
     """Odd or even bid levels within {0, ..., 2 * fair_share}."""
     top = 2 * spec.fair_share
     if parity == "odd":
-        return tuple(range(1, top, 2))
+        return range(1, top, 2)
     if parity == "even":
-        return tuple(range(0, top + 1, 2))
+        return range(0, top + 1, 2)
     raise PreconditionError(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
@@ -396,7 +354,7 @@ class PairCoupledUniform(_PairFamily):
                     f"budget {spec.budget} is not divisible by the {self.pairs} battlefield pairs"
                 )
             self.pair_sum = spec.budget // self.pairs
-            self.levels: "Sequence[int]" = range(self.pair_sum + 1)
+            self.levels = range(self.pair_sum + 1)
         else:
             self.pair_sum = 2 * spec.fair_share
             self.levels = parity_levels(spec, parity)
@@ -539,20 +497,21 @@ class SwappedPairsWitness(IndependentPairsUniform):
         uniform, so a swap that breaks uniformity shows up here.  In units of
         ``1 / support_size``: ``support_size // base`` per level, one per atom.
         """
-        level = self.support_size() // self.base
-        fields = [
-            [level] * self.base + [0] * (self.spec.budget - self.pair_sum)
-            for _ in range(self.spec.battlefields)
-        ]
+        den = self.support_size()
+        weights = np.zeros(
+            (self.spec.battlefields, self.spec.budget + 1),
+            dtype=np.int64 if den < 1 << 63 else object,
+        )
+        weights[:, : self.base] = den // self.base
+        fields = np.arange(self.spec.battlefields)
         for bids, delta in (
             (self.removed_a, -1),
             (self.removed_b, -1),
             (self.target, 1),
             (self.added_b, 1),
         ):
-            for k, b in enumerate(bids):
-                fields[k][b] += delta
-        return MarginalProfile.from_weights(self.spec, self.support_size(), fields)
+            weights[fields, bids] += delta
+        return MarginalProfile.from_weights(self.spec, den, weights)
 
     def sample(self, seed: int, count: int) -> "list[tuple[int, ...]]":
         return [self._swap(bids) for bids in super().sample(seed, count)]
@@ -571,17 +530,13 @@ def value_matrix(m_opp: MarginalProfile, spec: GameSpec) -> np.ndarray:
     p, q2 = spec.tie_scale
     if m_opp._values is not None and m_opp._values[0] == (p, q2):
         return m_opp._values[1]
-    den, _ = m_opp.scaled()
-    weights = m_opp.weight_matrix()
-    if (q2 + abs(p)) * den >= 1 << 62:
+    weights = m_opp._matrix
+    if (q2 + abs(p)) * m_opp._den >= 1 << 62:
         weights = weights.astype(object)
-    below = np.cumsum(weights, axis=1)
-    below -= weights
-    below *= q2
-    below += p * weights
-    below.flags.writeable = False
-    m_opp._values = (p, q2), below
-    return below
+    values = value_rows(weights, p, q2)
+    values.flags.writeable = False
+    m_opp._values = (p, q2), values
+    return values
 
 
 def expected_payoff_marginal(
@@ -593,9 +548,9 @@ def expected_payoff_marginal(
     ``K * (q2 + |p|) * den_self * den_opp < 2**62``, which bounds every
     partial sum, and over ``object`` matrices (Python ints) from there on.
     """
-    den_self, den_opp = m_self.scaled()[0], m_opp.scaled()[0]
+    den_self, den_opp = m_self._den, m_opp._den
     p, q2 = spec.tie_scale
-    own, values = m_self.weight_matrix(), value_matrix(m_opp, spec)
+    own, values = m_self._matrix, value_matrix(m_opp, spec)
     if spec.battlefields * (q2 + abs(p)) * den_self * den_opp >= 1 << 62:
         own, values = own.astype(object), values.astype(object)
     total = int(np.vdot(own, values))

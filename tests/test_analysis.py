@@ -165,6 +165,19 @@ class TestRuntimeCrossCheck:
         with pytest.raises(SolverFailureError, match="best response"):
             best_response(profile, sp)
 
+    def test_best_response_rescores_apart_from_the_value_rows(self, monkeypatch):
+        # the true rows, but bidding the whole budget on field 0 outscores
+        # every split: the DP follows the bad rows, the re-score the weights
+        sp = GameSpec(12, 4, Fraction(1, 3))
+        profile = MarginalProfile.point_mass(sp, (6, 3, 2, 1))
+        honest = best_response(profile, sp)
+        bumped = np.array(analysis.value_matrix(profile, sp))
+        bumped[0, sp.budget] += sp.tie_scale[1] * 4  # K fields of at most q2 * den
+        assert kernels.best_split(bumped, sp.budget)[1] == (12, 0, 0, 0) != honest.argmax
+        monkeypatch.setattr(analysis, "value_matrix", lambda m_opp, spec: bumped)
+        with pytest.raises(SolverFailureError, match="best response"):
+            best_response(profile, sp)
+
     @pytest.mark.parametrize("shift", [1, -1])
     def test_dominance_rescores_both_witnesses(self, shift, monkeypatch):
         sp = GameSpec(6, 3)

@@ -448,6 +448,28 @@ class TestUsageErrors:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "entry, argv",
+        [
+            ("blotto_lab.cli.count_unordered", ["count", "--n", "6", "--k", "3"]),
+            ("blotto_lab.analysis.verify_equilibrium",
+             ["verify", "--n", "6", "--k", "2", "--family", "canonical"]),
+            ("blotto_lab.analysis.psne_check", ["psne", "--n", "6", "--k", "2", "--s", "3,3"]),
+            ("blotto_lab.learning.fp_run", ["fp", "--n", "6", "--k", "2", "--rounds", "2"]),
+        ],
+        ids=["count", "verify", "psne", "fp"],
+    )
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch, entry, argv):
+        # the entry point raises as a table too large for memory would, with
+        # nothing large allocated
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(entry, exhausted)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: not enough memory for this game (blotto {argv[0]})\n"
+
 
 # Verdict commands whose bytes (exit code and stdout) are pinned, by group:
 # every family pair the CLI builds cheaply ("solver" takes about 0.5 s per

@@ -25,7 +25,7 @@ from blotto_lab import (
     read_strategy,
     write_strategy,
 )
-from blotto_lab import constructors, mixed
+from blotto_lab import constructors, core, mixed
 from blotto_lab.analysis import verify_marginals
 from blotto_lab.core import value_row
 from blotto_lab.mixed import _big_integers
@@ -166,8 +166,13 @@ class TestIntegerBuiltProfiles:
             (3, [[1, 1, 0, 0, 0]] * 2, "marginal 0 is not a probability vector"),
             (2, [[0, 2, 0, 0, 0], [1, 0, 0, 0, 0]], "marginal 1 is not a probability vector"),
             (0, [[0, 0, 0, 0, 0]] * 2, "marginal 0 is not a probability vector"),
+            (1 << 64, [[(1 << 64) + 1, -1, 0, 0, 0], [1 << 64, 0, 0, 0, 0]],
+             "marginal 0 is not a probability vector"),
+            (5, [[5, 0, 0, 0, 0], [1 << 70, 5 - (1 << 70), 0, 0, 0]],
+             "marginal 1 is not a probability vector"),
         ],
-        ids=["field-count", "length", "negative", "sum", "sum-after-good", "zero-den"],
+        ids=["field-count", "length", "negative", "sum", "sum-after-good", "zero-den",
+             "negative-past-int64", "weight-past-int64"],
     )
 
     @REJECTIONS
@@ -207,29 +212,61 @@ class TestIntegerBuiltProfiles:
         assert got.scaled() == want.scaled()
         assert not got.weight_matrix().flags.writeable
 
+    @staticmethod
+    def three_ways(sp, den, rows):
+        """The profile of ``rows / den`` from Fractions, from rows, and from a matrix.
+
+        The matrix is int64 where every weight fits, ``object`` otherwise.
+        """
+        fits = all(w < 1 << 63 for row in rows for w in row)
+        return [
+            MarginalProfile(sp, [[Fraction(w, den) for w in row] for row in rows]),
+            MarginalProfile.from_weights(sp, den, rows),
+            MarginalProfile.from_weights(sp, den, np.array(rows, dtype=np.int64 if fits else object)),
+        ]
+
     @pytest.mark.parametrize(
-        "den, dtype", [((1 << 63) - 1, np.int64), (1 << 63, object)], ids=["bound-minus-one", "bound"]
+        "den, rows, lowest, dtype",
+        [
+            ((1 << 63) - 1, [[(1 << 63) - 2, 1, 0, 0], [0, 0, (1 << 63) - 3, 2]], (1 << 63) - 1,
+             np.int64),
+            (1 << 63, [[(1 << 63) - 1, 1, 0, 0], [0, 0, (1 << 63) - 2, 2]], 1 << 63, object),
+            (1 << 64, [[1 << 63, 1 << 63, 0, 0], [0, 0, 1 << 63, 1 << 63]], 2, np.int64),
+        ],
+        ids=["bound-minus-one", "bound", "reduces-below-the-bound"],
     )
-    def test_weight_matrix_leaves_int64_at_the_bound(self, den, dtype):
-        # int64 while den < 2**63, an object matrix of Python ints from there on
+    def test_weight_matrix_leaves_int64_at_the_bound(self, den, rows, lowest, dtype):
+        # int64 while den < 2**63 in lowest terms, an object matrix of Python
+        # ints from there on, whichever entry point builds the profile
         sp = GameSpec(3, 2)
-        got = MarginalProfile.from_weights(sp, den, [[den - 1, 1, 0, 0], [0, 0, den - 2, 2]])
-        assert got.scaled()[0] == den  # lowest terms
-        matrix = got.weight_matrix()
-        assert matrix.dtype == dtype and not matrix.flags.writeable
-        assert matrix.tolist() == [list(w) for w in got.scaled()[1]]
-        assert {type(x) for x in matrix.tolist()[0]} == {int}
+        profiles = self.three_ways(sp, den, rows)
+        for got in profiles:
+            assert got == profiles[0] and hash(got) == hash(profiles[0])
+            assert got.scaled() == (
+                lowest, tuple(tuple(w * lowest // den for w in row) for row in rows)
+            )
+            matrix = got.weight_matrix()
+            assert matrix.dtype == dtype and not matrix.flags.writeable
+            assert matrix.tolist() == [list(w) for w in got.scaled()[1]]
+            assert {type(x) for x in matrix.tolist()[0]} == {int}
 
     def test_matrix_with_a_wide_denominator_takes_the_rows(self):
-        # past 2**63 / (N + 1) a row sum could wrap in int64: the rows decide
+        # past 2**63 / (N + 1) a row sum could wrap in int64: the rows decide,
+        # whichever entry point builds the profile
         sp = GameSpec(4, 2)
         den = (1 << 63) // 5
-        matrix = np.array([[den, 0, 0, 0, 0], [0, 0, 0, 0, den]], dtype=np.int64)
-        got = MarginalProfile.from_weights(sp, den, matrix)
-        assert got.scaled() == (1, ((1, 0, 0, 0, 0), (0, 0, 0, 0, 1)))
-        bad = np.array([[den, den, 0, 0, 0], [0, 0, 0, 0, den]], dtype=np.int64)
-        with pytest.raises(PreconditionError, match="^marginal 0 is not a probability vector$"):
-            MarginalProfile.from_weights(sp, den, bad)
+        for got in self.three_ways(sp, den, [[den, 0, 0, 0, 0], [0, 0, 0, 0, den]]):
+            assert got.scaled() == (1, ((1, 0, 0, 0, 0), (0, 0, 0, 0, 1)))
+            assert got.weight_matrix().dtype == np.int64
+        bad = [[den, den, 0, 0, 0], [0, 0, 0, 0, den]]
+        for build in (
+            lambda: MarginalProfile(sp, [[Fraction(w, den) for w in row] for row in bad]),
+            lambda: MarginalProfile.from_weights(sp, den, bad),
+            lambda: MarginalProfile.from_weights(sp, den, np.array(bad, dtype=np.int64)),
+            lambda: MarginalProfile.from_weights(sp, den, np.array(bad, dtype=object)),
+        ):
+            with pytest.raises(PreconditionError, match="^marginal 0 is not a probability vector$"):
+                build()
 
     @settings(max_examples=examples(100), deadline=None)
     @given(data=st.data())
@@ -262,7 +299,7 @@ class TestValueMatrix:
                 built.append(1)
                 return np.cumsum(*args, **kwargs)
 
-        monkeypatch.setattr(mixed, "np", CountingNumpy())
+        monkeypatch.setattr(core, "np", CountingNumpy())  # value_rows builds them
         verify_marginals(m_a, m_b, sp)  # a payoff and a best response per side
         assert len(built) == 2
         rows = mixed.value_matrix(m_b, sp)
