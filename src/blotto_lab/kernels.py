@@ -15,9 +15,12 @@ input:
   picks the type, whatever the dtype: no option selects it.
 * One shared table serves fictitious play (:func:`br_lex_numpy`,
   :func:`br_sampled_numpy`).  They run in the type of the value row the
-  caller hands them: ``object`` stays ``object``, and the sampler's counts
-  take the row's type; any other row runs in int64, under the caller's
-  guards on the values and on the counts (:func:`br_sampled_numpy`).
+  caller hands them, on the same ladder: an int32, int64 or ``object`` row
+  keeps its type, and any other row runs in int64.  The caller keeps ``K *
+  max|entry|`` below the row type's guard (``fp_run`` picks int32, int64 or
+  ``object`` per stretch of rounds) and, in a fixed-width type, the
+  sampler's counts below ``2**63``: they are int64 on int32 and int64 rows
+  and Python ints on ``object`` (:func:`br_sampled_numpy`).
 
 The FP kernels fill every stage, and :func:`best_split_numpy` every stage no
 cheaper exact fill serves, with one block fill (:func:`_block_plan`): bids on
@@ -26,14 +29,15 @@ many bids as a scratch of ``ROW_BLOCK * (budget + 1)`` cells holds.  The three
 DPs share one cached workspace (:class:`_Workspace`), so none is reentrant
 (the package starts no threads); each needs O(``ROW_BLOCK*N + K*N``) cells.
 
-The sampler builds the stage maxima as the lex kernel does, then looks for a
-certificate that every optimal bid vector orders one partition: a
-depth-first search over partitions, largest part first, that stops at a
-second optimal one or once it has tested as many candidates as the count DP
-would fill cells.  With the certificate it draws the ordering in closed form
-from multinomial counts, in Python ints; without it the count DP counts the
-optimal completions of every state over the stages already built, and only
-those counts are bound to ``2**63`` in int64.
+The sampler builds the stage maxima as the lex kernel does, then lists the
+optimal partitions: a depth-first search over partitions, largest part
+first, priced per state, candidate and part listed under the same cost model
+(next to :data:`ROW_BLOCK`).  While the list costs less than a quarter of
+the count DP's price, it draws over the orderings of the listed partitions in
+closed form, in Python ints; past that the count DP counts the optimal
+completions of every state over the stages already built, and only those
+counts are bound to ``2**63`` in int64.  Both give the same integers branch
+by branch, so a draw never depends on which ran.
 
 Every DP marks unreachable states with one sentinel (:func:`_sentinel`), a
 value below every reachable sum by more than the largest entry, so a sum
@@ -105,6 +109,22 @@ ROW_BLOCK = 64  # the block fill's scratch holds ROW_BLOCK * (budget + 1) cells
 CALL = 1_000_000
 CELL = {2: 450, 4: 850, 8: 1500}
 SORT = {2: 500, 4: 500, 8: 1000}
+# br_sampled_numpy lists the optimal partitions while that is priced below a
+# quarter of the count DP it would replace (_count_cost), on the same host:
+#   count DP  COUNT_STAGE calls per stage, COUNT_CHUNK per chunk of its plan
+#             and COUNT_CELL per cell of a chunk (add, compare, masked sum;
+#             by the row's itemsize, object at int64's), plus COUNT_FIELD
+#             calls per field of its walk
+#   search    NODE per state it pushes, TEST per candidate bid its Python
+#             loop tests, and PART per part of each partition it lists, for
+#             the listing and the walk over the list
+# fitted to captured sampler calls at 24/6, 120/6 and 600/6 with up to 3,000
+# optimal partitions.  An int32 count DP at 120/6 costs about 110 us.
+COUNT_STAGE, COUNT_CHUNK, COUNT_FIELD = 8, 5, 6
+COUNT_CELL = {4: 1500, 8: 2200}
+NODE = 1_100_000
+TEST = 70_000
+PART = 430_000
 
 BestReply = "tuple[int, tuple[int, ...]]"
 
@@ -377,20 +397,23 @@ class _Workspace:
     ``count_windows`` reads ``pad_counts`` so, with zero counts there.  Calls
     write ``pad[n:]`` and ``pad_counts[n:]``; in a fixed-width type
     ``pad[:n]`` holds the type's sentinel for good, and on ``object`` each
-    call writes its own.  A block fill adds into ``scratch`` and the count
-    DP compares into ``mask``, ``min(block, n + 1) * (n + 1)`` cells each.
-    The FP kernels keep their stages in ``stages`` and, in ``plans``, the
-    block plans of up to two widths: the two sides of a run alternate.
+    call writes its own.  The sampler's counts are int64 in every
+    fixed-width type (``object`` on ``object``), and so is ``pad_counts``.
+    A block fill adds into ``scratch`` and the count DP compares into
+    ``mask``, ``min(block, n + 1) * (n + 1)`` cells each.  The FP kernels
+    keep their stages in ``stages`` and, in ``plans``, the block plans of up
+    to two widths: the two sides of a run alternate.
     """
 
     def __init__(self, n: int, dtype: np.dtype, block: int) -> None:
         self.pad = np.zeros(2 * n + 1, dtype=dtype)
         if dtype != object:
             self.pad[:n] = _sentinel(self.pad, 0)
-        self.pad_counts = np.zeros(2 * n + 1, dtype=dtype)
-        size = self.pad.itemsize  # plain strided views: sliding_window_view raises RSS
+        self.pad_counts = np.zeros(2 * n + 1, dtype=object if dtype == object else np.int64)
+        # plain strided views: sliding_window_view raises RSS
         self.windows, self.count_windows = (
-            np.ndarray((n + 1, n + 1), dtype, buffer=pad, offset=n * size, strides=(-size, size))
+            np.ndarray((n + 1, n + 1), pad.dtype, buffer=pad, offset=n * pad.itemsize,
+                       strides=(-pad.itemsize, pad.itemsize))
             for pad in (self.pad, self.pad_counts)
         )
         cells = min(block, n + 1) * (n + 1)
@@ -398,6 +421,8 @@ class _Workspace:
         self.stages, self.plans = np.empty((1, n + 1), dtype=dtype), {}
 
 
+# the types the FP kernels run in, as the row they are handed
+_FP_TYPES = (np.dtype(np.int32), np.dtype(np.int64), np.dtype(object))
 # the one cached workspace, keyed on the block size too: a call passes ROW_BLOCK
 _workspace = lru_cache(maxsize=1)(_Workspace)
 
@@ -405,16 +430,19 @@ _workspace = lru_cache(maxsize=1)(_Workspace)
 def _fp_stages(values: Sequence[int], budget: int, fields: int):
     """``(v, ws, w, stages, plan)``: the start of both FP kernels.
 
-    The value row in the type they run in (``object`` stays ``object``, and
-    its sentinel, which grows with its values, goes into the padding on
-    every call; any other row runs in int64), its workspace and width, the
-    stages ``0 .. fields - 2`` the walk back reads (``stages[c][r]``: the best
-    value of ``c + 1`` fields spending ``r``) and the block plan they share.
+    The value row in the type they run in (an int32, int64 or ``object``
+    array keeps its type, and an ``object`` row's sentinel, which grows with
+    its values, goes into the padding on every call; any other row runs in
+    int64), its workspace and width, the stages ``0 .. fields - 2`` the walk
+    back reads (``stages[c][r]``: the best value of ``c + 1`` fields spending
+    ``r``) and the block plan they share.
     """
-    big = isinstance(values, np.ndarray) and values.dtype == object
-    v = values[: budget + 1] if big else np.asarray(values, dtype=np.int64)[: budget + 1]
+    if isinstance(values, np.ndarray) and values.dtype in _FP_TYPES:
+        v = values[: budget + 1]
+    else:
+        v = np.asarray(values, dtype=np.int64)[: budget + 1]
     ws = _workspace(budget, v.dtype, ROW_BLOCK)
-    if big:
+    if v.dtype == object:
         ws.pad[:budget] = _sentinel(v, fields)
     w = flat_width(v)
     w = budget if w is None else w
@@ -458,24 +486,25 @@ def br_sampled_numpy(
     uniform over the full argmax set (up to the float resolution of the
     uniforms): ``u = uniforms[i]`` picks bid ``i`` as the first, in
     ascending order, whose running sum of completions exceeds
-    ``min(int(u * total), total - 1)``, in the row's type (:func:`_fp_stages`).
+    ``min(int(u * total), total - 1)``.
 
-    It builds the stage maxima as :func:`br_lex_numpy` does, then asks for a
-    certificate (:func:`_unique_partition`): every optimal bid vector is an
-    ordering of one partition ``M``.  Then the completions of a bid ``x``
-    with ``s`` fields left are ``total * m_x / s`` of the ``total =
-    s! / prod(m_y!)`` orderings of what is left, and the walk draws from
-    them in closed form, in Python ints: the same numbers, branch by branch,
-    as the counts.  When two partitions tie, or the search for a second one
-    has tested as many candidates as the count DP fills cells, the walk
-    reads the counts of :func:`_completion_counts` instead.
+    It builds the stage maxima as :func:`br_lex_numpy` does, in the row's
+    type (:func:`_fp_stages`), then lists the optimal partitions
+    (:func:`_optimal_partitions`): every optimal bid vector orders one of
+    them, and every ordering of one is optimal.  The walk then draws from
+    their orderings in closed form, in Python ints
+    (:func:`_multinomial_walk`): the same numbers, branch by branch, as the
+    counts.  Once listing costs more than a quarter of the count DP's price
+    (:func:`_count_cost`), the search gives up and the walk reads the
+    counts of :func:`_completion_counts` instead.
 
     The counts of stage ``c`` are at most the ``C(r + c, c)`` bid vectors of
     ``c + 1`` fields spending ``r``.  A prefix sum of them is at most
     ``C(n + c, c)``, and a partial sum of the walk back at most a count, so
     nothing exceeds :func:`~blotto_lab.space.count_ordered`, ``C(budget +
-    fields - 1, fields - 1)``.  In int64 the caller keeps that below
-    ``2**63``, or the counts wrap and the draw stops being uniform.
+    fields - 1, fields - 1)``.  On a fixed-width row the counts are int64,
+    and the caller keeps that below ``2**63``, or they wrap and the draw
+    stops being uniform; on an ``object`` row they are Python ints.
     """
     n = budget
     v, ws, w, stages, plan = _fp_stages(values, n, fields)
@@ -483,15 +512,28 @@ def br_sampled_numpy(
         return int(v[n]), (n,)
     cand = v + stages[fields - 2][::-1]  # the first bid x: v[x] + the best of the rest
     top = np.maximum.reduce(cand)
-    # the search may test as many candidates as the count DP fills cells
-    parts = _unique_partition(stages, cand, top, (fields - 2) * (w + 1) * (n + 1))
-    if parts is None:
+    # the search may spend a quarter of the count DP's price: a tie set that
+    # outgrows it (408 partitions at round 2 of every 120/6 run) then costs
+    # little more than the count DP alone, while lists of a few partitions
+    # still fit
+    partitions = _optimal_partitions(stages, cand, top, _count_cost(plan, fields, v.itemsize) // 4)
+    if partitions is None:
         return int(top), _count_walk(v, ws, w, stages, plan, cand, top, uniforms)
-    return int(top), _multinomial_walk(parts, uniforms)
+    return int(top), _multinomial_walk(partitions, uniforms)
 
 
-def _unique_partition(stages: np.ndarray, cand: np.ndarray, top, limit: int):
-    """The one partition every optimal bid vector orders, or ``None``.
+def _count_cost(plan, fields: int, itemsize: int) -> int:
+    """The price of the count DP and its walk over ``plan``'s stages, in picoseconds.
+
+    The prices are those next to :data:`ROW_BLOCK`, by the row's itemsize.
+    """
+    cells = sum(sums.size for *_, sums in plan)
+    calls = (fields - 2) * (COUNT_STAGE + COUNT_CHUNK * len(plan)) + COUNT_FIELD * (fields - 1)
+    return calls * CALL + (fields - 2) * cells * COUNT_CELL[itemsize]
+
+
+def _optimal_partitions(stages: np.ndarray, cand: np.ndarray, top, budget: int):
+    """Every partition some optimal bid vector orders, or ``None`` past ``budget``.
 
     ``stages[c][r]`` is the best value of ``c + 1`` fields spending ``r``
     and ``cand[x]`` the best value of the full budget with a first bid ``x``
@@ -501,55 +543,91 @@ def _unique_partition(stages: np.ndarray, cand: np.ndarray, top, limit: int):
     cap)`` leads to an optimal partition only if ``v[x] + stages[c - 1][r -
     x] == stages[c][r]``, and every optimal partition passes that test at
     each of its parts.  The top level reads ``cand`` in one numpy pass, the
-    others the stages as Python lists.  Returns the parts, descending, or
-    ``None`` once it finds a second partition or has tested more than
-    ``limit`` candidates below the top.  An explicit stack, not recursion:
-    a call leaves no reference cycle for the collector to find.
+    others the slices of ``v`` and the stage they test; with two fields left
+    the last part is the rest.  Returns the partitions, parts descending, or
+    ``None`` once the states pushed (:data:`NODE` each), the candidates
+    tested (:data:`TEST` each) and the parts listed (:data:`PART` each) cost
+    more than ``budget`` picoseconds.  An explicit stack, not recursion: a
+    call leaves no reference cycle for the collector to find.
     """
     fields, n = len(stages) + 1, len(cand) - 1
     lo = -(-n // fields)
     firsts = (np.flatnonzero(cand[lo:] == top) + lo).tolist()  # ascending: popped largest first
-    rows = stages.tolist()
-    v = rows[0]
-    found = None
-    tests = 0
-    stack = [(fields - 2, n - x, x, (x,)) for x in firsts]
+    if fields == 2:  # x >= n - x: each first bid is the largest part of one partition
+        return [(x, n - x) for x in firsts] if len(firsts) * 2 * PART <= budget else None
+    v = stages[0].tolist()
+    found = []
+    # a state carries f = stages[c][r], the value its parts must reach; it is
+    # priced when pushed, so a wide level gives up before its states expand
+    stack = [(fields - 2, n - x, x, (x,), int(top) - v[x]) for x in firsts]
+    spent = len(stack) * NODE
     while stack:
-        c, r, cap, parts = stack.pop()
-        if c == 0:  # one field left: the part r <= cap (see below)
-            if found is not None:
-                return None
-            found = parts + (r,)
-            continue
-        f, prev = rows[c][r], rows[c - 1]
-        lo, hi = -(-r // (c + 1)), min(r, cap)
-        tests += hi + 1 - lo
-        if tests > limit:
-            return None
+        c, r, cap, parts, f = stack.pop()
         # x >= ceil(r / (c + 1)) leaves r - x <= c * x: the c fields after
         # it can always take parts of at most x
-        for x in range(lo, hi + 1):
-            if v[x] + prev[r - x] == f:
-                stack.append((c - 1, r - x, x, parts + (x,)))
+        lo, hi = -(-r // (c + 1)), min(r, cap)
+        if c == 1:  # two fields left: the last part is r - x <= x
+            listed = len(found)
+            for x in range(lo, hi + 1):
+                if v[x] + v[r - x] == f:
+                    found.append(parts + (x, r - x))
+            spent += (hi + 1 - lo) * TEST + (len(found) - listed) * fields * PART
+        else:
+            pending = len(stack)
+            prev = reversed(stages[c - 1, r - hi : r - lo + 1].tolist())  # prev[r - x], x = lo..hi
+            for x, a, b in zip(range(lo, hi + 1), v[lo : hi + 1], prev):
+                if a + b == f:
+                    stack.append((c - 1, r - x, x, parts + (x,), b))
+            spent += (hi + 1 - lo) * TEST + (len(stack) - pending) * NODE
+        if spent > budget:
+            return None
     return found
 
 
-def _multinomial_walk(parts: "tuple[int, ...]", uniforms: Sequence[float]) -> "tuple[int, ...]":
-    """The draw of :func:`br_sampled_numpy` over the orderings of one partition.
+def _multinomial_walk(
+    partitions: "list[tuple[int, ...]]", uniforms: Sequence[float]
+) -> "tuple[int, ...]":
+    """The draw of :func:`br_sampled_numpy` over the orderings of the optimal partitions.
 
-    With ``s`` parts left, ``m_x`` of them equal to ``x``, a first bid ``x``
-    leaves ``total * m_x / s`` of the ``total`` orderings open: exact in
-    Python ints, whatever their size.
+    With ``s`` fields left, partition ``i`` has ``t_i`` orderings left and
+    ``m_{i,x}`` parts equal to ``x``: a first bid ``x`` leaves ``sum_i t_i *
+    m_{i,x} / s`` of the ``sum_i t_i`` optimal completions open, the
+    numbers the count DP yields.  Exact in Python ints, whatever their size.
     """
-    left = {}
-    for x in parts:
-        left[x] = left.get(x, 0) + 1
-    total = factorial(len(parts))
-    for m in left.values():
-        total //= factorial(m)
-    order = sorted(left)
+    live = []  # (t_i, m_i): the orderings left of each partition, its parts by size
+    for parts in partitions:
+        left = {}
+        for x in parts:
+            left[x] = left.get(x, 0) + 1
+        total = factorial(len(parts))
+        for m in left.values():
+            total //= factorial(m)
+        live.append((total, left))
+    fields = len(partitions[0])
     bids = []
-    for i, s in enumerate(range(len(parts), 1, -1)):
+    while len(live) > 1:
+        s = fields - len(bids)
+        total, branches = 0, {}
+        for t, left in live:
+            total += t
+            for x, m in left.items():
+                branches[x] = branches.get(x, 0) + t * m
+        want = min(int(uniforms[len(bids)] * total), total - 1)
+        acc = 0
+        for x in sorted(branches):
+            acc += branches[x] // s
+            if acc > want:
+                break
+        bids.append(x)
+        live = [(t * left[x] // s, left) for t, left in live if x in left]
+        for _, left in live:
+            left[x] -= 1
+            if not left[x]:
+                del left[x]
+    # one partition left: its own orderings, branch by branch
+    (total, left), = live
+    order = sorted(left)
+    for i, s in enumerate(range(fields - len(bids), 1, -1), len(bids)):
         want = min(int(uniforms[i] * total), total - 1)
         acc = 0
         for x in order:
@@ -569,16 +647,20 @@ def _multinomial_walk(parts: "tuple[int, ...]", uniforms: Sequence[float]) -> "t
 def _completion_counts(v: np.ndarray, ws: _Workspace, w: int, stages: np.ndarray, plan):
     """``counts[c][r]``: the optimal bid vectors of ``c + 1`` fields spending ``r``.
 
-    Runs the stages' block plan again: per chunk the add, a comparison with
-    the stage into the mask and one masked sum.  The closed-form count of
-    ties through bids above ``w`` runs only when the previous stage has a
-    flat step ``prev[t - 1] == prev[t]`` for some ``t`` in ``1 .. n - w``:
-    without one, every run of equal entries it would sum is empty.
+    Int64 on a fixed-width row, Python ints on ``object``.  Runs the stages'
+    block plan again: per chunk the add, a comparison with the stage into
+    the mask and one masked sum.  On real 120/6 chunks that sum takes about
+    1.2 times a plain add in int64, and less than the counts times the mask
+    and a plain sum (1.6 times faster in int64, 12 times on ``object``).
+    The closed-form count of ties through bids above ``w`` runs only when
+    the previous stage has a flat step ``prev[t - 1] == prev[t]`` for some
+    ``t`` in ``1 .. n - w``: without one, every run of equal entries it
+    would sum is empty.
     """
     n = len(v) - 1
-    counts = np.empty_like(stages)
+    counts = np.empty(stages.shape, dtype=ws.pad_counts.dtype)
     counts[0] = 1
-    prefix = np.zeros(n + 2, dtype=v.dtype)
+    prefix = np.zeros(n + 2, dtype=counts.dtype)
     pad, pad_counts = ws.pad[n:], ws.pad_counts[n:]
     # a full-range plan from bid 0: a chunk's first bid is its offset
     chunks = [

@@ -9,11 +9,14 @@ budget DP over that shared table (see :mod:`blotto_lab.kernels`).
 
 That table is the integer value row of the opponent's bid histogram
 (:func:`blotto_lab.core.value_row`), in units of ``1 / (q2 * rounds * K)``
-with ``(p, q2) = spec.tie_scale``, as one numpy array: int64, or ``object``
-(Python ints) from the first round whose scaled range could overflow int64,
-and with random tie-breaking, for the whole run, when the sampler's
-completion counts could (:func:`blotto_lab.kernels.br_sampled_numpy`).  The
-kernels run in the array's type.
+with ``(p, q2) = spec.tie_scale``, as one numpy array on the kernels' type
+ladder: int32 while ``K * (q2 + |p|) * rounds * K`` stays below int32's guard
+(``2**28``, about 1.06M rounds at 120/6 with tie value 1/3), int64 up to
+``2**59``, and ``object`` (Python ints) from the first round past that, or,
+with random tie-breaking, for the whole run when the sampler's int64
+completion counts could overflow (:func:`blotto_lab.kernels.br_sampled_numpy`).
+The kernels run in the array's type, and the type changes only between
+rounds: every integer is exact in each, so no output byte depends on it.
 Runs are deterministic given (init, mode, seed) and serialize to a versioned
 binary checkpoint that is byte-identical across identical runs.
 """
@@ -30,7 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .core import GameSpec, PreconditionError, as_partition, check_count, check_seed, value_rows
-from .kernels import KernelSet, get_kernels
+from .kernels import _INT_TYPES, KernelSet, get_kernels
 from .space import count_ordered
 
 CHECKPOINT_MAGIC = b"BLOTTOFP"
@@ -133,15 +136,18 @@ def _record(state: FPState, side: str, partition: "tuple[int, ...]", round_index
         discovery[partition] = round_index
 
 
-def _belief_values(hist: np.ndarray, p: int, q2: int, bigint: bool) -> np.ndarray:
-    """Scaled value table: q2 * (#bids below x) + p * (#bids at x).
+def _belief_values(hist: np.ndarray, p: int, q2: int, dtype: np.dtype) -> np.ndarray:
+    """Scaled value table: q2 * (#bids below x) + p * (#bids at x), in ``dtype``.
 
     :func:`~blotto_lab.core.value_rows` of the histogram: no term exceeds
-    ``(q2 + |p|) * rounds * K``, inside the int64 guard of ``fp_run``.
+    ``(q2 + |p|) * rounds * K``, inside the guard of the type ``fp_run``
+    picks for the stretch of rounds: int32, int64 or ``object``.  The row is
+    built in int64, or on Python ints for ``object``, and narrowed to int32
+    after, so no intermediate wraps.
     """
-    if bigint:  # Python ints: the scaled values may not fit in int64
+    if dtype == object:  # Python ints: the scaled values may not fit in int64
         hist = hist.astype(object)
-    return value_rows(hist, p, q2)
+    return value_rows(hist, p, q2).astype(dtype, copy=False)
 
 
 def fp_run(
@@ -210,19 +216,30 @@ def fp_run(
         raise PreconditionError(f"{rounds} rounds would overflow the bid counters")
 
     p, q2 = spec.tie_scale
-    # Beliefs over r rounds fit the int64 guard while k * (q2 + |p|) * r * k
-    # does; from first_big rounds read on they run on Python ints.  The
-    # numpy sampler's int64 counts reach count_ordered(spec), whatever the
-    # round, so past 2**63 a random run takes Python ints from the start.
+    # Beliefs over r rounds run in the narrowest type whose guard k * (q2 +
+    # |p|) * r * k stays below: int32's (kernels._INT_TYPES) from round 0,
+    # then int64's (_INT64_SAFE), then Python ints.  ends[t] is the first
+    # number of rounds read past type t's guard.  The numpy sampler's counts
+    # are int64 in both fixed-width types and reach count_ordered(spec),
+    # whatever the round, so past 2**63 a random run takes Python ints from
+    # the start.
+    scale = k * k * (q2 + abs(p))
     if state.tie_break == "random" and count_ordered(spec) >= 1 << 63:
         first_big = 0
     else:
-        first_big = -(-_INT64_SAFE // (k * k * (q2 + abs(p))))
-    # one pair of kernels under two names, so a tracer can count the calls on Python ints
+        first_big = -(-_INT64_SAFE // scale)
+    first_int64 = min(-(-_INT_TYPES[np.dtype(np.int32)] // scale), first_big)
+    ends = {np.dtype(np.int32): first_int64, np.dtype(np.int64): first_big, np.dtype(object): None}
+
+    def row_type(rounds_read: int) -> np.dtype:
+        return next(t for t, end in ends.items() if end is None or rounds_read < end)
+
+    # one pair of kernels under two names, so a tracer can count the calls on
+    # Python ints; int32 and int64 rows both ask for "numpy"
     kernel_sets: dict = {}
 
-    def kernels_for(bigint: bool) -> KernelSet:
-        name = "python" if bigint else "numpy"
+    def kernels_for(dtype: np.dtype) -> KernelSet:
+        name = "python" if dtype == object else "numpy"
         if name not in kernel_sets:
             kernel_sets[name] = get_kernels(name)
         return kernel_sets[name]
@@ -235,7 +252,7 @@ def fp_run(
         rng = np.random.Generator(bitgen)
 
     def best_reply(hist: np.ndarray) -> "tuple[int, ...]":
-        values = _belief_values(hist, p, q2, bigint)
+        values = _belief_values(hist, p, q2, dtype)
         if state.tie_break == "lex":
             _, bids = kern.lex(values, n, k)
         else:
@@ -246,9 +263,9 @@ def fp_run(
     while state.rounds_played < target:
         # one stretch of rounds whose replies run in one type: the reply of
         # round r reads r - 1 rounds
-        bigint = state.rounds_played >= first_big
-        kern = kernels_for(bigint)
-        stop = target if bigint else min(target, first_big)
+        dtype = row_type(state.rounds_played)
+        kern = kernels_for(dtype)
+        stop = target if ends[dtype] is None else min(target, ends[dtype])
         while state.rounds_played < stop:
             r = state.rounds_played + 1
             if r == 1:
@@ -263,8 +280,8 @@ def fp_run(
                 _record(state, "b", play_b, r)
             state.rounds_played = r
             if trace_every is not None and (r == 1 or r % trace_every == 0 or r == target):
-                big = r >= first_big  # a trace row reads r rounds
-                state.trace.append(_trace_row(state, kernels_for(big), p, q2, big))
+                row = row_type(r)  # a trace row reads r rounds
+                state.trace.append(_trace_row(state, kernels_for(row), p, q2, row))
             if (
                 checkpoint_path is not None
                 and checkpoint_every is not None
@@ -280,7 +297,7 @@ def fp_run(
     return state
 
 
-def _trace_row(state: FPState, kern: KernelSet, p: int, q2: int, bigint: bool) -> TraceRow:
+def _trace_row(state: FPState, kern: KernelSet, p: int, q2: int, dtype: np.dtype) -> TraceRow:
     """Exact TV distance of A's bid histogram to uniform, and A's BR gap."""
     spec = state.spec
     n, k = spec.budget, spec.battlefields
@@ -292,7 +309,7 @@ def _trace_row(state: FPState, kern: KernelSet, p: int, q2: int, bigint: bool) -
     overflow_mass = sum(ha[top + 1 :])
     tv = Fraction(deviation, 2 * rk * (top + 1)) + Fraction(overflow_mass, 2 * rk)
 
-    values_b = _belief_values(state.hist_b, p, q2, bigint)
+    values_b = _belief_values(state.hist_b, p, q2, dtype)
     total, _ = kern.lex(values_b, n, k)
     br_value = Fraction(int(total), q2 * rk)
     pay = Fraction(sum(a * v for a, v in zip(ha, values_b.tolist())), q2 * rk * rk)

@@ -2,7 +2,8 @@
 
 Ordered bid vectors (the Blotto strategy space) are counted by a binomial
 coefficient; their multiset quotient (the Lotto space of partitions) by a
-bottom-up table of partitions into exactly k positive parts.
+closed form up to three parts and past that by a bottom-up table of
+partitions into exactly k positive parts.
 Enumerators are generators so desk-scale oracles can stream without
 materializing anything, and they refuse to start when the count exceeds a cap
 rather than silently truncating.
@@ -35,13 +36,22 @@ def count_partitions(n: int, k: int) -> int:
     parts of size at most ``k``, counted bottom-up by adding the allowed part
     sizes one at a time.  The Lotto strategy count of a game is
     ``count_partitions(N + K, K)``: shifting every part up by one absorbs
-    the zero parts.
+    the zero parts.  Up to three parts the count has a closed form in
+    ``rest = n - k``: 1, ``rest // 2 + 1`` and the integer nearest to
+    ``(rest + 3)**2 / 12``, so a two- or three-field game of any budget
+    needs no table.
     """
     if k <= 0:
         return 1 if n == 0 and k == 0 else 0
     if k > n:
         return 0
     rest = n - k
+    if k == 1:
+        return 1
+    if k == 2:
+        return rest // 2 + 1
+    if k == 3:  # (rest + 3)**2 % 12 is 0, 1, 4 or 9: only 9 rounds up
+        return (rest * rest + 6 * rest + 12) // 12
     ways = [1] + [0] * rest  # ways[m]: partitions of m into parts of size <= part
     for part in range(1, min(k, rest) + 1):
         for m in range(part, rest + 1):

@@ -52,6 +52,11 @@ class TestCount:
         assert code == 0
         assert out.split() == ["2001", "1001"]
 
+    def test_huge_budget_two_fields(self, capsys):
+        code, out, _ = run(capsys, "count", "--n", "50000000", "--k", "2")
+        assert code == 0
+        assert out == "50000001 25000001\n"
+
 
 class TestPayoff:
     def test_example_values(self, capsys):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blotto_lab import GameSpec, MarginalProfile, best_response, kernels, mixed
@@ -653,7 +653,7 @@ COUNT_ROWS = [
 
 def count_dp_draw(row, n, k, uniforms):
     """``br_sampled_numpy``'s draw from the completion counts, with no certificate."""
-    with mock.patch.object(kernels, "_unique_partition", lambda *args: None):
+    with mock.patch.object(kernels, "_optimal_partitions", lambda *args: None):
         return br_sampled_numpy(row, n, k, uniforms)
 
 
@@ -700,24 +700,32 @@ ONE_PARTITION_ROWS = [
     ([5, -3, 8, -1, 2, 9, 0, 4, 1], 4),  # decreasing: full width
     ([0, 0, 0, 0, 0, 0, 0, 0, 1], 2),  # (8, 0)
 ]
-# two or more optimal partitions tie: the walk reads the counts
+# two or more optimal partitions tie: the search lists a few, and the walk
+# draws over their orderings in closed form; linear and flat rows, and rows
+# whose bids above the width tie, list more than the search's budget, and
+# the walk reads the counts, as it does at two fields, where counting is one
+# step of the walk and costs less than listing even two partitions
 TIED_PARTITION_ROWS = [
     ([0, 0, 1, 1, 2], 2),  # (4, 0) and (2, 2)
-    ([0, 0, 1, 1, 2], 3),
+    ([0, 0, 1, 1, 2], 3),  # (4, 0, 0) and (2, 2, 0)
     ([0, 1, 2, 3, 4, 5, 6, 7], 4),  # linear: every bid vector ties
     ([0, 2] + [3] * 13, 3),  # bids above the width tie
     ([0] * 6, 5),  # flat: every bid vector ties
 ]
+COUNTED_ROWS = TIED_PARTITION_ROWS[:1] + TIED_PARTITION_ROWS[2:]
 
 
 @pytest.mark.parametrize(
-    "row, k, closed",
+    "row, k, one",
     [(r, k, True) for r, k in ONE_PARTITION_ROWS] + [(r, k, False) for r, k in TIED_PARTITION_ROWS],
 )
-def test_sampler_branches_match_python(row, k, closed, count_dp_calls):
+def test_sampler_branches_match_python(row, k, one, count_dp_calls):
     # a grid of uniforms reaches every ordering the rows admit; the closed
-    # form runs exactly when one partition is optimal
+    # form runs on one optimal partition and on a few, the count DP on the
+    # tie sets past the search's budget
     n = len(row) - 1
+    assert (len(optimal_partitions(row, n, k)) == 1) == one
+    closed = (row, k) not in COUNTED_ROWS
     grid = np.linspace(0, 1, 7, endpoint=False)
     for uniforms in product(grid, repeat=k - 1):
         count_dp_calls.clear()
@@ -732,40 +740,127 @@ def optimal_partitions(row, n, k):
     return {tuple(sorted(s, reverse=True)) for s, score in scores.items() if score == best}
 
 
+@st.composite
+def sampler_rows(draw, n):
+    """A belief row, a signed row of few values (ties are common) or an ``object`` row.
+
+    ``object`` rows are signed rows scaled past int64.
+    """
+    shape = draw(st.sampled_from(("belief", "signed", "object")))
+    if shape == "belief":
+        return draw(value_rows(n))
+    top = draw(st.sampled_from([1, 3, 50]))
+    row = draw(st.lists(st.integers(-top, top), min_size=n + 1, max_size=n + 1))
+    if shape == "object":
+        scale = draw(st.integers(1 << 64, 1 << 70)) * draw(st.sampled_from([1, -1]))
+        row = np.array([scale * x for x in row], dtype=object)
+    return row
+
+
+def uniform_lists(k):
+    return st.lists(st.floats(0, 1, exclude_max=True), min_size=k - 1, max_size=k - 1)
+
+
 @settings(max_examples=examples(300), deadline=None)
 @given(data=st.data())
 def test_partition_certificate_matches_enumeration(data):
-    # the certificate names the one optimal partition or none, by brute
-    # force; with or without it the draw is the oracle's, on belief rows,
-    # signed rows and object rows past int64
+    # the search lists exactly the optimal partitions, by brute force, each
+    # once, or gives up (None); with or without the list the draw is the
+    # oracle's, on belief rows, signed rows and object rows past int64
     n = data.draw(st.integers(1, 12))
     k = data.draw(st.integers(2, 5))
-    shape = data.draw(st.sampled_from(("belief", "signed", "object")))
-    if shape == "belief":
-        row = data.draw(value_rows(n))
-    else:
-        top = data.draw(st.sampled_from([1, 3, 50]))
-        row = data.draw(st.lists(st.integers(-top, top), min_size=n + 1, max_size=n + 1))
-    if shape == "object":
-        scale = data.draw(st.integers(1 << 64, 1 << 70)) * data.draw(st.sampled_from([1, -1]))
-        row = np.array([scale * x for x in row], dtype=object)
-    uniforms = data.draw(
-        st.lists(st.floats(0, 1, exclude_max=True), min_size=k - 1, max_size=k - 1)
-    )
+    row = data.draw(sampler_rows(n))
+    uniforms = data.draw(uniform_lists(k))
     found = []
-    search = kernels._unique_partition
+    search = kernels._optimal_partitions
 
     def spy(*args):
         found.append(search(*args))
         return found[-1]
 
-    with mock.patch.object(kernels, "_unique_partition", spy):
+    with mock.patch.object(kernels, "_optimal_partitions", spy):
         got = br_sampled_numpy(row, n, k, uniforms)
     want = optimal_partitions(list(row), n, k)
-    assert found[0] is None or {found[0]} == want
-    if len(want) > 1:
-        assert found[0] is None
+    assert found[0] is None or sorted(found[0]) == sorted(want)
     assert got == count_dp_draw(row, n, k, uniforms) == br_sampled_python(row, n, k, uniforms)
+
+
+def listed_draw(row, n, k, uniforms):
+    """``br_sampled_numpy``'s draw over the full list of optimal partitions, at any size."""
+    search = kernels._optimal_partitions
+    with mock.patch.object(kernels, "_optimal_partitions",
+                           lambda stages, cand, top, budget: search(stages, cand, top, 1 << 80)):
+        return br_sampled_numpy(row, n, k, uniforms)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(data=st.data())
+def test_tie_set_walk_matches_the_counts(data):
+    # rows with two or more optimal partitions: the walk over the listed
+    # partitions, the count DP and the oracle make the same draw
+    n = data.draw(st.integers(1, 10))
+    k = data.draw(st.integers(2, 5))
+    row = data.draw(sampler_rows(n))
+    want = optimal_partitions(list(row), n, k)
+    assume(len(want) > 1)
+    uniforms = data.draw(uniform_lists(k))
+    expected = br_sampled_python(row, n, k, uniforms)
+    assert listed_draw(row, n, k, uniforms) == count_dp_draw(row, n, k, uniforms) == expected
+    assert br_sampled_numpy(row, n, k, uniforms) == expected
+
+
+def test_tie_sets_past_the_budget_take_the_count_dp(count_dp_calls):
+    # the reply of round 2 at 120/6, alpha 1/3, to the even split (20, .., 20)
+    # played once: 408 optimal partitions, more than a quarter of the count
+    # DP's price lists; a row with two still draws in closed form
+    spec = GameSpec(120, 6, "1/3")
+    p, q2 = spec.tie_scale
+    weights = [0] * 121
+    weights[20] = 6
+    round_two = np.array(value_row(weights, p, q2), dtype=np.int32)
+    found = []
+    search = kernels._optimal_partitions
+
+    def spy(*args):
+        found.append(search(*args))
+        return found[-1]
+
+    uniforms = [0.3, 0.9, 0.1, 0.5, 0.7]
+    with mock.patch.object(kernels, "_optimal_partitions", spy):
+        got = br_sampled_numpy(round_two, 120, 6, uniforms)
+        assert found == [None] and len(count_dp_calls) == 1
+        assert got == listed_draw(round_two, 120, 6, uniforms)
+        assert sum(got[1]) == 120 and got[0] == 5 * 6 * q2
+        found.clear()
+        count_dp_calls.clear()
+        got = br_sampled_numpy([0, 0, 1, 1, 2], 4, 3, uniforms[:2])
+        assert len(found[0]) == 2 and not count_dp_calls
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("shape", ["rising", "tied", "signed"])
+def test_int32_and_int64_fp_kernels_agree_at_the_guard(k, shape):
+    # entries up to top = (2**28 - 1) / K in magnitude, so K * max|entry|
+    # sits one below int32's guard: the int32 rows draw and reply as the
+    # int64 rows and the oracles do, the sampler's counts in int64
+    top = ((1 << 28) - 1) // k
+    assert k * top == (1 << 28) - 1
+    n = 9
+    rows = {
+        "rising": [top * x // n for x in range(n + 1)],
+        "tied": [0, 0, top // 2, top // 2, top] + [top] * (n - 4),
+        "signed": [top, -top, top // 3, -top, 0, top, -top // 7, top // 2, -top, top],
+    }
+    row = rows[shape]
+    grid = np.linspace(0, 1, 4, endpoint=False)
+    v32, v64 = np.array(row, dtype=np.int32), np.array(row, dtype=np.int64)
+    assert br_lex_numpy(v32, n, k) == br_lex_numpy(v64, n, k) == br_lex_python(row, n, k)
+    for uniforms in product(grid, repeat=k - 1):
+        want = br_sampled_python(row, n, k, uniforms)
+        assert br_sampled_numpy(v32, n, k, uniforms) == want
+        assert br_sampled_numpy(v64, n, k, uniforms) == want
+        assert count_dp_draw(v32, n, k, uniforms) == want
+    assert kernels._workspace(n, v32.dtype, kernels.ROW_BLOCK).pad_counts.dtype == np.int64
 
 
 def test_fp_kernel_calls_leave_no_reference_cycle():

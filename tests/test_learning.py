@@ -224,6 +224,50 @@ class TestDeterminismAndModes:
         assert state_fingerprint(state) == state_fingerprint(reference)
         assert state.trace == reference.trace
 
+    @pytest.mark.parametrize("tie_break", learning.TIE_BREAKS)
+    def test_a_run_leaves_int32_at_the_computed_round(self, tmp_path, tie_break, monkeypatch):
+        # at 12/4 and alpha 1e-6, (p, q2) = (1, 2 * 10**6): beliefs over r
+        # rounds fit int32's guard while 16 * (q2 + 1) * r < 2**28, so the
+        # replies of rounds 2..9 and the trace rows up to round 8 run on int32
+        # rows, the rest on int64, all through get_kernels("numpy"); a run
+        # cut on either side of the switch and resumed keeps its bytes
+        spec = GameSpec(12, 4, Fraction(1, 10**6))
+        p, q2 = spec.tie_scale
+        last_int32 = max(r for r in range(1, 100) if 16 * (q2 + abs(p)) * r < 1 << 28)
+        assert last_int32 == 8
+        picked, types = [], []
+
+        def spy(name):
+            picked.append(name)
+            ks = kernels.get_kernels(name)
+            return kernels.KernelSet(
+                name,
+                lambda v, *args: types.append(("lex", v.dtype)) or ks.lex(v, *args),
+                lambda v, *args: types.append(("sampled", v.dtype)) or ks.sampled(v, *args),
+            )
+
+        monkeypatch.setattr(learning, "get_kernels", spy)
+        run = dict(seed=3, tie_break=tie_break, trace_every=1)
+        whole = tmp_path / "whole.fp"
+        state = fp_run(spec, 30, checkpoint_path=str(whole), **run)
+        assert picked == ["numpy"]
+        # round r: two replies over r - 1 rounds (r >= 2), then a trace row over r
+        reply = "lex" if tie_break == "lex" else "sampled"
+        want = []
+        for r in range(1, 31):
+            want += [(reply, r - 1)] * 2 * (r > 1) + [("lex", r)]
+        assert types == [(kind, np.int32 if r <= last_int32 else np.int64) for kind, r in want]
+        for cut in (last_int32, last_int32 + 1, last_int32 + 2):
+            path = tmp_path / f"cut{cut}.fp"
+            fp_run(spec, cut, checkpoint_path=str(path), **run)
+            resumed = fp_run(spec, 30, resume=str(path), checkpoint_path=str(path), trace_every=1)
+            assert path.read_bytes() == whole.read_bytes()
+            assert resumed.trace == state.trace
+        monkeypatch.setattr(learning, "get_kernels", lambda name: oracle_kernels)
+        reference = fp_run(spec, 30, **run)
+        assert state_fingerprint(state) == state_fingerprint(reference)
+        assert state.trace == reference.trace
+
     @pytest.mark.parametrize(
         "n, tie_break, kernel",
         [(38, "random", "numpy"), (39, "random", "python"), (39, "lex", "numpy")],
@@ -257,11 +301,19 @@ class TestDeterminismAndModes:
     )
     def test_belief_values_equal_the_below_form(self, p, q2, bigint):
         hist = np.array([3, 0, 5, 1, 0, 0, 2, 0], dtype=np.int64)
-        got = learning._belief_values(hist, p, q2, bigint)
+        got = learning._belief_values(hist, p, q2, np.dtype(object if bigint else np.int64))
         h = hist.astype(object) if bigint else hist
         below = np.concatenate(([0], np.cumsum(h[:-1])))
         assert got.dtype == (object if bigint else np.int64)
         assert got.tolist() == (q2 * below + p * h).tolist() == value_row(hist.tolist(), p, q2)
+
+    @pytest.mark.parametrize("p, q2", [(0, 1), (1, 6), (-3, 2), (7, 2)])
+    def test_belief_values_narrow_to_int32(self, p, q2):
+        # an int32 row holds the int64 row's values, up to the int32 guard
+        hist = np.array([3, 0, 5, 1, 0, 0, 2, 0], dtype=np.int64)
+        got = learning._belief_values(hist, p, q2, np.dtype(np.int32))
+        assert got.dtype == np.int32
+        assert got.tolist() == value_row(hist.tolist(), p, q2)
 
     # SHA-256 of each run's final checkpoint, pinned from an earlier form of
     # the numpy sampler's stage loop: a faster sampler must make the same
@@ -276,8 +328,19 @@ class TestDeterminismAndModes:
             # rows that decrease: the full-width stages
             (GameSpec(24, 3, Fraction(3), allow_any_tie_value=True), 1000, 5,
              "f9b4767af57b3061e8e3e5e6612c46ddf144fa3a2d89479713f11c9280871e3a"),
+            # tie-heavy runs, pinned from the sampler that drew every tied
+            # call from the counts: 3-4% of the 120/6 calls tie at alpha 0
+            # and 1, and 600/6 meets tie sets of up to 801,512 partitions
+            (GameSpec(120, 6, Fraction(0)), 1000, 7,
+             "7b490f4756805540548e937a07f0d6fc945944171520ebdc8c0d58618820f1d9"),
+            (GameSpec(120, 6, Fraction(1)), 1000, 11,
+             "3883ed5728b1c2c43db5947ca045c2b27cb888d8ad14ef45611c7c440fdba1dc"),
+            (GameSpec(24, 6, Fraction(1, 3)), 1000, 5,
+             "6e7f9ce48e8e8f85decf37a54eb67213069c79d31d1328652ef6e6ad146da441"),
+            (GameSpec(600, 6, Fraction(1, 3)), 40, 0,
+             "095710fbb0712ba4b484311928265fbbe93ef7fbdf384fd404d2fed35132589e"),
         ],
-        ids=["120/6-1/3", "60/4-1", "24/3-3"],
+        ids=["120/6-1/3", "60/4-1", "24/3-3", "120/6-0", "120/6-1", "24/6-1/3", "600/6-1/3"],
     )
     def test_random_run_checkpoint_bytes(self, tmp_path, spec, rounds, seed, digest):
         path = tmp_path / "run.fp"

@@ -56,6 +56,23 @@ class TestCounts:
                 assert at_most == coeffs[n], (n, k)
 
 
+    def test_closed_forms_match_the_table(self):
+        # partitions of rest into parts of size <= k, counted bottom-up here
+        # for every rest up to 500, against the closed forms of 1, 2 and 3 parts
+        limit = 500
+        for k in (1, 2, 3):
+            ways = [1] + [0] * limit
+            for part in range(1, k + 1):
+                for m in range(part, limit + 1):
+                    ways[m] += ways[m - part]
+            assert [count_partitions(rest + k, k) for rest in range(limit + 1)] == ways
+
+    def test_closed_forms_need_no_table(self):
+        # a table of 50,000,001 Python ints would take about 2 GB
+        assert count_partitions(50_000_002, 2) == 25_000_001
+        assert count_partitions(10**18 + 3, 3) == (10**36 + 6 * 10**18 + 12) // 12
+
+
 class TestEnumeration:
     def test_tiny_listing(self):
         assert list(enumerate_allocations(GameSpec(2, 2))) == [(0, 2), (1, 1), (2, 0)]
