@@ -31,13 +31,16 @@ DPs share one cached workspace (:class:`_Workspace`), so none is reentrant
 
 The sampler builds the stage maxima as the lex kernel does, then lists the
 optimal partitions: a depth-first search over partitions, largest part
-first, priced per state, candidate and part listed under the same cost model
-(next to :data:`ROW_BLOCK`).  While the list costs less than a quarter of
-the count DP's price, it draws over the orderings of the listed partitions in
-closed form, in Python ints; past that the count DP counts the optimal
-completions of every state over the stages already built, and only those
-counts are bound to ``2**63`` in int64.  Both give the same integers branch
-by branch, so a draw never depends on which ran.
+first, that tests only the optimal first bids (every part of an optimal
+partition is one, by field symmetry), priced per state, candidate and part
+listed under the same cost model (next to :data:`ROW_BLOCK`).  While the list
+costs less than a quarter of the count DP's price, it draws over the
+orderings of the listed partitions in closed form, in Python ints; past that
+the count DP counts the optimal completions of every state over the stages
+already built, and only those counts are bound to ``2**63`` in int64.  Both
+give the same integers branch by branch, so a draw never depends on which
+ran.  The count DP is priced only once the search spends more than a quarter
+of the cheapest one its budget allows, which most searches never do.
 
 Every DP marks unreachable states with one sentinel (:func:`_sentinel`), a
 value below every reachable sum by more than the largest entry, so a sum
@@ -76,6 +79,7 @@ caller asks for.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -115,16 +119,21 @@ SORT = {2: 500, 4: 500, 8: 1000}
 #             and COUNT_CELL per cell of a chunk (add, compare, masked sum;
 #             by the row's itemsize, object at int64's), plus COUNT_FIELD
 #             calls per field of its walk
-#   search    NODE per state it pushes, TEST per candidate bid its Python
-#             loop tests, and PART per part of each partition it lists, for
-#             the listing and the walk over the list
+#   search    NODE per state it pushes, TEST per optimal first bid its
+#             Python loop tests, and PART per part of each partition it
+#             lists, for the listing and the walk over the list
+# An int32 count DP at 120/6 costs about 110 us.  The count DP's prices were
 # fitted to captured sampler calls at 24/6, 120/6 and 600/6 with up to 3,000
-# optimal partitions.  An int32 count DP at 120/6 costs about 110 us.
+# optimal partitions.  The search's were fitted to 3,280 captured calls of
+# random runs at 24/6, 120/6 and 600/6 (alpha 0, 1/3 and 1; 856 of them with
+# 2 to 3,152 optimal partitions), each timed against the count DP on the same
+# call and scaled to its price; TEST is timed alone (90 ns on the listed value
+# row, 240 ns through a stage entry).
 COUNT_STAGE, COUNT_CHUNK, COUNT_FIELD = 8, 5, 6
 COUNT_CELL = {4: 1500, 8: 2200}
-NODE = 1_100_000
-TEST = 70_000
-PART = 430_000
+NODE = 800_000
+TEST = 150_000
+PART = 380_000
 
 BestReply = "tuple[int, tuple[int, ...]]"
 
@@ -464,16 +473,23 @@ def _fp_stages(values: Sequence[int], budget: int, fields: int):
 
 
 def br_lex_numpy(values: Sequence[int], budget: int, fields: int) -> BestReply:
-    """:func:`best_split` on ``fields`` copies of one value row (:func:`_fp_stages`)."""
+    """:func:`best_split` on ``fields`` copies of one value row (:func:`_fp_stages`).
+
+    The optimum is the first field's best candidate: ``v[x]`` plus the best
+    of the other fields spending the rest.
+    """
     v, _, _, stages, _ = _fp_stages(values, budget, fields)
-    bids = []
-    r = budget
-    for c in range(fields - 1, 0, -1):
+    if fields == 1:
+        return int(v[budget]), (budget,)
+    cand = v + stages[fields - 2][::-1]  # as br_sampled_numpy's
+    x = int(cand.argmax())
+    total, bids, r = int(cand[x]), [x], budget - x
+    for c in range(fields - 2, 0, -1):
         x = int((v[: r + 1] + stages[c - 1][r::-1]).argmax())
         bids.append(x)
         r -= x
     bids.append(r)
-    return int(v[bids].sum()), tuple(bids)
+    return total, tuple(bids)
 
 
 def br_sampled_numpy(
@@ -496,7 +512,9 @@ def br_sampled_numpy(
     (:func:`_multinomial_walk`): the same numbers, branch by branch, as the
     counts.  Once listing costs more than a quarter of the count DP's price
     (:func:`_count_cost`), the search gives up and the walk reads the
-    counts of :func:`_completion_counts` instead.
+    counts of :func:`_completion_counts` instead.  That price is taken only
+    once the search has spent a quarter of the cheapest count DP at this
+    budget and field count (a plan of one bid).
 
     The counts of stage ``c`` are at most the ``C(r + c, c)`` bid vectors of
     ``c + 1`` fields spending ``r``.  A prefix sum of them is at most
@@ -515,25 +533,29 @@ def br_sampled_numpy(
     # the search may spend a quarter of the count DP's price: a tie set that
     # outgrows it (408 partitions at round 2 of every 120/6 run) then costs
     # little more than the count DP alone, while lists of a few partitions
-    # still fit
-    partitions = _optimal_partitions(stages, cand, top, _count_cost(plan, fields, v.itemsize) // 4)
+    # still fit.  The plan is priced only once the search needs more than the
+    # cheapest count DP's quarter
+    floor = _count_cost(1, n + 1, fields, v.itemsize) // 4
+    partitions = _optimal_partitions(
+        stages, cand, top, floor,
+        lambda: _count_cost(len(plan), sum(sums.size for *_, sums in plan), fields, v.itemsize) // 4,
+    )
     if partitions is None:
         return int(top), _count_walk(v, ws, w, stages, plan, cand, top, uniforms)
     return int(top), _multinomial_walk(partitions, uniforms)
 
 
-def _count_cost(plan, fields: int, itemsize: int) -> int:
-    """The price of the count DP and its walk over ``plan``'s stages, in picoseconds.
+def _count_cost(chunks: int, cells: int, fields: int, itemsize: int) -> int:
+    """The price of the count DP and its walk over a plan of ``chunks`` and ``cells``, in picoseconds.
 
     The prices are those next to :data:`ROW_BLOCK`, by the row's itemsize.
     """
-    cells = sum(sums.size for *_, sums in plan)
-    calls = (fields - 2) * (COUNT_STAGE + COUNT_CHUNK * len(plan)) + COUNT_FIELD * (fields - 1)
+    calls = (fields - 2) * (COUNT_STAGE + COUNT_CHUNK * chunks) + COUNT_FIELD * (fields - 1)
     return calls * CALL + (fields - 2) * cells * COUNT_CELL[itemsize]
 
 
-def _optimal_partitions(stages: np.ndarray, cand: np.ndarray, top, budget: int):
-    """Every partition some optimal bid vector orders, or ``None`` past ``budget``.
+def _optimal_partitions(stages: np.ndarray, cand: np.ndarray, top, budget: int, price=None):
+    """Every partition some optimal bid vector orders, or ``None`` past the search's budget.
 
     ``stages[c][r]`` is the best value of ``c + 1`` fields spending ``r``
     and ``cand[x]`` the best value of the full budget with a first bid ``x``
@@ -542,19 +564,34 @@ def _optimal_partitions(stages: np.ndarray, cand: np.ndarray, top, budget: int):
     ``cap``, a largest part ``x`` from ``ceil(r / (c + 1))`` to ``min(r,
     cap)`` leads to an optimal partition only if ``v[x] + stages[c - 1][r -
     x] == stages[c][r]``, and every optimal partition passes that test at
-    each of its parts.  The top level reads ``cand`` in one numpy pass, the
-    others the slices of ``v`` and the stage they test; with two fields left
-    the last part is the rest.  Returns the partitions, parts descending, or
-    ``None`` once the states pushed (:data:`NODE` each), the candidates
-    tested (:data:`TEST` each) and the parts listed (:data:`PART` each) cost
-    more than ``budget`` picoseconds.  An explicit stack, not recursion: a
-    call leaves no reference cycle for the collector to find.
+    each of its parts.
+
+    Only the optimal first bids ``D`` (the ``x`` with ``cand[x] == top``)
+    are tested, found in each state's range by bisecting them.  That is exact
+    by field symmetry: every ordering of an optimal partition is an optimal
+    bid vector, so each of its parts is the first bid of one, and no bid
+    outside ``D`` is a part of any.  On captured 120/6 calls ``D`` holds a
+    median of 3 of the 121 bids, and a one-partition search tests a median of
+    6 to 8 candidates in 4 or 5 states.  A state reads one stage entry per
+    candidate; with two fields left the last part is the rest, read from
+    ``v``.
+
+    Returns the partitions, parts descending, or ``None`` once the states
+    pushed (:data:`NODE` each), the candidates tested (:data:`TEST` each) and
+    the parts listed (:data:`PART` each) cost more than the budget, in
+    picoseconds: ``budget``, and once the spend passes that, the value
+    ``price()`` returns, called at most once (``br_sampled_numpy`` passes the
+    cheapest count DP's quarter and its own plan's).  An explicit stack, not
+    recursion: a call leaves no reference cycle for the collector to find.
     """
     fields, n = len(stages) + 1, len(cand) - 1
-    lo = -(-n // fields)
-    firsts = (np.flatnonzero(cand[lo:] == top) + lo).tolist()  # ascending: popped largest first
+    optimal = (cand == top).nonzero()[0].tolist()  # ascending
+    firsts = optimal[bisect_left(optimal, -(-n // fields)) :]  # popped largest first
     if fields == 2:  # x >= n - x: each first bid is the largest part of one partition
-        return [(x, n - x) for x in firsts] if len(firsts) * 2 * PART <= budget else None
+        spent = len(firsts) * 2 * PART
+        if spent > budget and (price is None or spent > price()):
+            return None
+        return [(x, n - x) for x in firsts]
     v = stages[0].tolist()
     found = []
     # a state carries f = stages[c][r], the value its parts must reach; it is
@@ -563,24 +600,29 @@ def _optimal_partitions(stages: np.ndarray, cand: np.ndarray, top, budget: int):
     spent = len(stack) * NODE
     while stack:
         c, r, cap, parts, f = stack.pop()
-        # x >= ceil(r / (c + 1)) leaves r - x <= c * x: the c fields after
+        # the optimal first bids x from ceil(r / (c + 1)) to min(r, cap):
+        # x >= ceil(r / (c + 1)) leaves r - x <= c * x, so the c fields after
         # it can always take parts of at most x
-        lo, hi = -(-r // (c + 1)), min(r, cap)
+        i = bisect_left(optimal, -(-r // (c + 1)))
+        j = bisect_right(optimal, r if r < cap else cap, i)
         if c == 1:  # two fields left: the last part is r - x <= x
             listed = len(found)
-            for x in range(lo, hi + 1):
+            for x in optimal[i:j]:
                 if v[x] + v[r - x] == f:
                     found.append(parts + (x, r - x))
-            spent += (hi + 1 - lo) * TEST + (len(found) - listed) * fields * PART
-        else:
+            spent += (j - i) * TEST + (len(found) - listed) * fields * PART
+        elif i < j:
             pending = len(stack)
-            prev = reversed(stages[c - 1, r - hi : r - lo + 1].tolist())  # prev[r - x], x = lo..hi
-            for x, a, b in zip(range(lo, hi + 1), v[lo : hi + 1], prev):
-                if a + b == f:
+            prev = stages[c - 1].item
+            for x in optimal[i:j]:
+                b = prev(r - x)
+                if v[x] + b == f:
                     stack.append((c - 1, r - x, x, parts + (x,), b))
-            spent += (hi + 1 - lo) * TEST + (len(stack) - pending) * NODE
+            spent += (j - i) * TEST + (len(stack) - pending) * NODE
         if spent > budget:
-            return None
+            if price is None or spent > (budget := price()):
+                return None
+            price = None
     return found
 
 
@@ -593,7 +635,11 @@ def _multinomial_walk(
     ``m_{i,x}`` parts equal to ``x``: a first bid ``x`` leaves ``sum_i t_i *
     m_{i,x} / s`` of the ``sum_i t_i`` optimal completions open, the
     numbers the count DP yields.  Exact in Python ints, whatever their size.
+    An array of uniforms is read once as Python floats, whose products with
+    a count round as the array's float64 entries' do.
     """
+    if isinstance(uniforms, np.ndarray):
+        uniforms = uniforms.tolist()
     live = []  # (t_i, m_i): the orderings left of each partition, its parts by size
     for parts in partitions:
         left = {}
@@ -624,10 +670,12 @@ def _multinomial_walk(
             left[x] -= 1
             if not left[x]:
                 del left[x]
-    # one partition left: its own orderings, branch by branch
+    # one partition left: its own orderings, branch by branch, until one
+    # ordering is left (t == 1), and so one size, which every uniform picks
     (total, left), = live
     order = sorted(left)
-    for i, s in enumerate(range(fields - len(bids), 1, -1), len(bids)):
+    i, s = len(bids), fields - len(bids)
+    while total > 1:
         want = min(int(uniforms[i] * total), total - 1)
         acc = 0
         for x in order:
@@ -640,7 +688,9 @@ def _multinomial_walk(
         left[x] -= 1
         if not left[x]:
             order.remove(x)
-    bids.append(order[0])
+        i += 1
+        s -= 1
+    bids += order * s
     return tuple(bids)
 
 

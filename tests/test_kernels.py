@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blotto_lab import GameSpec, MarginalProfile, best_response, kernels, mixed
+from blotto_lab import GameSpec, MarginalProfile, best_response, kernels, learning, mixed
 from blotto_lab.core import value_row
 from conftest import examples
 from blotto_lab.kernels import (
@@ -761,16 +761,18 @@ def uniform_lists(k):
     return st.lists(st.floats(0, 1, exclude_max=True), min_size=k - 1, max_size=k - 1)
 
 
-@settings(max_examples=examples(300), deadline=None)
-@given(data=st.data())
-def test_partition_certificate_matches_enumeration(data):
-    # the search lists exactly the optimal partitions, by brute force, each
-    # once, or gives up (None); with or without the list the draw is the
-    # oracle's, on belief rows, signed rows and object rows past int64
-    n = data.draw(st.integers(1, 12))
-    k = data.draw(st.integers(2, 5))
-    row = data.draw(sampler_rows(n))
-    uniforms = data.draw(uniform_lists(k))
+def optimal_first_bids(row, n, k):
+    """``D``: the first bids of the optimal bid vectors, by enumeration."""
+    scores = {s: sum(row[x] for x in s) for s in allocations(n, k)}
+    best = max(scores.values())
+    return {s[0] for s, score in scores.items() if score == best}
+
+
+def check_certificate(row, n, k, uniforms):
+    """The search lists exactly the optimal partitions, each once, every part in ``D``, or gives up.
+
+    With or without the list, the draw is the oracle's.
+    """
     found = []
     search = kernels._optimal_partitions
 
@@ -781,15 +783,58 @@ def test_partition_certificate_matches_enumeration(data):
     with mock.patch.object(kernels, "_optimal_partitions", spy):
         got = br_sampled_numpy(row, n, k, uniforms)
     want = optimal_partitions(list(row), n, k)
-    assert found[0] is None or sorted(found[0]) == sorted(want)
+    if found[0] is not None:
+        assert sorted(found[0]) == sorted(want)
+        firsts = optimal_first_bids(list(row), n, k)
+        assert all(x in firsts for parts in found[0] for x in parts)
     assert got == count_dp_draw(row, n, k, uniforms) == br_sampled_python(row, n, k, uniforms)
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(data=st.data())
+def test_partition_certificate_matches_enumeration(data):
+    # the search lists exactly the optimal partitions, by brute force, each
+    # once and every part an optimal first bid, or gives up (None); with or
+    # without the list the draw is the oracle's, on belief rows, signed rows
+    # and object rows past int64
+    n = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(2, 5))
+    row = data.draw(sampler_rows(n))
+    uniforms = data.draw(uniform_lists(k))
+    check_certificate(row, n, k, uniforms)
+
+
+# (row, fields): rows whose optimal first bids D leave gaps in the ranges
+# the search scans, and rows whose optimal bids reach above the width
+GAPPED_ROWS = [
+    ([0, 0, 1, 1, 2], 3),  # D = {0, 2, 4}
+    ([0, 0, 0, 5, 5, 5, 5, 9, 9, 9, 12], 3),  # D = {3, 4}: (4, 3, 3) alone
+    ([0, 0, 2, 2, 4, 4, 6, 6, 8], 3),  # parity: D = {0, 2, 4, 6, 8}, four partitions
+    ([0, -1, 3, -1, 6, -1, 9, -1, 12, -1, 15, -1, 18], 4),  # signed parity: 9 partitions
+] + [(row, k) for row in COUNT_ROWS for k in (3, 4)]
+
+
+@pytest.mark.parametrize("row, k", GAPPED_ROWS)
+def test_partition_certificate_on_gapped_and_wide_rows(row, k):
+    # at the search's own budget and at an unlimited one
+    n = len(row) - 1
+    firsts = optimal_first_bids(row, n, k)
+    assert set(range(n + 1)) - firsts
+    v, _, _, stages, _ = kernels._fp_stages(row, n, k)
+    cand = v + stages[k - 2][::-1]
+    listed = kernels._optimal_partitions(stages, cand, cand.max(), 1 << 80)
+    assert sorted(listed) == sorted(optimal_partitions(row, n, k))
+    assert all(x in firsts for parts in listed for x in parts)
+    grid = np.linspace(0, 1, 3, endpoint=False)
+    for uniforms in product(grid, repeat=k - 1):
+        check_certificate(row, n, k, uniforms)
 
 
 def listed_draw(row, n, k, uniforms):
     """``br_sampled_numpy``'s draw over the full list of optimal partitions, at any size."""
     search = kernels._optimal_partitions
     with mock.patch.object(kernels, "_optimal_partitions",
-                           lambda stages, cand, top, budget: search(stages, cand, top, 1 << 80)):
+                           lambda stages, cand, top, *budget: search(stages, cand, top, 1 << 80)):
         return br_sampled_numpy(row, n, k, uniforms)
 
 
@@ -835,6 +880,57 @@ def test_tie_sets_past_the_budget_take_the_count_dp(count_dp_calls):
         count_dp_calls.clear()
         got = br_sampled_numpy([0, 0, 1, 1, 2], 4, 3, uniforms[:2])
         assert len(found[0]) == 2 and not count_dp_calls
+
+
+def test_a_captured_tie_set_lists_within_the_budget(count_dp_calls):
+    # B's reply in round 9 of the seed-0 random run at 120/6, alpha 1/3: two
+    # optimal partitions.  A search over every bid of each state's range
+    # gave up on it and counted; over the optimal first bids it lists both
+    # within the budget, and draws as the count DP and the oracle do
+    spec = GameSpec(120, 6, "1/3")
+    p, q2 = spec.tie_scale
+    state = learning.fp_run(spec, 8, seed=0, tie_break="random")
+    row = learning._belief_values(state.hist_a, p, q2, np.dtype(np.int32))
+    count_dp_calls.clear()  # the run's own: round 2's tie set, say
+    found = []
+    search = kernels._optimal_partitions
+
+    def spy(*args):
+        found.append(search(*args))
+        return found[-1]
+
+    with mock.patch.object(kernels, "_optimal_partitions", spy):
+        for uniforms in ([0.1, 0.2, 0.3, 0.4, 0.5], [0.9, 0.7, 0.5, 0.3, 0.1]):
+            found.clear()
+            got = br_sampled_numpy(row, 120, 6, uniforms)
+            assert sorted(found[0]) == [(37, 33, 32, 6, 6, 6), (37, 33, 33, 6, 6, 5)]
+            assert got == count_dp_draw(row, 120, 6, uniforms)
+            assert got == br_sampled_python(row.tolist(), 120, 6, uniforms)
+    assert len(count_dp_calls) == 2  # the two count_dp_draw calls alone
+
+
+def test_one_partition_replies_price_no_plan(monkeypatch):
+    # a search that ends below the cheapest count DP's quarter never prices
+    # the call's own plan: _count_cost runs once, for that floor
+    priced = []
+    cost = kernels._count_cost
+
+    def spy(chunks, cells, fields, itemsize):
+        priced.append((chunks, cells))
+        return cost(chunks, cells, fields, itemsize)
+
+    monkeypatch.setattr(kernels, "_count_cost", spy)
+    row = [0, 10, 18, 24, 28, 30, 31]
+    assert br_sampled_numpy(row, 6, 3, [0.5, 0.5]) == br_sampled_python(row, 6, 3, [0.5, 0.5])
+    assert priced == [(1, 7)]
+    priced.clear()
+    # round 2 at 120/6 gives up past the floor, so it prices its plan too
+    spec = GameSpec(120, 6, "1/3")
+    p, q2 = spec.tie_scale
+    weights = [0] * 121
+    weights[20] = 6
+    br_sampled_numpy(np.array(value_row(weights, p, q2), dtype=np.int32), 120, 6, [0.5] * 5)
+    assert priced[0] == (1, 121) and len(priced) == 2
 
 
 @pytest.mark.parametrize("k", [3, 5])
