@@ -39,8 +39,7 @@ orderings of the listed partitions in closed form, in Python ints; past that
 the count DP counts the optimal completions of every state over the stages
 already built, and only those counts are bound to ``2**63`` in int64.  Both
 give the same integers branch by branch, so a draw never depends on which
-ran.  The count DP is priced only once the search spends more than a quarter
-of the cheapest one its budget allows, which most searches never do.
+ran.
 
 Every DP marks unreachable states with one sentinel (:func:`_sentinel`), a
 value below every reachable sum by more than the largest entry, so a sum
@@ -119,21 +118,27 @@ SORT = {2: 500, 4: 500, 8: 1000}
 #             and COUNT_CELL per cell of a chunk (add, compare, masked sum;
 #             by the row's itemsize, object at int64's), plus COUNT_FIELD
 #             calls per field of its walk
-#   search    NODE per state it pushes, TEST per optimal first bid its
-#             Python loop tests, and PART per part of each partition it
-#             lists, for the listing and the walk over the list
+#   search    NODE per state it pushes, per optimal first bid its Python
+#             loop tests TEST_ROW with two fields left (both values read
+#             from the value row's list) and TEST_STAGE through a stage
+#             entry, and PART per part of each partition it lists, for the
+#             listing and the walk over the list
 # An int32 count DP at 120/6 costs about 110 us.  The count DP's prices were
 # fitted to captured sampler calls at 24/6, 120/6 and 600/6 with up to 3,000
-# optimal partitions.  The search's were fitted to 3,280 captured calls of
-# random runs at 24/6, 120/6 and 600/6 (alpha 0, 1/3 and 1; 856 of them with
-# 2 to 3,152 optimal partitions), each timed against the count DP on the same
-# call and scaled to its price; TEST is timed alone (90 ns on the listed value
-# row, 240 ns through a stage entry).
+# optimal partitions.  Each test price is its loop timed alone on a captured
+# 120/6 call, per candidate at the median width of its states on the calls
+# below (3 candidates with two fields left, 2 through a stage entry), the
+# state's own overhead included.  NODE and PART were then fitted, with those
+# two fixed, to 3,280 captured calls of random runs at 24/6, 120/6 and 600/6
+# (alpha 0, 1/3 and 1; 856 of them with 2 to 3,152 optimal partitions; 53%
+# of their tests with two fields left), each timed against the count DP on
+# the same call and scaled to its price.
 COUNT_STAGE, COUNT_CHUNK, COUNT_FIELD = 8, 5, 6
 COUNT_CELL = {4: 1500, 8: 2200}
-NODE = 800_000
-TEST = 150_000
-PART = 380_000
+NODE = 760_000
+TEST_ROW = 60_000
+TEST_STAGE = 220_000
+PART = 300_000
 
 BestReply = "tuple[int, tuple[int, ...]]"
 
@@ -411,7 +416,7 @@ class _Workspace:
     A block fill adds into ``scratch`` and the count DP compares into
     ``mask``, ``min(block, n + 1) * (n + 1)`` cells each.  The FP kernels
     keep their stages in ``stages`` and, in ``plans``, the block plans of up
-    to two widths: the two sides of a run alternate.
+    to two widths, each with its cells: the two sides of a run alternate.
     """
 
     def __init__(self, n: int, dtype: np.dtype, block: int) -> None:
@@ -437,14 +442,17 @@ _workspace = lru_cache(maxsize=1)(_Workspace)
 
 
 def _fp_stages(values: Sequence[int], budget: int, fields: int):
-    """``(v, ws, w, stages, plan)``: the start of both FP kernels.
+    """``(v, ws, w, stages, plan, cells, cand)``: the start of both FP kernels.
 
     The value row in the type they run in (an int32, int64 or ``object``
     array keeps its type, and an ``object`` row's sentinel, which grows with
     its values, goes into the padding on every call; any other row runs in
     int64), its workspace and width, the stages ``0 .. fields - 2`` the walk
     back reads (``stages[c][r]``: the best value of ``c + 1`` fields spending
-    ``r``) and the block plan they share.
+    ``r``), the block plan they share and its cells, and the first field's
+    candidates: ``cand[x] = v[x] + stages[fields - 2][budget - x]``, the best
+    value of the full budget with a first bid ``x`` (``None`` with one field,
+    whose one bid is the budget).  A plan is cached per width with its cells.
     """
     if isinstance(values, np.ndarray) and values.dtype in _FP_TYPES:
         v = values[: budget + 1]
@@ -459,29 +467,30 @@ def _fp_stages(values: Sequence[int], budget: int, fields: int):
         ws.stages, ws.plans = np.empty((fields - 1, budget + 1), dtype=v.dtype), {}
     stages = ws.stages[: max(fields - 1, 1)]
     stages[0] = prev = v
-    plan = ws.plans.get(w)
-    if plan is None:  # full range over the bids x <= w of the row in stages[0]
+    planned = ws.plans.get(w)
+    if planned is None:  # full range over the bids x <= w of the row in stages[0]
         if len(ws.plans) > 1:
             ws.plans.clear()
-        plan = ws.plans[w] = _block_plan(stages[0, : w + 1], ws.windows, 0, budget, 0, ws.scratch)
+        plan = _block_plan(stages[0, : w + 1], ws.windows, 0, budget, 0, ws.scratch)
+        planned = ws.plans[w] = (plan, sum(sums.size for *_, sums in plan))
+    plan, cells = planned
     pad = ws.pad[budget:]
     for stage in stages[1:]:
         pad[:] = prev
         _block_fill(plan, stage)
         prev = stage
-    return v, ws, w, stages, plan
+    cand = v + stages[fields - 2][::-1] if fields > 1 else None
+    return v, ws, w, stages, plan, cells, cand
 
 
 def br_lex_numpy(values: Sequence[int], budget: int, fields: int) -> BestReply:
     """:func:`best_split` on ``fields`` copies of one value row (:func:`_fp_stages`).
 
-    The optimum is the first field's best candidate: ``v[x]`` plus the best
-    of the other fields spending the rest.
+    The optimum is the first field's best candidate.
     """
-    v, _, _, stages, _ = _fp_stages(values, budget, fields)
-    if fields == 1:
+    v, _, _, stages, _, _, cand = _fp_stages(values, budget, fields)
+    if cand is None:
         return int(v[budget]), (budget,)
-    cand = v + stages[fields - 2][::-1]  # as br_sampled_numpy's
     x = int(cand.argmax())
     total, bids, r = int(cand[x]), [x], budget - x
     for c in range(fields - 2, 0, -1):
@@ -512,9 +521,7 @@ def br_sampled_numpy(
     (:func:`_multinomial_walk`): the same numbers, branch by branch, as the
     counts.  Once listing costs more than a quarter of the count DP's price
     (:func:`_count_cost`), the search gives up and the walk reads the
-    counts of :func:`_completion_counts` instead.  That price is taken only
-    once the search has spent a quarter of the cheapest count DP at this
-    budget and field count (a plan of one bid).
+    counts of :func:`_completion_counts` instead.
 
     The counts of stage ``c`` are at most the ``C(r + c, c)`` bid vectors of
     ``c + 1`` fields spending ``r``.  A prefix sum of them is at most
@@ -525,21 +532,16 @@ def br_sampled_numpy(
     stops being uniform; on an ``object`` row they are Python ints.
     """
     n = budget
-    v, ws, w, stages, plan = _fp_stages(values, n, fields)
-    if fields == 1:
+    v, ws, w, stages, plan, cells, cand = _fp_stages(values, n, fields)
+    if cand is None:
         return int(v[n]), (n,)
-    cand = v + stages[fields - 2][::-1]  # the first bid x: v[x] + the best of the rest
     top = np.maximum.reduce(cand)
     # the search may spend a quarter of the count DP's price: a tie set that
     # outgrows it (408 partitions at round 2 of every 120/6 run) then costs
     # little more than the count DP alone, while lists of a few partitions
-    # still fit.  The plan is priced only once the search needs more than the
-    # cheapest count DP's quarter
-    floor = _count_cost(1, n + 1, fields, v.itemsize) // 4
-    partitions = _optimal_partitions(
-        stages, cand, top, floor,
-        lambda: _count_cost(len(plan), sum(sums.size for *_, sums in plan), fields, v.itemsize) // 4,
-    )
+    # still fit
+    limit = _count_cost(len(plan), cells, fields, v.itemsize) // 4
+    partitions = _optimal_partitions(stages, cand, top, limit)
     if partitions is None:
         return int(top), _count_walk(v, ws, w, stages, plan, cand, top, uniforms)
     return int(top), _multinomial_walk(partitions, uniforms)
@@ -554,8 +556,8 @@ def _count_cost(chunks: int, cells: int, fields: int, itemsize: int) -> int:
     return calls * CALL + (fields - 2) * cells * COUNT_CELL[itemsize]
 
 
-def _optimal_partitions(stages: np.ndarray, cand: np.ndarray, top, budget: int, price=None):
-    """Every partition some optimal bid vector orders, or ``None`` past the search's budget.
+def _optimal_partitions(stages: np.ndarray, cand: np.ndarray, top, budget: int):
+    """Every partition some optimal bid vector orders, or ``None`` past ``budget``.
 
     ``stages[c][r]`` is the best value of ``c + 1`` fields spending ``r``
     and ``cand[x]`` the best value of the full budget with a first bid ``x``
@@ -577,21 +579,17 @@ def _optimal_partitions(stages: np.ndarray, cand: np.ndarray, top, budget: int, 
     ``v``.
 
     Returns the partitions, parts descending, or ``None`` once the states
-    pushed (:data:`NODE` each), the candidates tested (:data:`TEST` each) and
-    the parts listed (:data:`PART` each) cost more than the budget, in
-    picoseconds: ``budget``, and once the spend passes that, the value
-    ``price()`` returns, called at most once (``br_sampled_numpy`` passes the
-    cheapest count DP's quarter and its own plan's).  An explicit stack, not
-    recursion: a call leaves no reference cycle for the collector to find.
+    pushed (:data:`NODE` each), the candidates tested (:data:`TEST_ROW` each
+    with two fields left, :data:`TEST_STAGE` each through a stage entry) and
+    the parts listed (:data:`PART` each) cost more than ``budget``
+    picoseconds.  An explicit stack, not recursion: a call leaves no
+    reference cycle for the collector to find.
     """
     fields, n = len(stages) + 1, len(cand) - 1
     optimal = (cand == top).nonzero()[0].tolist()  # ascending
     firsts = optimal[bisect_left(optimal, -(-n // fields)) :]  # popped largest first
     if fields == 2:  # x >= n - x: each first bid is the largest part of one partition
-        spent = len(firsts) * 2 * PART
-        if spent > budget and (price is None or spent > price()):
-            return None
-        return [(x, n - x) for x in firsts]
+        return [(x, n - x) for x in firsts] if len(firsts) * 2 * PART <= budget else None
     v = stages[0].tolist()
     found = []
     # a state carries f = stages[c][r], the value its parts must reach; it is
@@ -610,7 +608,7 @@ def _optimal_partitions(stages: np.ndarray, cand: np.ndarray, top, budget: int, 
             for x in optimal[i:j]:
                 if v[x] + v[r - x] == f:
                     found.append(parts + (x, r - x))
-            spent += (j - i) * TEST + (len(found) - listed) * fields * PART
+            spent += (j - i) * TEST_ROW + (len(found) - listed) * fields * PART
         elif i < j:
             pending = len(stack)
             prev = stages[c - 1].item
@@ -618,11 +616,9 @@ def _optimal_partitions(stages: np.ndarray, cand: np.ndarray, top, budget: int, 
                 b = prev(r - x)
                 if v[x] + b == f:
                     stack.append((c - 1, r - x, x, parts + (x,), b))
-            spent += (j - i) * TEST + (len(stack) - pending) * NODE
+            spent += (j - i) * TEST_STAGE + (len(stack) - pending) * NODE
         if spent > budget:
-            if price is None or spent > (budget := price()):
-                return None
-            price = None
+            return None
     return found
 
 

@@ -703,16 +703,18 @@ ONE_PARTITION_ROWS = [
 # two or more optimal partitions tie: the search lists a few, and the walk
 # draws over their orderings in closed form; linear and flat rows, and rows
 # whose bids above the width tie, list more than the search's budget, and
-# the walk reads the counts, as it does at two fields, where counting is one
-# step of the walk and costs less than listing even two partitions
+# the walk reads the counts, as it does at two fields from three partitions
+# on, where counting is one step of the walk and costs about as much as
+# listing two partitions (6 us each at n = 4)
 TIED_PARTITION_ROWS = [
     ([0, 0, 1, 1, 2], 2),  # (4, 0) and (2, 2)
     ([0, 0, 1, 1, 2], 3),  # (4, 0, 0) and (2, 2, 0)
     ([0, 1, 2, 3, 4, 5, 6, 7], 4),  # linear: every bid vector ties
     ([0, 2] + [3] * 13, 3),  # bids above the width tie
     ([0] * 6, 5),  # flat: every bid vector ties
+    ([0, 0, 1, 1, 2, 2, 3, 3, 4], 2),  # (8, 0), (6, 2) and (4, 4)
 ]
-COUNTED_ROWS = TIED_PARTITION_ROWS[:1] + TIED_PARTITION_ROWS[2:]
+COUNTED_ROWS = TIED_PARTITION_ROWS[2:]
 
 
 @pytest.mark.parametrize(
@@ -820,8 +822,7 @@ def test_partition_certificate_on_gapped_and_wide_rows(row, k):
     n = len(row) - 1
     firsts = optimal_first_bids(row, n, k)
     assert set(range(n + 1)) - firsts
-    v, _, _, stages, _ = kernels._fp_stages(row, n, k)
-    cand = v + stages[k - 2][::-1]
+    *_, stages, _, _, cand = kernels._fp_stages(row, n, k)
     listed = kernels._optimal_partitions(stages, cand, cand.max(), 1 << 80)
     assert sorted(listed) == sorted(optimal_partitions(row, n, k))
     assert all(x in firsts for parts in listed for x in parts)
@@ -834,7 +835,7 @@ def listed_draw(row, n, k, uniforms):
     """``br_sampled_numpy``'s draw over the full list of optimal partitions, at any size."""
     search = kernels._optimal_partitions
     with mock.patch.object(kernels, "_optimal_partitions",
-                           lambda stages, cand, top, *budget: search(stages, cand, top, 1 << 80)):
+                           lambda stages, cand, top, budget: search(stages, cand, top, 1 << 80)):
         return br_sampled_numpy(row, n, k, uniforms)
 
 
@@ -907,30 +908,6 @@ def test_a_captured_tie_set_lists_within_the_budget(count_dp_calls):
             assert got == count_dp_draw(row, 120, 6, uniforms)
             assert got == br_sampled_python(row.tolist(), 120, 6, uniforms)
     assert len(count_dp_calls) == 2  # the two count_dp_draw calls alone
-
-
-def test_one_partition_replies_price_no_plan(monkeypatch):
-    # a search that ends below the cheapest count DP's quarter never prices
-    # the call's own plan: _count_cost runs once, for that floor
-    priced = []
-    cost = kernels._count_cost
-
-    def spy(chunks, cells, fields, itemsize):
-        priced.append((chunks, cells))
-        return cost(chunks, cells, fields, itemsize)
-
-    monkeypatch.setattr(kernels, "_count_cost", spy)
-    row = [0, 10, 18, 24, 28, 30, 31]
-    assert br_sampled_numpy(row, 6, 3, [0.5, 0.5]) == br_sampled_python(row, 6, 3, [0.5, 0.5])
-    assert priced == [(1, 7)]
-    priced.clear()
-    # round 2 at 120/6 gives up past the floor, so it prices its plan too
-    spec = GameSpec(120, 6, "1/3")
-    p, q2 = spec.tie_scale
-    weights = [0] * 121
-    weights[20] = 6
-    br_sampled_numpy(np.array(value_row(weights, p, q2), dtype=np.int32), 120, 6, [0.5] * 5)
-    assert priced[0] == (1, 121) and len(priced) == 2
 
 
 @pytest.mark.parametrize("k", [3, 5])
