@@ -96,6 +96,7 @@ _INT_TYPES = {
     np.dtype(np.int64): 1 << 60,
 }
 ROW_BLOCK = 64  # the block fill's scratch holds ROW_BLOCK * (budget + 1) cells
+STACK_CELLS = 1 << 14  # a stack of FP rows takes ROW_BLOCK bids of each up to this (_Workspace)
 # best_split_numpy fills each tail stage with the cheapest exact fill its rows
 # admit, priced in picoseconds by the itemsize of the type it runs in (timed
 # on a 2-vCPU x86 host, numpy 2.4; object takes int64's prices, which may
@@ -228,7 +229,8 @@ def best_split_numpy(tables: np.ndarray, budget: int) -> BestReply:
     k = len(t)
     cell, sort = CELL[t.itemsize], SORT[t.itemsize]
     ws = _workspace(n, t.dtype, ROW_BLOCK)
-    cap = len(ws.scratch)  # the block fill's scratch, in cells
+    cap = ws.block_cells  # the block fill's scratch, in cells
+    scratch = ws.scratch[:cap]
     neg = _sentinel(t, k)
     if t.dtype == object:
         ws.pad[:n] = neg
@@ -267,7 +269,7 @@ def best_split_numpy(tables: np.ndarray, budget: int) -> BestReply:
         if lo <= hi:  # else the span is empty: the stage is flat from lo on
             ws.pad[n:] = tail[j + 1]
             first = max(0, lo - spans[j + 1][1])  # see _block_cost
-            plan = _block_plan(t[j, : widths[j] + 1], ws.windows, lo, hi, first, ws.scratch)
+            plan = _block_plan(t[j, : widths[j] + 1], ws.window, lo, hi, first, scratch)
             _block_fill(plan, tail[j, lo : hi + 1])
         if hi < n:
             tail[j, hi + 1 :] = flat[j]
@@ -282,36 +284,41 @@ def best_split_numpy(tables: np.ndarray, budget: int) -> BestReply:
     return int(t[np.arange(k), bids].sum()), tuple(bids)
 
 
-def _block_plan(row, windows, lo, hi, first, scratch) -> list:
+def _block_plan(rows, windows, lo, hi, first, scratch) -> list:
     """The chunks of a block fill of the budgets ``lo..hi`` over the bids ``first..``.
 
-    The bids run from ``first <= lo`` to the last of ``row``, at most
-    ``hi``; a chunk takes as many as ``scratch`` holds rows of its budgets,
-    from ``lo`` or its first bid, below which each of them reads the
-    sentinel (or a zero count).  A chunk is ``(off, head, win, sums)``: its
-    first budget less ``lo``, its bids as a column, its windows and its
-    scratch, all views: a plan serves every stage that refills the pad.
+    ``rows`` is one row or a stack of them, bids on its last axis, and
+    ``windows`` one window box per row (:func:`_windows`).  The bids run
+    from ``first <= lo`` to the last of ``rows``, at most ``hi``; a chunk
+    takes as many as ``scratch`` holds rows of its budgets for every row of
+    the stack, from ``lo`` or its first bid, below which each of them reads
+    the sentinel (or a zero count).  A chunk is ``(off, head, win, sums)``:
+    its first budget less ``lo``, its bids as a column per row, its windows
+    and its scratch, all views: a plan serves every stage that refills the
+    pads.
     """
     plan = []
-    x0, end, cells = first, len(row), len(scratch)
+    x0, end = first, rows.shape[-1]
+    cells = len(scratch) // (rows.size // end)  # per row of the stack
     while x0 < end:
         r0 = lo if lo > x0 else x0
         x1 = min(end, x0 + cells // (hi + 1 - r0))
-        sums = scratch[: (x1 - x0) * (hi + 1 - r0)].reshape(x1 - x0, hi + 1 - r0)
-        plan.append((r0 - lo, row[x0:x1, None], windows[x0:x1, r0 : hi + 1], sums))
+        shape = rows.shape[:-1] + (x1 - x0, hi + 1 - r0)
+        sums = scratch[: rows.size // end * shape[-2] * shape[-1]].reshape(shape)
+        plan.append((r0 - lo, rows[..., x0:x1, None], windows[..., x0:x1, r0 : hi + 1], sums))
         x0 = x1
     return plan
 
 
 def _block_fill(plan, out) -> None:
-    """``out[r - lo] = max_x row[x] + windows[x, r]`` over a plan's span (:func:`_block_plan`)."""
+    """``out[..., r - lo] = max_x rows[..., x] + windows[..., x, r]`` over a plan's span (:func:`_block_plan`)."""
     _, head, win, sums = plan[0]
     np.add(head, win, out=sums)
-    np.maximum.reduce(sums, axis=0, out=out)
+    np.maximum.reduce(sums, axis=-2, out=out)
     for off, head, win, sums in plan[1:]:
         np.add(head, win, out=sums)
-        seg = out[off:]
-        np.maximum(seg, np.maximum.reduce(sums, axis=0), out=seg)
+        seg = out[..., off:]
+        np.maximum(seg, np.maximum.reduce(sums, axis=-2), out=seg)
 
 
 def _block_cost(spans, widths, j: int, cap: int, cell: int) -> int:
@@ -403,36 +410,80 @@ def _runs_stage(row: np.ndarray, steps: np.ndarray, prev: np.ndarray, out: np.nd
         a = e
 
 
+def _windows(pads: np.ndarray, n: int) -> np.ndarray:
+    """``windows[..., x, r]``: ``pads[..., n - x + r]``, one ``(n + 1, n + 1)`` box per padded row.
+
+    A plain strided view of a contiguous ``pads``: sliding_window_view
+    raises RSS.
+    """
+    step = pads.itemsize
+    return np.ndarray(pads.shape[:-1] + (n + 1, n + 1), pads.dtype, buffer=pads,
+                      offset=n * step, strides=pads.strides[:-1] + (-step, step))
+
+
 class _Workspace:
     """The buffers of one budget ``n``, one type and one block size, for every DP.
 
-    ``windows[x, r]`` reads ``pad[n - x + r]``: the previous stage at
-    ``r - x`` for ``x <= r`` and the sentinel above the diagonal;
-    ``count_windows`` reads ``pad_counts`` so, with zero counts there.  Calls
-    write ``pad[n:]`` and ``pad_counts[n:]``; in a fixed-width type
-    ``pad[:n]`` holds the type's sentinel for good, and on ``object`` each
-    call writes its own.  The sampler's counts are int64 in every
-    fixed-width type (``object`` on ``object``), and so is ``pad_counts``.
+    A padded row holds ``n`` cells below a row of ``n + 1``, and its windows
+    (:func:`_windows`) read it so: ``window[x, r]`` is the row at ``r - x``
+    for ``x <= r`` and the pad above the diagonal.  :func:`best_split_numpy`
+    copies each stage into ``pad[n:]`` and reads ``window``.  The FP kernels
+    keep their stages padded, ``padded[c, i]`` for stage ``c`` of row ``i``
+    of a stack, so a stage's windows read it where it was filled.  In a
+    fixed-width type every pad holds the type's sentinel for good; on
+    ``object`` each call writes its own.  The sampler's counts are
+    ``count_dtype``: int64 in every fixed-width type, ``object`` on
+    ``object``.
+
     A block fill adds into ``scratch`` and the count DP compares into
-    ``mask``, ``min(block, n + 1) * (n + 1)`` cells each.  The FP kernels
-    keep their stages in ``stages`` and, in ``plans``, the block plans of up
-    to two widths, each with its cells: the two sides of a run alternate.
+    ``mask``: ``block_cells = min(block, n + 1) * (n + 1)`` cells for
+    :func:`best_split_numpy` and one FP row, and :meth:`cells` for a stack.
+    ``plans`` keeps the FP block plans of up to two widths and stack
+    heights: a run alternates replies and trace rows.  A deeper or taller
+    stack grows the stages and the scratch in place: the workspace stays,
+    and so does every buffer a smaller stack reads.
     """
 
     def __init__(self, n: int, dtype: np.dtype, block: int) -> None:
-        self.pad = np.zeros(2 * n + 1, dtype=dtype)
-        if dtype != object:
-            self.pad[:n] = _sentinel(self.pad, 0)
-        self.pad_counts = np.zeros(2 * n + 1, dtype=object if dtype == object else np.int64)
-        # plain strided views: sliding_window_view raises RSS
-        self.windows, self.count_windows = (
-            np.ndarray((n + 1, n + 1), pad.dtype, buffer=pad, offset=n * pad.itemsize,
-                       strides=(-pad.itemsize, pad.itemsize))
-            for pad in (self.pad, self.pad_counts)
-        )
-        cells = min(block, n + 1) * (n + 1)
-        self.scratch, self.mask = np.empty(cells, dtype=dtype), np.empty(cells, dtype=bool)
-        self.stages, self.plans = np.empty((1, n + 1), dtype=dtype), {}
+        self.n, self.dtype = n, dtype
+        self.count_dtype = np.dtype(object if dtype == object else np.int64)
+        self.pad = self._padded(1)[0]
+        self.window = _windows(self.pad, n)
+        self.block_cells = min(block, n + 1) * (n + 1)
+        self.scratch = self.mask = None
+        self.padded, self.plans = self._padded(1, 1), {}
+        self.fit(1, 1)
+
+    def _padded(self, *shape: int) -> np.ndarray:
+        """Padded rows of ``shape``, the pads at the sentinel in a fixed-width type."""
+        n = self.n
+        rows = np.zeros(shape + (2 * n + 1,), dtype=self.dtype)
+        if self.dtype != object:
+            rows[..., :n] = _sentinel(rows, 0)
+        return rows
+
+    def cells(self, rows: int) -> int:
+        """The scratch of a stack of ``rows``: ``block`` bids of each, up to :data:`STACK_CELLS` in all.
+
+        Never less than one row takes, ``block_cells``, nor than one bid of
+        each row.  So both players' rows at 120/6 fill each stage in the
+        chunks one row takes (two rows of 7,744 cells), and from ``n = 255``
+        on, where ``block_cells`` reaches ``STACK_CELLS``, a stack adds no
+        scratch: ``ROW_BLOCK * (n + 1)`` cells in all.
+        """
+        return max(self.block_cells, min(rows * self.block_cells, STACK_CELLS),
+                   rows * (self.n + 1))
+
+    def fit(self, depth: int, rows: int) -> None:
+        """Grow the stages to ``depth`` stages of ``rows`` rows, and the scratch to the stack."""
+        cells = self.cells(rows)
+        if self.scratch is None or len(self.scratch) < cells:
+            self.scratch, self.mask = np.empty(cells, self.dtype), np.empty(cells, dtype=bool)
+            self.plans = {}
+        have_depth, have_rows, _ = self.padded.shape
+        if have_depth < depth or have_rows < rows:
+            self.padded = self._padded(max(have_depth, depth), max(have_rows, rows))
+            self.plans = {}
 
 
 # the types the FP kernels run in, as the row they are handed
@@ -441,69 +492,107 @@ _FP_TYPES = (np.dtype(np.int32), np.dtype(np.int64), np.dtype(object))
 _workspace = lru_cache(maxsize=1)(_Workspace)
 
 
-def _fp_stages(values: Sequence[int], budget: int, fields: int):
-    """``(v, ws, w, stages, plan, cells, cand)``: the start of both FP kernels.
+def _fp_stages(values, budget: int, fields: int):
+    """``(v, ws, w, stages, plans, cand)``: the start of both FP kernels, for a stack of rows.
 
-    The value row in the type they run in (an int32, int64 or ``object``
-    array keeps its type, and an ``object`` row's sentinel, which grows with
-    its values, goes into the padding on every call; any other row runs in
-    int64), its workspace and width, the stages ``0 .. fields - 2`` the walk
-    back reads (``stages[c][r]``: the best value of ``c + 1`` fields spending
-    ``r``), the block plan they share and its cells, and the first field's
-    candidates: ``cand[x] = v[x] + stages[fields - 2][budget - x]``, the best
-    value of the full budget with a first bid ``x`` (``None`` with one field,
-    whose one bid is the budget).  A plan is cached per width with its cells.
+    ``values`` is one value row or a stack of ``m`` of them, ``(m, budget +
+    1)``; ``v`` is always the stack, in the type the kernels run in (an
+    int32, int64 or ``object`` array keeps its type, and an ``object``
+    stack's sentinel, which grows with its values, goes into the pads on
+    every call; anything else runs in int64).  Then its workspace, ``w``
+    the width of each row, ``stages`` the stages ``0 .. fields - 2`` of
+    every row the walks back read, ``(fields - 1, m, budget + 1)``
+    (``stages[c, i, r]``: the best value of ``c + 1`` fields of row ``i``
+    spending ``r``), the block plans that filled them (``plans[c - 1]``
+    fills stage ``c`` from the padded stage ``c - 1``), and the first
+    field's candidates: ``cand[i, x] = v[i, x] + stages[fields - 2, i,
+    budget - x]``, the best value of the full budget with a first bid ``x``
+    (``None`` with one field, whose one bid is the budget).
+
+    Every stage of the stack takes one block fill over the bids ``0 .. W``,
+    ``W = max(w)``, in chunks of as many bids of every row as the scratch
+    holds (:meth:`_Workspace.cells`).  That is exact: a row of width ``w_i <
+    W`` is flat from ``w_i`` on, so its bids ``w_i < x <= W`` score ``v[i,
+    w_i]`` and leave less budget, and its stage maxima over them are its
+    maxima over ``x <= w_i``.  The plans are cached per ``W``, stack height
+    and depth.
     """
     if isinstance(values, np.ndarray) and values.dtype in _FP_TYPES:
-        v = values[: budget + 1]
+        v = values[..., : budget + 1]
     else:
-        v = np.asarray(values, dtype=np.int64)[: budget + 1]
+        v = np.asarray(values, dtype=np.int64)[..., : budget + 1]
+    if v.ndim == 1:
+        v = v[None]
+    m, depth = len(v), max(fields - 1, 1)
     ws = _workspace(budget, v.dtype, ROW_BLOCK)
+    if np.count_nonzero(v[:, 1:] < v[:, :-1]):  # some row decreases: flat_width per row
+        w = [budget if x is None else x for x in map(flat_width, v)]
+    else:  # each row's first maximal entry
+        w = [int(row.searchsorted(row[-1])) for row in v]
+    top = max(w)
+    planned = ws.plans.get((top, m, depth))
+    if planned is None:  # full range over the bids x <= W of the rows in stages[0]
+        planned = ws.plans[top, m, depth] = _fp_plans(ws, top, m, depth)
+    stages, fills, plans, last = planned
     if v.dtype == object:
-        ws.pad[:budget] = _sentinel(v, fields)
-    w = flat_width(v)
-    w = budget if w is None else w
-    if len(ws.stages) < fields - 1:
-        ws.stages, ws.plans = np.empty((fields - 1, budget + 1), dtype=v.dtype), {}
-    stages = ws.stages[: max(fields - 1, 1)]
-    stages[0] = prev = v
-    planned = ws.plans.get(w)
-    if planned is None:  # full range over the bids x <= w of the row in stages[0]
-        if len(ws.plans) > 1:
-            ws.plans.clear()
-        plan = _block_plan(stages[0, : w + 1], ws.windows, 0, budget, 0, ws.scratch)
-        planned = ws.plans[w] = (plan, sum(sums.size for *_, sums in plan))
-    plan, cells = planned
-    pad = ws.pad[budget:]
-    for stage in stages[1:]:
-        pad[:] = prev
+        ws.padded[:depth, :m, :budget] = _sentinel(v, fields)
+    stages[0] = v
+    for plan, stage in fills:
         _block_fill(plan, stage)
-        prev = stage
-    cand = v + stages[fields - 2][::-1] if fields > 1 else None
-    return v, ws, w, stages, plan, cells, cand
+    cand = v + last if fields > 1 else None
+    return v, ws, w, stages, plans, cand
 
 
-def br_lex_numpy(values: Sequence[int], budget: int, fields: int) -> BestReply:
-    """:func:`best_split` on ``fields`` copies of one value row (:func:`_fp_stages`).
+def _fp_plans(ws: _Workspace, top: int, rows: int, depth: int):
+    """``(stages, fills, plans, last)`` for :func:`_fp_stages`, with the stages grown to fit.
 
-    The optimum is the first field's best candidate.
+    ``stages`` is the view of ``depth`` padded stages of ``rows`` rows,
+    ``plans[c - 1]`` the block plan that fills stage ``c`` from the stage
+    before, ``fills`` the pairs of plan and stage, and ``last`` the last
+    stage with its budgets reversed.  One plan over the bids ``0..top`` and the windows of
+    every stage but the last, then one view of it per stage.
     """
-    v, _, _, stages, _, _, cand = _fp_stages(values, budget, fields)
-    if cand is None:
-        return int(v[budget]), (budget,)
-    x = int(cand.argmax())
-    total, bids, r = int(cand[x]), [x], budget - x
-    for c in range(fields - 2, 0, -1):
-        x = int((v[: r + 1] + stages[c - 1][r::-1]).argmax())
-        bids.append(x)
-        r -= x
-    bids.append(r)
-    return total, tuple(bids)
+    n = ws.n
+    if len(ws.padded) < depth or ws.padded.shape[1] < rows:
+        ws.fit(depth, rows)
+    if len(ws.plans) > 1:
+        ws.plans.clear()
+    stages = ws.padded[:depth, :rows, n:]
+    plans = []
+    if depth > 1:
+        windows = _windows(ws.padded, n)[: depth - 1, :rows]
+        plan = _block_plan(stages[0, :, : top + 1], windows, 0, n, 0, ws.scratch[: ws.cells(rows)])
+        plans = [[(off, head, win[c], sums) for off, head, win, sums in plan]
+                 for c in range(depth - 1)]
+    return stages, list(zip(plans, stages[1:])), plans, stages[-1, :, ::-1]
 
 
-def br_sampled_numpy(
-    values: Sequence[int], budget: int, fields: int, uniforms: Sequence[float]
-) -> BestReply:
+def br_lex_numpy(values, budget: int, fields: int):
+    """:func:`best_split` on ``fields`` copies of one value row, or of each row of a stack.
+
+    Returns one reply for one row, and a list of one per row for a stack
+    ``(m, budget + 1)``, whose stages fill in one pass (:func:`_fp_stages`).
+    A row's optimum is its first field's best candidate; each row walks back
+    on its own.
+    """
+    v, _, _, stages, _, cand = _fp_stages(values, budget, fields)
+    replies = []
+    for i, row in enumerate(v):
+        if cand is None:
+            replies.append((int(row[budget]), (budget,)))
+            continue
+        x = int(cand[i].argmax())
+        total, bids, r = int(cand[i, x]), [x], budget - x
+        for c in range(fields - 2, 0, -1):
+            x = int((row[: r + 1] + stages[c - 1, i, r::-1]).argmax())
+            bids.append(x)
+            r -= x
+        bids.append(r)
+        replies.append((total, tuple(bids)))
+    return replies if np.ndim(values) > 1 else replies[0]
+
+
+def br_sampled_numpy(values, budget: int, fields: int, uniforms):
     """A uniform draw over every optimal bid vector, driven by ``uniforms``.
 
     Walks the fields in order, choosing each bid with probability
@@ -511,17 +600,20 @@ def br_sampled_numpy(
     uniform over the full argmax set (up to the float resolution of the
     uniforms): ``u = uniforms[i]`` picks bid ``i`` as the first, in
     ascending order, whose running sum of completions exceeds
-    ``min(int(u * total), total - 1)``.
+    ``min(int(u * total), total - 1)``.  A stack of rows ``(m, budget +
+    1)`` takes one list of uniforms per row, ``(m, fields - 1)``, and
+    returns a list of one draw per row.
 
     It builds the stage maxima as :func:`br_lex_numpy` does, in the row's
-    type (:func:`_fp_stages`), then lists the optimal partitions
+    type (:func:`_fp_stages`), then lists each row's optimal partitions
     (:func:`_optimal_partitions`): every optimal bid vector orders one of
     them, and every ordering of one is optimal.  The walk then draws from
     their orderings in closed form, in Python ints
     (:func:`_multinomial_walk`): the same numbers, branch by branch, as the
     counts.  Once listing costs more than a quarter of the count DP's price
-    (:func:`_count_cost`), the search gives up and the walk reads the
-    counts of :func:`_completion_counts` instead.
+    (:func:`_count_cost`) over a one-row plan of the row's own width, the
+    search gives up and the walk reads the counts of
+    :func:`_completion_counts` instead.
 
     The counts of stage ``c`` are at most the ``C(r + c, c)`` bid vectors of
     ``c + 1`` fields spending ``r``.  A prefix sum of them is at most
@@ -532,19 +624,51 @@ def br_sampled_numpy(
     stops being uniform; on an ``object`` row they are Python ints.
     """
     n = budget
-    v, ws, w, stages, plan, cells, cand = _fp_stages(values, n, fields)
+    v, ws, w, stages, plans, cand = _fp_stages(values, n, fields)
+    single = np.ndim(values) == 1
+    if single:
+        uniforms = [uniforms]
     if cand is None:
-        return int(v[n]), (n,)
-    top = np.maximum.reduce(cand)
-    # the search may spend a quarter of the count DP's price: a tie set that
-    # outgrows it (408 partitions at round 2 of every 120/6 run) then costs
-    # little more than the count DP alone, while lists of a few partitions
-    # still fit
-    limit = _count_cost(len(plan), cells, fields, v.itemsize) // 4
-    partitions = _optimal_partitions(stages, cand, top, limit)
-    if partitions is None:
-        return int(top), _count_walk(v, ws, w, stages, plan, cand, top, uniforms)
-    return int(top), _multinomial_walk(partitions, uniforms)
+        replies = [(int(row[n]), (n,)) for row in v]
+        return replies[0] if single else replies
+    tops = np.maximum.reduce(cand, axis=-1).tolist()
+    replies = []
+    for i, u in enumerate(uniforms):
+        partitions = _optimal_partitions(
+            stages[:, i], cand[i], tops[i], _search_budget(w[i], n, ws.block_cells, fields, v.itemsize)
+        )
+        if partitions is None:
+            bids = _count_walk(v[i], ws, max(w), stages[:, i], plans, i, cand[i], tops[i], u)
+        else:
+            bids = _multinomial_walk(partitions, u)
+        replies.append((tops[i], bids))
+    return replies[0] if single else replies
+
+
+@lru_cache(maxsize=256)
+def _search_budget(w: int, n: int, cells: int, fields: int, itemsize: int) -> int:
+    """The partition search's budget for a row of width ``w``: a quarter of its count DP's price.
+
+    The price of the count DP over a one-row plan of the row's own width
+    with ``cells`` of scratch (:func:`_plan_size`), whatever stack the row
+    came in.  A tie set that outgrows it (408 partitions at round 2 of every
+    120/6 run) then costs little more than the count DP alone, while lists
+    of a few partitions still fit.
+    """
+    return _count_cost(*_plan_size(w, n, cells), fields, itemsize) // 4
+
+
+def _plan_size(w: int, n: int, cells: int) -> "tuple[int, int]":
+    """The chunks and cells of a one-row plan over the bids ``0..w`` with ``cells`` of scratch.
+
+    The plan :func:`_block_plan` builds for one row of width ``w`` at full
+    range, counted without building it.
+    """
+    chunks = used = x0 = 0
+    while x0 <= w:
+        x1 = min(w + 1, x0 + cells // (n + 1 - x0))
+        chunks, used, x0 = chunks + 1, used + (x1 - x0) * (n + 1 - x0), x1
+    return chunks, used
 
 
 def _count_cost(chunks: int, cells: int, fields: int, itemsize: int) -> int:
@@ -690,48 +814,50 @@ def _multinomial_walk(
     return tuple(bids)
 
 
-def _completion_counts(v: np.ndarray, ws: _Workspace, w: int, stages: np.ndarray, plan):
-    """``counts[c][r]``: the optimal bid vectors of ``c + 1`` fields spending ``r``.
+def _completion_counts(v: np.ndarray, ws: _Workspace, w: int, stages: np.ndarray, plans, i: int):
+    """``counts[c][r]``: the optimal bid vectors of ``c + 1`` fields of row ``i`` spending ``r``.
 
-    Int64 on a fixed-width row, Python ints on ``object``.  Runs the stages'
-    block plan again: per chunk the add, a comparison with the stage into
-    the mask and one masked sum.  On real 120/6 chunks that sum takes about
-    1.2 times a plain add in int64, and less than the counts times the mask
-    and a plain sum (1.6 times faster in int64, 12 times on ``object``).
-    The closed-form count of ties through bids above ``w`` runs only when
-    the previous stage has a flat step ``prev[t - 1] == prev[t]`` for some
-    ``t`` in ``1 .. n - w``: without one, every run of equal entries it
-    would sum is empty.
+    ``v`` and ``stages`` are row ``i`` of a stack, ``plans`` the stack's
+    block plans over the bids ``0..w`` (:func:`_fp_stages`), which may reach
+    above the row's own width.  ``ws.count_dtype``: int64 on a fixed-width
+    row, Python ints on ``object``.  Runs row ``i`` of the stages' block
+    plans again: per chunk the add, a comparison with the stage into the
+    mask and one masked sum over the windows of the previous counts, padded
+    with zeros as the stages are with the sentinel.  On real 120/6 chunks
+    that sum takes about 1.2 times a plain add in int64, and less than the
+    counts times the mask and a plain sum (1.6 times faster in int64, 12
+    times on ``object``).  The closed-form count of ties through bids above
+    ``w`` runs only when the previous stage has a flat step ``prev[t - 1]
+    == prev[t]`` for some ``t`` in ``1 .. n - w``: without one, every run of
+    equal entries it would sum is empty.
     """
     n = len(v) - 1
-    counts = np.empty(stages.shape, dtype=ws.pad_counts.dtype)
+    padded = np.zeros((len(stages), 2 * n + 1), dtype=ws.count_dtype)  # contiguous
+    counts, count_windows = padded[:, n:], _windows(padded, n)
     counts[0] = 1
     prefix = np.zeros(n + 2, dtype=counts.dtype)
-    pad, pad_counts = ws.pad[n:], ws.pad_counts[n:]
-    # a full-range plan from bid 0: a chunk's first bid is its offset
-    chunks = [
-        (off, head, win, sums, ws.count_windows[off : off + len(head), off:],
-         ws.mask[: sums.size].reshape(sums.shape))
-        for off, head, win, sums in plan
-    ]
     for c in range(1, len(stages)):
         prev, stage, count = stages[c - 1], stages[c], counts[c]
-        pad[:] = prev
-        pad_counts[:] = counts[c - 1]
-        # zero counts pad above the diagonal; on object a masked sum needs a start
-        for off, head, win, sums, count_win, mask in chunks:
-            np.add(head, win, out=sums)
+        # a full-range plan from bid 0: a chunk's first bid is its offset;
+        # zero counts pad above the diagonal, and on object a masked sum
+        # needs a start
+        for off, head, win, sums in plans[c - 1]:
+            head, sums = head[i], sums[i]
+            mask = ws.mask[: sums.size].reshape(sums.shape)
+            np.add(head, win[i], out=sums)
             np.equal(sums, stage[off:], out=mask)
+            count_win = count_windows[c - 1, off : off + len(head), off:]
             if off:  # a later chunk adds to the budgets from its first bid
                 count[off:] += np.add.reduce(count_win, axis=0, where=mask, initial=0)
             else:
                 np.add.reduce(count_win, axis=0, where=mask, out=count, initial=0)
         if w < n and np.count_nonzero(prev[: n - w] == prev[1 : n - w + 1]):
-            # A bid x > w at r scores v[w] and leaves r - x < t = r - w, so it
-            # ties only where v[w] + prev[t] is optimal and prev is flat on
-            # [r - x, t]: it adds the counts over the run [L, t - 1] of the
-            # entries of prev equal to prev[t].  Without a flat step
-            # prev[t - 1] == prev[t] every such run is empty.
+            # The row is flat from w on.  A bid x > w at r scores v[w] and
+            # leaves r - x < t = r - w, so it ties only where v[w] + prev[t]
+            # is optimal and prev is flat on [r - x, t]: it adds the counts
+            # over the run [L, t - 1] of the entries of prev equal to
+            # prev[t].  Without a flat step prev[t - 1] == prev[t] every
+            # such run is empty.
             prev_t = prev[1 : n - w + 1]  # t = 1 .. n - w for r = w + 1 .. n
             run_start = prev.searchsorted(prev_t, "left")  # L
             np.add.accumulate(counts[c - 1], out=prefix[1:])
@@ -741,13 +867,14 @@ def _completion_counts(v: np.ndarray, ws: _Workspace, w: int, stages: np.ndarray
     return counts
 
 
-def _count_walk(v, ws, w, stages, plan, cand, top, uniforms) -> "tuple[int, ...]":
-    """The draw of :func:`br_sampled_numpy` from the counts of optimal completions.
+def _count_walk(v, ws, w, stages, plans, i, cand, top, uniforms) -> "tuple[int, ...]":
+    """The draw of :func:`br_sampled_numpy` for row ``i`` from the counts of optimal completions.
 
-    ``cand`` and ``top`` are the first field's candidates and their maximum;
-    below the first field the walk reads each optimum from the stages.
+    ``cand`` and ``top`` are the row's first-field candidates and their
+    maximum; below the first field the walk reads each optimum from the
+    row's stages.
     """
-    counts = _completion_counts(v, ws, w, stages, plan)
+    counts = _completion_counts(v, ws, w, stages, plans, i)
     fields = len(stages) + 1
     bids = []
     r = len(v) - 1

@@ -5,7 +5,10 @@ of past play.  Under the random-matching payoff of the Lotto reduction the
 whole belief collapses into a single bid-level value function: the expected
 payoff of playing partition p is ``sum_j v(p_j)`` with
 ``v(x) = sum_b hist(b) * value(x, b) / (rounds * K)``, so a best reply is one
-budget DP over that shared table (see :mod:`blotto_lab.kernels`).
+budget DP over that shared table (see :mod:`blotto_lab.kernels`).  A
+two-sided round hands both players' tables to the kernels as one stack, and
+their DPs fill in one pass; a self-play round and a trace row hand a stack of
+one.
 
 That table is the integer value row of the opponent's bid histogram
 (:func:`blotto_lab.core.value_row`), in units of ``1 / (q2 * rounds * K)``
@@ -139,7 +142,8 @@ def _record(state: FPState, side: str, partition: "tuple[int, ...]", round_index
 def _belief_values(hist: np.ndarray, p: int, q2: int, dtype: np.dtype) -> np.ndarray:
     """Scaled value table: q2 * (#bids below x) + p * (#bids at x), in ``dtype``.
 
-    :func:`~blotto_lab.core.value_rows` of the histogram: no term exceeds
+    :func:`~blotto_lab.core.value_rows` of the histogram, or of each row of
+    a stack of histograms: no term exceeds
     ``(q2 + |p|) * rounds * K``, inside the guard of the type ``fp_run``
     picks for the stretch of rounds: int32, int64 or ``object``.  The row is
     built in int64, or on Python ints for ``object``, and narrowed to int32
@@ -251,13 +255,15 @@ def fp_run(
             bitgen.state = state.rng_state
         rng = np.random.Generator(bitgen)
 
-    def best_reply(hist: np.ndarray) -> "tuple[int, ...]":
-        values = _belief_values(hist, p, q2, dtype)
+    def best_replies(hists: np.ndarray) -> "list[tuple[int, ...]]":
+        # one reply per row of the stack, in one kernel call; the first
+        # row's uniforms are drawn first
+        values = _belief_values(hists, p, q2, dtype)
         if state.tie_break == "lex":
-            _, bids = kern.lex(values, n, k)
+            replies = kern.lex(values, n, k)
         else:
-            _, bids = kern.sampled(values, n, k, rng.random(k - 1))
-        return as_partition(bids)
+            replies = kern.sampled(values, n, k, rng.random((len(values), k - 1)))
+        return [as_partition(bids) for _, bids in replies]
 
     target = rounds
     while state.rounds_played < target:
@@ -271,10 +277,9 @@ def fp_run(
             if r == 1:
                 play_a = play_b = state.init
             elif state.shared_history:
-                play_a = play_b = best_reply(state.hist_a)
-            else:
-                play_a = best_reply(state.hist_b)
-                play_b = best_reply(state.hist_a)
+                play_a = play_b = best_replies(state.hist_a[None])[0]
+            else:  # both players' DPs in one stacked pass: A replies to B's history
+                play_a, play_b = best_replies(np.stack((state.hist_b, state.hist_a)))
             _record(state, "a", play_a, r)
             if not state.shared_history:
                 _record(state, "b", play_b, r)
@@ -309,10 +314,10 @@ def _trace_row(state: FPState, kern: KernelSet, p: int, q2: int, dtype: np.dtype
     overflow_mass = sum(ha[top + 1 :])
     tv = Fraction(deviation, 2 * rk * (top + 1)) + Fraction(overflow_mass, 2 * rk)
 
-    values_b = _belief_values(state.hist_b, p, q2, dtype)
-    total, _ = kern.lex(values_b, n, k)
+    values_b = _belief_values(state.hist_b[None], p, q2, dtype)  # a stack of one
+    [(total, _)] = kern.lex(values_b, n, k)
     br_value = Fraction(int(total), q2 * rk)
-    pay = Fraction(sum(a * v for a, v in zip(ha, values_b.tolist())), q2 * rk * rk)
+    pay = Fraction(sum(a * v for a, v in zip(ha, values_b[0].tolist())), q2 * rk * rk)
     return TraceRow(round_index=r, tv_to_uniform=tv, br_gap=br_value - pay)
 
 

@@ -13,6 +13,8 @@ from itertools import permutations
 from operator import add
 from typing import Sequence
 
+import numpy as np
+
 from blotto_lab import (
     GameSpec,
     MarginalProfile,
@@ -164,6 +166,18 @@ def br_sampled_python(
     return suffix[fields - 1][budget], tuple(bids)
 
 
+def row_by_row(kernel):
+    """``kernel`` on one row, or on each row of a stack with its own uniforms, as the FP kernels take them."""
+
+    def run(values, budget, fields, *uniforms):
+        if np.ndim(values) == 1:
+            return kernel(values, budget, fields, *uniforms)
+        per_row = zip(*uniforms) if uniforms else ((),) * len(values)
+        return [kernel(row, budget, fields, *u) for row, u in zip(values, per_row)]
+
+    return run
+
+
 # The FP kernels' interface on the oracles, for fp_run to run them in place of
 # the numpy kernels.
-oracle_kernels = KernelSet("python", br_lex_python, br_sampled_python)
+oracle_kernels = KernelSet("python", row_by_row(br_lex_python), row_by_row(br_sampled_python))

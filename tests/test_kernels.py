@@ -501,13 +501,18 @@ def test_fill_follows_the_rows(data, layout):
 
 
 def block_fills(monkeypatch):
-    """Record each block fill a DP plans: ``((lo, hi, first, last bid), cells)``."""
+    """Record each block fill a DP plans: ``((lo, hi, first, last bid), cells)``.
+
+    ``cells`` is the scratch per row of the stack the plan fills: all of it
+    for one row.
+    """
     ran = []
     plan = kernels._block_plan
 
-    def spy(row, windows, lo, hi, first, scratch):
-        ran.append(((lo, hi, first, len(row) - 1), len(scratch)))
-        return plan(row, windows, lo, hi, first, scratch)
+    def spy(rows, windows, lo, hi, first, scratch):
+        height = rows.size // rows.shape[-1]
+        ran.append(((lo, hi, first, rows.shape[-1] - 1), len(scratch) // height))
+        return plan(rows, windows, lo, hi, first, scratch)
 
     monkeypatch.setattr(kernels, "_block_plan", spy)
     return ran
@@ -822,8 +827,8 @@ def test_partition_certificate_on_gapped_and_wide_rows(row, k):
     n = len(row) - 1
     firsts = optimal_first_bids(row, n, k)
     assert set(range(n + 1)) - firsts
-    *_, stages, _, _, cand = kernels._fp_stages(row, n, k)
-    listed = kernels._optimal_partitions(stages, cand, cand.max(), 1 << 80)
+    *_, stages, _, cand = kernels._fp_stages(row, n, k)  # a stack of one
+    listed = kernels._optimal_partitions(stages[:, 0], cand[0], cand.max(), 1 << 80)
     assert sorted(listed) == sorted(optimal_partitions(row, n, k))
     assert all(x in firsts for parts in listed for x in parts)
     grid = np.linspace(0, 1, 3, endpoint=False)
@@ -933,7 +938,7 @@ def test_int32_and_int64_fp_kernels_agree_at_the_guard(k, shape):
         assert br_sampled_numpy(v32, n, k, uniforms) == want
         assert br_sampled_numpy(v64, n, k, uniforms) == want
         assert count_dp_draw(v32, n, k, uniforms) == want
-    assert kernels._workspace(n, v32.dtype, kernels.ROW_BLOCK).pad_counts.dtype == np.int64
+    assert kernels._workspace(n, v32.dtype, kernels.ROW_BLOCK).count_dtype == np.int64
 
 
 def test_fp_kernel_calls_leave_no_reference_cycle():

@@ -33,6 +33,44 @@ SMALL = GameSpec(6, 3, Fraction(0))
 DESK = GameSpec(12, 4, Fraction(0))
 
 
+def kernel_spy(picked, calls):
+    """A ``get_kernels`` that records each name asked for, and each kernel call as ``(kind, rows, dtype)``.
+
+    ``rows`` is the height of the stack of value rows a call hands in.
+    """
+
+    def get_kernels(name):
+        picked.append(name)
+        ks = kernels.get_kernels(name)
+
+        def spied(kind, kernel):
+            def call(values, *args):
+                assert values.ndim == 2
+                calls.append((kind, len(values), values.dtype))
+                return kernel(values, *args)
+
+            return call
+
+        return kernels.KernelSet(name, spied("lex", ks.lex), spied("sampled", ks.sampled))
+
+    return get_kernels
+
+
+def stretch_calls(rounds, trace_every, reply, dtype_of):
+    """The kernel calls of a two-sided run: one stack of both sides per reply round, one row per trace row.
+
+    ``dtype_of(r)`` is the type of a row over ``r`` rounds; the reply of
+    round ``r`` reads ``r - 1`` rounds and a trace row after it ``r``.
+    """
+    want = []
+    for r in range(1, rounds + 1):
+        if r > 1:
+            want.append((reply, 2, dtype_of(r - 1)))
+        if trace_every is not None and (r == 1 or r % trace_every == 0 or r == rounds):
+            want.append(("lex", 1, dtype_of(r)))
+    return want
+
+
 def state_fingerprint(state):
     return (
         state.rounds_played,
@@ -158,15 +196,17 @@ class TestDeterminismAndModes:
         for tie_break in learning.TIE_BREAKS:
             run = dict(seed=5, tie_break=tie_break, trace_every=7)
             fast = fp_run(DESK, 90, **run)
-            picked = []
+            picked, calls = [], []
             with monkeypatch.context() as m:
                 m.setattr(learning, "_INT64_SAFE", 0)
-                m.setattr(learning, "get_kernels",
-                          lambda name: picked.append(name) or kernels.get_kernels(name))
+                m.setattr(learning, "get_kernels", kernel_spy(picked, calls))
                 exact = fp_run(DESK, 90, **run)
                 m.setattr(learning, "get_kernels", lambda name: oracle_kernels)
                 reference = fp_run(DESK, 90, **run)
             assert picked == ["python"]
+            # one stacked call per two-sided round, one row per trace row
+            reply = "lex" if tie_break == "lex" else "sampled"
+            assert calls == stretch_calls(90, 7, reply, lambda r: np.dtype(object))
             assert state_fingerprint(exact) == state_fingerprint(fast) == state_fingerprint(reference)
             assert exact.trace == fast.trace == reference.trace and len(exact.trace) == 14
 
@@ -189,15 +229,16 @@ class TestDeterminismAndModes:
             if r == 100:
                 raise Stop
 
-        picked = []
-        monkeypatch.setattr(learning, "get_kernels",
-                            lambda name: picked.append(name) or kernels.get_kernels(name))
+        picked, calls = [], []
+        monkeypatch.setattr(learning, "get_kernels", kernel_spy(picked, calls))
         path = tmp_path / "run.fp"
         with pytest.raises(Stop):
             fp_run(GameSpec(120, 6, Fraction("0.123456789012")), 30164, seed=3,
                    tie_break=tie_break, checkpoint_path=str(path), checkpoint_every=100,
                    progress=stop_at_100)
         assert picked == ["numpy"]
+        reply = "lex" if tie_break == "lex" else "sampled"
+        assert calls == stretch_calls(100, None, reply, lambda r: np.dtype(np.int64))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -210,14 +251,16 @@ class TestDeterminismAndModes:
         # at 12/4 and alpha 1e-15 beliefs over 19 rounds pass the guard: the
         # replies of rounds 2..19 and the trace rows up to round 18 run in
         # int64, the rest on Python ints, with the bytes of an all-Python run
-        picked = []
-        monkeypatch.setattr(learning, "get_kernels",
-                            lambda name: picked.append(name) or kernels.get_kernels(name))
+        picked, calls = [], []
+        monkeypatch.setattr(learning, "get_kernels", kernel_spy(picked, calls))
         spec = GameSpec(12, 4, Fraction(1, 10**15))
         run = dict(seed=3, tie_break=tie_break, trace_every=1)
         path = tmp_path / "run.fp"
         state = fp_run(spec, 40, checkpoint_path=str(path), **run)
         assert picked == ["numpy", "python"]
+        reply = "lex" if tie_break == "lex" else "sampled"
+        assert calls == stretch_calls(
+            40, 1, reply, lambda r: np.dtype(np.int64 if r <= 18 else object))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         monkeypatch.setattr(learning, "get_kernels", lambda name: oracle_kernels)
         reference = fp_run(spec, 40, **run)
@@ -235,28 +278,17 @@ class TestDeterminismAndModes:
         p, q2 = spec.tie_scale
         last_int32 = max(r for r in range(1, 100) if 16 * (q2 + abs(p)) * r < 1 << 28)
         assert last_int32 == 8
-        picked, types = [], []
-
-        def spy(name):
-            picked.append(name)
-            ks = kernels.get_kernels(name)
-            return kernels.KernelSet(
-                name,
-                lambda v, *args: types.append(("lex", v.dtype)) or ks.lex(v, *args),
-                lambda v, *args: types.append(("sampled", v.dtype)) or ks.sampled(v, *args),
-            )
-
-        monkeypatch.setattr(learning, "get_kernels", spy)
+        picked, calls = [], []
+        monkeypatch.setattr(learning, "get_kernels", kernel_spy(picked, calls))
         run = dict(seed=3, tie_break=tie_break, trace_every=1)
         whole = tmp_path / "whole.fp"
         state = fp_run(spec, 30, checkpoint_path=str(whole), **run)
         assert picked == ["numpy"]
-        # round r: two replies over r - 1 rounds (r >= 2), then a trace row over r
+        # round r: one stack of both replies over r - 1 rounds (r >= 2), then
+        # a trace row over r
         reply = "lex" if tie_break == "lex" else "sampled"
-        want = []
-        for r in range(1, 31):
-            want += [(reply, r - 1)] * 2 * (r > 1) + [("lex", r)]
-        assert types == [(kind, np.int32 if r <= last_int32 else np.int64) for kind, r in want]
+        assert calls == stretch_calls(
+            30, 1, reply, lambda r: np.dtype(np.int32 if r <= last_int32 else np.int64))
         for cut in (last_int32, last_int32 + 1, last_int32 + 2):
             path = tmp_path / f"cut{cut}.fp"
             fp_run(spec, cut, checkpoint_path=str(path), **run)
