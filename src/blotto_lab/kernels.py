@@ -14,27 +14,40 @@ input:
   ``object``, and read without a copy in its own type.  That one guard alone
   picks the type, whatever the dtype: no option selects it.
 * One shared table serves fictitious play (:func:`br_lex_numpy`,
-  :func:`br_sampled_numpy`).  They run in the type of the value row the
-  caller hands them, on the same ladder: an int32, int64 or ``object`` row
-  keeps its type, and any other row runs in int64.  The caller keeps ``K *
-  max|entry|`` below the row type's guard (``fp_run`` picks int32, int64 or
-  ``object`` per stretch of rounds) and, in a fixed-width type, the
-  sampler's counts below ``2**63``: they are int64 on int32 and int64 rows
-  and Python ints on ``object`` (:func:`br_sampled_numpy`).
+  :func:`br_sampled_numpy`): one value row, or a stack of ``m`` rows ``(m,
+  N + 1)`` with one reply per row (``fp_run`` hands both players' rows of a
+  two-sided round as one stack, and a stack of one otherwise).  They run in
+  the type of the rows the caller hands them, on the same ladder: an int32,
+  int64 or ``object`` array keeps its type, and anything else runs in
+  int64.  The caller keeps ``K * max|entry|`` below the type's guard
+  (``fp_run`` picks int32, int64 or ``object`` per stretch of rounds) and,
+  in a fixed-width type, the sampler's counts below ``2**63``: they are
+  int64 on int32 and int64 rows and Python ints on ``object``
+  (:func:`br_sampled_numpy`).
 
 The FP kernels fill every stage, and :func:`best_split_numpy` every stage no
 cheaper exact fill serves, with one block fill (:func:`_block_plan`): bids on
-the first axis, budgets on the second, one maximum over bids, in chunks of as
-many bids as a scratch of ``ROW_BLOCK * (budget + 1)`` cells holds.  The three
-DPs share one cached workspace (:class:`_Workspace`), so none is reentrant
-(the package starts no threads); each needs O(``ROW_BLOCK*N + K*N``) cells.
+one axis, budgets on the last, one maximum over bids, in chunks of as many
+bids as a scratch of ``ROW_BLOCK * (budget + 1)`` cells holds.  The FP
+kernels fill all rows of a stack at once, stages ``(K - 1, m, N + 1)``, over
+the bids ``0 .. W`` with ``W`` the largest row width (:func:`_fp_stages`):
+exact, since each row is flat from its own width on, so a stage maximum over
+more bids is the same.  A chunk takes as many bids of every row as the
+scratch holds: ``ROW_BLOCK`` bids of each up to :data:`STACK_CELLS` cells in
+all, and from ``N = 255`` on ``ROW_BLOCK * (N + 1)`` cells in all, as one
+row takes.  Their stages stay padded with the sentinel, so each stage's
+windows read it where it was filled.  The walks back, the partition search,
+the multinomial walk and the count DP run row by row.  The three DPs share
+one cached workspace (:class:`_Workspace`), so none is reentrant (the
+package starts no threads); each needs O(``ROW_BLOCK*N + K*m*N``) cells.
 
-The sampler builds the stage maxima as the lex kernel does, then lists the
-optimal partitions: a depth-first search over partitions, largest part
+The sampler builds the stage maxima as the lex kernel does, then lists each
+row's optimal partitions: a depth-first search over partitions, largest part
 first, that tests only the optimal first bids (every part of an optimal
 partition is one, by field symmetry), priced per state, candidate and part
 listed under the same cost model (next to :data:`ROW_BLOCK`).  While the list
-costs less than a quarter of the count DP's price, it draws over the
+costs less than a quarter of the price of a count DP over a one-row plan of
+the row's own width, whatever stack it came in, it draws over the
 orderings of the listed partitions in closed form, in Python ints; past that
 the count DP counts the optimal completions of every state over the stages
 already built, and only those counts are bound to ``2**63`` in int64.  Both
@@ -53,10 +66,10 @@ tie values in [0, 2] a belief row is flat above the largest bid seen.  A bid
 above ``w`` scores no more than ``w`` and leaves less budget, and every
 max-plus stage of such rows is non-decreasing too, so a stage maximum needs
 only the bids ``x <= w``; the sampler adds the completions through bids above
-``w`` that tie, in closed form, at the stages where any can tie (a flat step
-in the previous stage below ``n - w``).  :func:`best_split_numpy` also fills each
-stage only over the budgets its walk forward can reach, and the flat value
-above them.  Any row that decreases somewhere keeps its full width and full
+``w`` (a stack's ``W``) that tie, in closed form, at the stages where any can
+tie (a flat step in the previous stage below ``n - w``).
+:func:`best_split_numpy` also fills each stage only over the budgets its walk
+forward can reach, and the flat value above them.  Any row that decreases somewhere keeps its full width and full
 range.  The FP walks back stay full width.
 
 :func:`best_split_numpy` picks each stage's fill from the shape of the rows,
@@ -549,8 +562,8 @@ def _fp_plans(ws: _Workspace, top: int, rows: int, depth: int):
     ``stages`` is the view of ``depth`` padded stages of ``rows`` rows,
     ``plans[c - 1]`` the block plan that fills stage ``c`` from the stage
     before, ``fills`` the pairs of plan and stage, and ``last`` the last
-    stage with its budgets reversed.  One plan over the bids ``0..top`` and the windows of
-    every stage but the last, then one view of it per stage.
+    stage with its budgets reversed.  One plan over the bids ``0..top`` and
+    the windows of every stage but the last, then one view of it per stage.
     """
     n = ws.n
     if len(ws.padded) < depth or ws.padded.shape[1] < rows:
@@ -576,6 +589,7 @@ def br_lex_numpy(values, budget: int, fields: int):
     on its own.
     """
     v, _, _, stages, _, cand = _fp_stages(values, budget, fields)
+    single = np.ndim(values) == 1
     replies = []
     for i, row in enumerate(v):
         if cand is None:
@@ -589,7 +603,7 @@ def br_lex_numpy(values, budget: int, fields: int):
             r -= x
         bids.append(r)
         replies.append((total, tuple(bids)))
-    return replies if np.ndim(values) > 1 else replies[0]
+    return replies[0] if single else replies
 
 
 def br_sampled_numpy(values, budget: int, fields: int, uniforms):
@@ -651,7 +665,7 @@ def _search_budget(w: int, n: int, cells: int, fields: int, itemsize: int) -> in
 
     The price of the count DP over a one-row plan of the row's own width
     with ``cells`` of scratch (:func:`_plan_size`), whatever stack the row
-    came in.  A tie set that outgrows it (408 partitions at round 2 of every
+    came in, cached per argument (the prices are constants).  A tie set that outgrows it (408 partitions at round 2 of every
     120/6 run) then costs little more than the count DP alone, while lists
     of a few partitions still fit.
     """

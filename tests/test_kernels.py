@@ -628,14 +628,17 @@ def test_fills_at_600_6(monkeypatch):
         assert ran == want
 
 
-def _tie_count_stages(row, n, k):
+def _tie_count_stages(row, n, k, w=None):
     """The stages ``1 .. k - 2`` at which ``br_sampled_numpy`` counts ties above the width.
 
     A stage needs the count only when its previous stage has a flat step
     ``prev[t - 1] == prev[t]`` for some ``t`` in ``1 .. n - w``.  Built here
-    from Python lists, for non-decreasing rows.
+    from Python lists, for non-decreasing rows.  ``w`` is the width of the
+    stack the row came in, by default the row's own.
     """
-    w = row.index(max(row))
+    row = list(row)
+    if w is None:
+        w = row.index(max(row))
     prev, need = list(row), []
     for c in range(1, k - 1):
         if any(prev[t - 1] == prev[t] for t in range(1, n - w + 1)):
@@ -988,6 +991,129 @@ def test_numpy_sampler_matches_python_sampler(game, data):
     assert br_sampled_numpy(tables[0], n, k, uniforms) == br_sampled_python(
         tables[0], n, k, uniforms
     )
+
+
+FP_TYPES = (np.int32, np.int64, object)
+
+
+@st.composite
+def row_stacks(draw, n):
+    """``(rows, stack)``: 1 to 3 value rows as Python lists and as one stack in one FP type.
+
+    Belief rows of any kind, so of different widths, and at most one that
+    decreases somewhere (full width); an ``object`` stack is scaled past
+    int64.
+    """
+    kinds = [k for k in ROW_KINDS if k != "outside"]
+    m = draw(st.integers(1, 3))
+    rows = [draw(value_rows(n, draw(st.sampled_from(kinds)))) for _ in range(m)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = draw(value_rows(n, "outside"))
+    dtype = draw(st.sampled_from(FP_TYPES))
+    if dtype is object:
+        scale = draw(st.integers(1 << 64, 1 << 70))
+        rows = [[scale * x for x in row] for row in rows]
+    return rows, np.array(rows, dtype=dtype)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(data=st.data())
+def test_stacked_lex_replies_row_by_row(data):
+    # each row of a stack gets the reply it gets alone and the oracle's, in
+    # the stack's type, whatever the other rows' widths
+    n = data.draw(st.integers(1, 30))
+    k = data.draw(st.integers(1, 6))
+    rows, stack = data.draw(row_stacks(n))
+    got = br_lex_numpy(stack, n, k)
+    assert isinstance(got, list) and len(got) == len(rows)
+    for row, values, reply in zip(rows, stack, got):
+        assert reply == br_lex_numpy(values, n, k) == br_lex_python(row, n, k)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(data=st.data())
+def test_stacked_sampler_draws_row_by_row(data):
+    # with the same uniforms, each row of a stack draws what it draws alone
+    # and what the oracle draws; the count DP alone draws the same
+    n = data.draw(st.integers(1, 16))
+    k = data.draw(st.integers(1, 5))
+    rows, stack = data.draw(row_stacks(n))
+    uniforms = np.array([data.draw(uniform_lists(k)) for _ in rows]).reshape(len(rows), k - 1)
+    got = br_sampled_numpy(stack, n, k, uniforms)
+    assert isinstance(got, list) and len(got) == len(rows)
+    assert count_dp_draw(stack, n, k, uniforms) == got
+    for row, values, u, reply in zip(rows, stack, uniforms, got):
+        assert reply == br_sampled_numpy(values, n, k, u) == br_sampled_python(row, n, k, u)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+@pytest.mark.parametrize("n", [1, 7, 120, 600])
+def test_search_budget_prices_a_one_row_plan(n, block, monkeypatch):
+    # the search's budget comes from the count DP's price over the plan one
+    # row of its own width gets, counted without building it: a row prices
+    # alike alone and in a stack, so the count DP's share does not move
+    monkeypatch.setattr(kernels, "ROW_BLOCK", block)
+    for w in sorted({0, 1, n // 3, n // 2, n}):
+        row = np.arange(n + 1, dtype=np.int64)
+        ws = kernels._workspace(n, row.dtype, block)
+        plan = kernels._block_plan(row[: w + 1], ws.window, 0, n, 0, ws.scratch[: ws.block_cells])
+        cells = sum(sums.size for *_, sums in plan)
+        assert kernels._plan_size(w, n, ws.block_cells) == (len(plan), cells)
+
+
+# Stacks whose widest row has a width W below the budget, stacked with
+# narrower rows whose optimal bid vectors need bids above their own widths
+# (COUNT_ROWS): the count DP sums each narrow row's ties over its bids up to
+# W, and counts those above W in closed form.
+STACKED_COUNT_ROWS = [
+    [COUNT_ROWS[0], list(range(6)) + [5] * 9],  # widths 2 and 5 at n = 14
+    [COUNT_ROWS[1], value_row([0] * 9 + [3] + [0] * 11, 1, 2), COUNT_ROWS[1]],  # 3, 10, 3 at n = 20
+]
+
+
+@pytest.mark.parametrize("rows", STACKED_COUNT_ROWS, ids=["n14", "n20"])
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("dtype", FP_TYPES)
+def test_stacked_count_dp_counts_each_row_as_alone(rows, k, dtype, count_dp_calls):
+    n = len(rows[0]) - 1
+    stack = np.array(rows, dtype=dtype)
+    widths = [flat_width(np.array(row)) for row in rows]
+    top = max(widths)
+    assert min(widths) < top < n
+    assert _tie_count_stages(rows[0], n, k, w=top)  # the closed form above W runs
+    grid = np.linspace(0, 1, 4, endpoint=False)
+    for uniforms in product(grid, repeat=k - 1):
+        u = np.array([uniforms] * len(rows))
+        want = [br_sampled_python(row, n, k, uniforms) for row in rows]
+        count_dp_calls.clear()
+        assert count_dp_draw(stack, n, k, u) == want
+        assert len(count_dp_calls) == len(rows)  # one count DP per row
+        assert br_sampled_numpy(stack, n, k, u) == want
+        assert [br_sampled_numpy(row, n, k, uniforms) for row in stack] == want
+
+
+def test_a_stack_reuses_the_workspace():
+    # a run switches between stacks of two rows (replies) and of one (trace
+    # rows, self-play): the workspace stays, and so do its stages and its
+    # scratch once grown; best_split_numpy reads its one pad as before
+    n, k = 20, 4
+    kernels._workspace.cache_clear()
+    one, two = np.array(COUNT_ROWS[1]), np.array([COUNT_ROWS[1], list(range(n + 1))])
+    br_lex_numpy(one, n, k)
+    ws = kernels._workspace(n, one.dtype, kernels.ROW_BLOCK)
+    br_lex_numpy(two, n, k)
+    grown = (ws.padded, ws.scratch)
+    assert ws.padded.shape[:2] == (k - 1, 2)
+    tables = np.array([list(range(n + 1))] * k)
+    for _ in range(3):
+        for values in (one, two):
+            assert br_lex_numpy(values, n, k) == (
+                br_lex_python(COUNT_ROWS[1], n, k) if values.ndim == 1
+                else [br_lex_python(row.tolist(), n, k) for row in values])
+            assert best_split_numpy(tables, n) == best_split_python(tables.tolist(), n)
+    assert kernels._workspace(n, one.dtype, kernels.ROW_BLOCK) is ws
+    assert ws.padded is grown[0] and ws.scratch is grown[1]
+    assert len(ws.pad) == 2 * n + 1 and ws.window.shape == (n + 1, n + 1)
 
 
 @settings(max_examples=examples(100), deadline=None)

@@ -300,6 +300,77 @@ class TestDeterminismAndModes:
         assert state_fingerprint(state) == state_fingerprint(reference)
         assert state.trace == reference.trace
 
+    # 12/3 at alpha 1/(10**15 + 7): k * k * (q2 + p) = 18,000,000,000,000,135,
+    # so rows over 0 rounds fit int32 (round 1 plays init: no kernel call
+    # runs in int32), over 1..32 rounds int64, and from 33 on Python ints.
+    # At alpha 1e-6 (18,000,009) rows over 1..14 rounds fit int32; with the
+    # int64 guard lowered to 25 rounds' worth, every type takes kernel calls.
+    @pytest.mark.parametrize(
+        "alpha, int64_safe, int64_from, object_from",
+        [(Fraction(1, 10**15 + 7), None, 1, 33), (Fraction(1, 10**6), 25 * 18_000_009, 15, 25)],
+        ids=["1/(1e15+7)", "1e-6-lowered"],
+    )
+    def test_a_two_sided_random_run_crosses_every_type(
+        self, tmp_path, alpha, int64_safe, int64_from, object_from, monkeypatch
+    ):
+        # one stacked sampler call per round in the type of its stretch,
+        # with the checkpoint bytes and trace of the same run on the oracles
+        spec = GameSpec(12, 3, alpha)
+        p, q2 = spec.tie_scale
+        assert 9 * (q2 + p) in (18_000_000_000_000_135, 18_000_009)
+        if int64_safe is not None:
+            monkeypatch.setattr(learning, "_INT64_SAFE", int64_safe)
+        picked, calls = [], []
+        monkeypatch.setattr(learning, "get_kernels", kernel_spy(picked, calls))
+        run = dict(seed=7, tie_break="random", trace_every=1)
+        fast, slow = tmp_path / "fast.fp", tmp_path / "oracle.fp"
+        state = fp_run(spec, 40, checkpoint_path=str(fast), **run)
+        assert picked == ["numpy", "python"]
+
+        def dtype_of(r):
+            return np.dtype(np.int32 if r < int64_from else np.int64 if r < object_from else object)
+
+        assert calls == stretch_calls(40, 1, "sampled", dtype_of)
+        monkeypatch.setattr(learning, "get_kernels", lambda name: oracle_kernels)
+        reference = fp_run(spec, 40, checkpoint_path=str(slow), **run)
+        assert fast.read_bytes() == slow.read_bytes()
+        assert state.trace == reference.trace
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_one_draw_of_both_players_uniforms_is_two_draws(self, k, seed):
+        # a two-sided random round draws A's uniforms and B's in one call,
+        # rng.random((2, k - 1)): the same numbers, in the same order, and
+        # the same bit-generator state as A's random(k - 1) then B's, also
+        # from a state restored mid-run
+        for warm in (0, 5):
+            one, two = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+            for rng in (one, two):
+                rng.random(warm)
+                rng.bit_generator.state = dict(rng.bit_generator.state)
+            both = one.random((2, k - 1))
+            first, second = two.random(k - 1), two.random(k - 1)
+            assert both[0].tolist() == first.tolist() and both[1].tolist() == second.tolist()
+            assert one.bit_generator.state == two.bit_generator.state
+
+    @pytest.mark.parametrize("tie_break", learning.TIE_BREAKS)
+    def test_self_play_hands_stacks_of_one(self, tie_break, monkeypatch):
+        # one history: a self-play round asks for one reply, a stack of one
+        # row, and so does each trace row
+        picked, calls = [], []
+        monkeypatch.setattr(learning, "get_kernels", kernel_spy(picked, calls))
+        state = fp_run(DESK, 20, mode="self-play", seed=4, tie_break=tie_break, trace_every=5)
+        reply = "lex" if tie_break == "lex" else "sampled"
+        want = []
+        for r in range(1, 21):
+            want += [(reply, 1, np.dtype(np.int32))] * (r > 1)
+            want += [("lex", 1, np.dtype(np.int32))] * (r == 1 or r % 5 == 0)
+        assert picked == ["numpy"] and calls == want
+        monkeypatch.setattr(learning, "get_kernels", lambda name: oracle_kernels)
+        reference = fp_run(DESK, 20, mode="self-play", seed=4, tie_break=tie_break, trace_every=5)
+        assert state_fingerprint(state) == state_fingerprint(reference)
+        assert state.trace == reference.trace
+
     @pytest.mark.parametrize(
         "n, tie_break, kernel",
         [(38, "random", "numpy"), (39, "random", "python"), (39, "lex", "numpy")],
