@@ -444,28 +444,30 @@ class _Workspace:
     keep their stages padded, ``padded[c, i]`` for stage ``c`` of row ``i``
     of a stack, so a stage's windows read it where it was filled.  In a
     fixed-width type every pad holds the type's sentinel for good; on
-    ``object`` each call writes its own.  The sampler's counts are
-    ``count_dtype``: int64 in every fixed-width type, ``object`` on
+    ``object`` each call writes its own.  The sampler's count DP keeps the
+    counts of one row padded with zeros in ``counts``, read the same way:
+    ``count_dtype``, int64 in every fixed-width type and ``object`` on
     ``object``.
 
     A block fill adds into ``scratch`` and the count DP compares into
     ``mask``: ``block_cells = min(block, n + 1) * (n + 1)`` cells for
     :func:`best_split_numpy` and one FP row, and :meth:`cells` for a stack.
     ``plans`` keeps the FP block plans of up to two widths and stack
-    heights: a run alternates replies and trace rows.  A deeper or taller
-    stack grows the stages and the scratch in place: the workspace stays,
-    and so does every buffer a smaller stack reads.
+    heights: a run alternates replies and trace rows.  The first FP call
+    builds ``padded`` and ``counts`` (:meth:`fit`), and a deeper or taller
+    stack grows them and the scratch in place: the workspace stays, and so
+    does every buffer a smaller stack reads.
     """
 
     def __init__(self, n: int, dtype: np.dtype, block: int) -> None:
         self.n, self.dtype = n, dtype
         self.count_dtype = np.dtype(object if dtype == object else np.int64)
-        self.pad = self._padded(1)[0]
+        self.pad = self._padded()
         self.window = _windows(self.pad, n)
-        self.block_cells = min(block, n + 1) * (n + 1)
-        self.scratch = self.mask = None
-        self.padded, self.plans = self._padded(1, 1), {}
-        self.fit(1, 1)
+        self.block_cells = cells = min(block, n + 1) * (n + 1)
+        self.scratch, self.mask = np.empty(cells, dtype), np.empty(cells, dtype=bool)
+        self.padded = self.counts = None  # built by the first FP call
+        self.plans = {}
 
     def _padded(self, *shape: int) -> np.ndarray:
         """Padded rows of ``shape``, the pads at the sentinel in a fixed-width type."""
@@ -488,14 +490,15 @@ class _Workspace:
                    rows * (self.n + 1))
 
     def fit(self, depth: int, rows: int) -> None:
-        """Grow the stages to ``depth`` stages of ``rows`` rows, and the scratch to the stack."""
+        """Grow the stages and counts to ``depth`` stages of ``rows`` rows, and the scratch to the stack."""
         cells = self.cells(rows)
-        if self.scratch is None or len(self.scratch) < cells:
+        if len(self.scratch) < cells:
             self.scratch, self.mask = np.empty(cells, self.dtype), np.empty(cells, dtype=bool)
             self.plans = {}
-        have_depth, have_rows, _ = self.padded.shape
+        have_depth, have_rows, _ = (0, 0, 0) if self.padded is None else self.padded.shape
         if have_depth < depth or have_rows < rows:
             self.padded = self._padded(max(have_depth, depth), max(have_rows, rows))
+            self.counts = np.zeros((len(self.padded), 2 * self.n + 1), dtype=self.count_dtype)
             self.plans = {}
 
 
@@ -506,7 +509,7 @@ _workspace = lru_cache(maxsize=1)(_Workspace)
 
 
 def _fp_stages(values, budget: int, fields: int):
-    """``(v, ws, w, stages, plans, cand)``: the start of both FP kernels, for a stack of rows.
+    """``(v, ws, w, stages, counting, cand)``: the start of both FP kernels, for a stack of rows.
 
     ``values`` is one value row or a stack of ``m`` of them, ``(m, budget +
     1)``; ``v`` is always the stack, in the type the kernels run in (an
@@ -516,11 +519,11 @@ def _fp_stages(values, budget: int, fields: int):
     the width of each row, ``stages`` the stages ``0 .. fields - 2`` of
     every row the walks back read, ``(fields - 1, m, budget + 1)``
     (``stages[c, i, r]``: the best value of ``c + 1`` fields of row ``i``
-    spending ``r``), the block plans that filled them (``plans[c - 1]``
-    fills stage ``c`` from the padded stage ``c - 1``), and the first
-    field's candidates: ``cand[i, x] = v[i, x] + stages[fields - 2, i,
-    budget - x]``, the best value of the full budget with a first bid ``x``
-    (``None`` with one field, whose one bid is the budget).
+    spending ``r``), each row's chunks of the block plans that filled them
+    for its count DP (:func:`_fp_plans`), and the first field's candidates:
+    ``cand[i, x] = v[i, x] + stages[fields - 2, i, budget - x]``, the best
+    value of the full budget with a first bid ``x`` (``None`` with one
+    field, whose one bid is the budget).
 
     Every stage of the stack takes one block fill over the bids ``0 .. W``,
     ``W = max(w)``, in chunks of as many bids of every row as the scratch
@@ -546,28 +549,30 @@ def _fp_stages(values, budget: int, fields: int):
     planned = ws.plans.get((top, m, depth))
     if planned is None:  # full range over the bids x <= W of the rows in stages[0]
         planned = ws.plans[top, m, depth] = _fp_plans(ws, top, m, depth)
-    stages, fills, plans, last = planned
+    stages, fills, counting, last = planned
     if v.dtype == object:
         ws.padded[:depth, :m, :budget] = _sentinel(v, fields)
     stages[0] = v
     for plan, stage in fills:
         _block_fill(plan, stage)
     cand = v + last if fields > 1 else None
-    return v, ws, w, stages, plans, cand
+    return v, ws, w, stages, counting, cand
 
 
 def _fp_plans(ws: _Workspace, top: int, rows: int, depth: int):
-    """``(stages, fills, plans, last)`` for :func:`_fp_stages`, with the stages grown to fit.
+    """``(stages, fills, counting, last)`` for :func:`_fp_stages`, with the stages grown to fit.
 
     ``stages`` is the view of ``depth`` padded stages of ``rows`` rows,
-    ``plans[c - 1]`` the block plan that fills stage ``c`` from the stage
-    before, ``fills`` the pairs of plan and stage, and ``last`` the last
-    stage with its budgets reversed.  One plan over the bids ``0..top`` and
-    the windows of every stage but the last, then one view of it per stage.
+    ``fills`` pairs each stage after the first with the block plan that
+    fills it from the stage before, and ``last`` is the last stage with its
+    budgets reversed.  One plan over the bids ``0..top`` and the windows of
+    every stage but the last, then one view of it per stage.
+    ``counting[i][c - 1]`` holds the chunks of that plan for row ``i`` alone
+    with a mask and the windows of ``ws.counts[c - 1]`` on each: the count
+    DP's (:func:`_completion_counts`).
     """
     n = ws.n
-    if len(ws.padded) < depth or ws.padded.shape[1] < rows:
-        ws.fit(depth, rows)
+    ws.fit(depth, rows)
     if len(ws.plans) > 1:
         ws.plans.clear()
     stages = ws.padded[:depth, :rows, n:]
@@ -577,7 +582,16 @@ def _fp_plans(ws: _Workspace, top: int, rows: int, depth: int):
         plan = _block_plan(stages[0, :, : top + 1], windows, 0, n, 0, ws.scratch[: ws.cells(rows)])
         plans = [[(off, head, win[c], sums) for off, head, win, sums in plan]
                  for c in range(depth - 1)]
-    return stages, list(zip(plans, stages[1:])), plans, stages[-1, :, ::-1]
+    count_windows = _windows(ws.counts, n)
+    # a full-range plan from bid 0: a chunk's first bid is its offset
+    counting = [
+        [[(off, head[i], win[i], sums[i], ws.mask[: sums[i].size].reshape(sums[i].shape),
+           count_windows[c, off : off + head.shape[1], off:])
+          for off, head, win, sums in chunks]
+         for c, chunks in enumerate(plans)]
+        for i in range(rows)
+    ]
+    return stages, list(zip(plans, stages[1:])), counting, stages[-1, :, ::-1]
 
 
 def br_lex_numpy(values, budget: int, fields: int):
@@ -638,7 +652,7 @@ def br_sampled_numpy(values, budget: int, fields: int, uniforms):
     stops being uniform; on an ``object`` row they are Python ints.
     """
     n = budget
-    v, ws, w, stages, plans, cand = _fp_stages(values, n, fields)
+    v, ws, w, stages, counting, cand = _fp_stages(values, n, fields)
     single = np.ndim(values) == 1
     if single:
         uniforms = [uniforms]
@@ -652,7 +666,7 @@ def br_sampled_numpy(values, budget: int, fields: int, uniforms):
             stages[:, i], cand[i], tops[i], _search_budget(w[i], n, ws.block_cells, fields, v.itemsize)
         )
         if partitions is None:
-            bids = _count_walk(v[i], ws, max(w), stages[:, i], plans, i, cand[i], tops[i], u)
+            bids = _count_walk(v[i], ws, max(w), stages[:, i], counting[i], cand[i], tops[i], u)
         else:
             bids = _multinomial_walk(partitions, u)
         replies.append((tops[i], bids))
@@ -828,39 +842,35 @@ def _multinomial_walk(
     return tuple(bids)
 
 
-def _completion_counts(v: np.ndarray, ws: _Workspace, w: int, stages: np.ndarray, plans, i: int):
-    """``counts[c][r]``: the optimal bid vectors of ``c + 1`` fields of row ``i`` spending ``r``.
+def _completion_counts(v: np.ndarray, ws: _Workspace, w: int, stages: np.ndarray, chunks):
+    """``counts[c][r]``: the optimal bid vectors of ``c + 1`` fields of one row spending ``r``.
 
-    ``v`` and ``stages`` are row ``i`` of a stack, ``plans`` the stack's
-    block plans over the bids ``0..w`` (:func:`_fp_stages`), which may reach
-    above the row's own width.  ``ws.count_dtype``: int64 on a fixed-width
-    row, Python ints on ``object``.  Runs row ``i`` of the stages' block
-    plans again: per chunk the add, a comparison with the stage into the
-    mask and one masked sum over the windows of the previous counts, padded
-    with zeros as the stages are with the sentinel.  On real 120/6 chunks
-    that sum takes about 1.2 times a plain add in int64, and less than the
-    counts times the mask and a plain sum (1.6 times faster in int64, 12
-    times on ``object``).  The closed-form count of ties through bids above
-    ``w`` runs only when the previous stage has a flat step ``prev[t - 1]
-    == prev[t]`` for some ``t`` in ``1 .. n - w``: without one, every run of
-    equal entries it would sum is empty.
+    ``v`` and ``stages`` are one row of a stack, ``chunks[c - 1]`` that
+    row's chunks of the stack's block plan for stage ``c``, over the bids
+    ``0..w`` (:func:`_fp_plans`), which may reach above the row's own width.
+    ``ws.count_dtype``: int64 on a fixed-width row, Python ints on
+    ``object``.  Runs the stages' block plan again: per chunk the add, a
+    comparison with the stage into the mask and one masked sum over the
+    windows of the previous counts, padded with zeros in ``ws.counts`` as
+    the stages are with the sentinel.  On real 120/6 chunks that sum takes
+    about 1.2 times a plain add in int64, and less than the counts times the
+    mask and a plain sum (1.6 times faster in int64, 12 times on
+    ``object``).  The closed-form count of ties through bids above ``w``
+    runs only when the previous stage has a flat step ``prev[t - 1] ==
+    prev[t]`` for some ``t`` in ``1 .. n - w``: without one, every run of
+    equal entries it would sum is empty.  The counts stay in ``ws.counts``
+    until the next count DP.
     """
     n = len(v) - 1
-    padded = np.zeros((len(stages), 2 * n + 1), dtype=ws.count_dtype)  # contiguous
-    counts, count_windows = padded[:, n:], _windows(padded, n)
+    counts = ws.counts[: len(stages), n:]
     counts[0] = 1
     prefix = np.zeros(n + 2, dtype=counts.dtype)
     for c in range(1, len(stages)):
         prev, stage, count = stages[c - 1], stages[c], counts[c]
-        # a full-range plan from bid 0: a chunk's first bid is its offset;
-        # zero counts pad above the diagonal, and on object a masked sum
-        # needs a start
-        for off, head, win, sums in plans[c - 1]:
-            head, sums = head[i], sums[i]
-            mask = ws.mask[: sums.size].reshape(sums.shape)
-            np.add(head, win[i], out=sums)
+        # zero counts pad above the diagonal; on object a masked sum needs a start
+        for off, head, win, sums, mask, count_win in chunks[c - 1]:
+            np.add(head, win, out=sums)
             np.equal(sums, stage[off:], out=mask)
-            count_win = count_windows[c - 1, off : off + len(head), off:]
             if off:  # a later chunk adds to the budgets from its first bid
                 count[off:] += np.add.reduce(count_win, axis=0, where=mask, initial=0)
             else:
@@ -881,14 +891,14 @@ def _completion_counts(v: np.ndarray, ws: _Workspace, w: int, stages: np.ndarray
     return counts
 
 
-def _count_walk(v, ws, w, stages, plans, i, cand, top, uniforms) -> "tuple[int, ...]":
-    """The draw of :func:`br_sampled_numpy` for row ``i`` from the counts of optimal completions.
+def _count_walk(v, ws, w, stages, chunks, cand, top, uniforms) -> "tuple[int, ...]":
+    """The draw of :func:`br_sampled_numpy` for one row from the counts of optimal completions.
 
     ``cand`` and ``top`` are the row's first-field candidates and their
     maximum; below the first field the walk reads each optimum from the
     row's stages.
     """
-    counts = _completion_counts(v, ws, w, stages, plans, i)
+    counts = _completion_counts(v, ws, w, stages, chunks)
     fields = len(stages) + 1
     bids = []
     r = len(v) - 1
