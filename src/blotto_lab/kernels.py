@@ -509,7 +509,7 @@ _workspace = lru_cache(maxsize=1)(_Workspace)
 
 
 def _fp_stages(values, budget: int, fields: int):
-    """``(v, ws, w, stages, counting, cand)``: the start of both FP kernels, for a stack of rows.
+    """``(v, ws, w, stages, planned, cand)``: the start of both FP kernels, for a stack of rows.
 
     ``values`` is one value row or a stack of ``m`` of them, ``(m, budget +
     1)``; ``v`` is always the stack, in the type the kernels run in (an
@@ -519,8 +519,8 @@ def _fp_stages(values, budget: int, fields: int):
     the width of each row, ``stages`` the stages ``0 .. fields - 2`` of
     every row the walks back read, ``(fields - 1, m, budget + 1)``
     (``stages[c, i, r]``: the best value of ``c + 1`` fields of row ``i``
-    spending ``r``), each row's chunks of the block plans that filled them
-    for its count DP (:func:`_fp_plans`), and the first field's candidates:
+    spending ``r``), the cached plans that filled them (:class:`_FPPlan`),
+    and the first field's candidates:
     ``cand[i, x] = v[i, x] + stages[fields - 2, i, budget - x]``, the best
     value of the full budget with a first bid ``x`` (``None`` with one
     field, whose one bid is the budget).
@@ -548,50 +548,65 @@ def _fp_stages(values, budget: int, fields: int):
     top = max(w)
     planned = ws.plans.get((top, m, depth))
     if planned is None:  # full range over the bids x <= W of the rows in stages[0]
-        planned = ws.plans[top, m, depth] = _fp_plans(ws, top, m, depth)
-    stages, fills, counting, last = planned
+        if len(ws.plans) > 1:
+            ws.plans.clear()
+        planned = _FPPlan(ws, top, m, depth)
+        ws.plans[top, m, depth] = planned
+    stages = planned.stages
     if v.dtype == object:
         ws.padded[:depth, :m, :budget] = _sentinel(v, fields)
     stages[0] = v
-    for plan, stage in fills:
+    for plan, stage in planned.fills:
         _block_fill(plan, stage)
-    cand = v + last if fields > 1 else None
-    return v, ws, w, stages, counting, cand
+    cand = v + planned.last if fields > 1 else None
+    return v, ws, w, stages, planned, cand
 
 
-def _fp_plans(ws: _Workspace, top: int, rows: int, depth: int):
-    """``(stages, fills, counting, last)`` for :func:`_fp_stages`, with the stages grown to fit.
+class _FPPlan:
+    """The stage views and block plans of one width, stack height and depth (:func:`_fp_stages`).
 
     ``stages`` is the view of ``depth`` padded stages of ``rows`` rows,
     ``fills`` pairs each stage after the first with the block plan that
     fills it from the stage before, and ``last`` is the last stage with its
     budgets reversed.  One plan over the bids ``0..top`` and the windows of
-    every stage but the last, then one view of it per stage.
-    ``counting[i][c - 1]`` holds the chunks of that plan for row ``i`` alone
-    with a mask and the windows of ``ws.counts[c - 1]`` on each: the count
-    DP's (:func:`_completion_counts`).
+    every stage but the last, then one view of it per stage.  Built with the
+    workspace grown to fit; the count DP's chunks of a row are built by its
+    first count DP (:meth:`count_chunks`).
     """
-    n = ws.n
-    ws.fit(depth, rows)
-    if len(ws.plans) > 1:
-        ws.plans.clear()
-    stages = ws.padded[:depth, :rows, n:]
-    plans = []
-    if depth > 1:
-        windows = _windows(ws.padded, n)[: depth - 1, :rows]
-        plan = _block_plan(stages[0, :, : top + 1], windows, 0, n, 0, ws.scratch[: ws.cells(rows)])
-        plans = [[(off, head, win[c], sums) for off, head, win, sums in plan]
-                 for c in range(depth - 1)]
-    count_windows = _windows(ws.counts, n)
-    # a full-range plan from bid 0: a chunk's first bid is its offset
-    counting = [
-        [[(off, head[i], win[i], sums[i], ws.mask[: sums[i].size].reshape(sums[i].shape),
-           count_windows[c, off : off + head.shape[1], off:])
-          for off, head, win, sums in chunks]
-         for c, chunks in enumerate(plans)]
-        for i in range(rows)
-    ]
-    return stages, list(zip(plans, stages[1:])), counting, stages[-1, :, ::-1]
+
+    __slots__ = ("stages", "fills", "last", "counting")
+
+    def __init__(self, ws: _Workspace, top: int, rows: int, depth: int) -> None:
+        n = ws.n
+        ws.fit(depth, rows)
+        self.stages = stages = ws.padded[:depth, :rows, n:]
+        self.fills = []
+        if depth > 1:
+            windows = _windows(ws.padded, n)[: depth - 1, :rows]
+            plan = _block_plan(stages[0, :, : top + 1], windows, 0, n, 0,
+                               ws.scratch[: ws.cells(rows)])
+            self.fills = [([(off, head, win[c], sums) for off, head, win, sums in plan],
+                           stages[c + 1]) for c in range(depth - 1)]
+        self.last = stages[-1, :, ::-1]
+        self.counting = {}
+
+    def count_chunks(self, ws: _Workspace, i: int):
+        """``chunks[c - 1]``: the chunks of stage ``c``'s plan for row ``i`` alone.
+
+        Each with a mask and the windows of ``ws.counts[c - 1]``, the count
+        DP's (:func:`_completion_counts`).  A full-range plan from bid 0: a
+        chunk's first bid is its offset.
+        """
+        chunks = self.counting.get(i)
+        if chunks is None:
+            count_windows = _windows(ws.counts, ws.n)
+            chunks = self.counting[i] = [
+                [(off, head[i], win[i], sums[i], ws.mask[: sums[i].size].reshape(sums[i].shape),
+                  count_windows[c, off : off + head.shape[1], off:])
+                 for off, head, win, sums in plan]
+                for c, (plan, _) in enumerate(self.fills)
+            ]
+        return chunks
 
 
 def br_lex_numpy(values, budget: int, fields: int):
@@ -652,7 +667,7 @@ def br_sampled_numpy(values, budget: int, fields: int, uniforms):
     stops being uniform; on an ``object`` row they are Python ints.
     """
     n = budget
-    v, ws, w, stages, counting, cand = _fp_stages(values, n, fields)
+    v, ws, w, stages, planned, cand = _fp_stages(values, n, fields)
     single = np.ndim(values) == 1
     if single:
         uniforms = [uniforms]
@@ -666,7 +681,8 @@ def br_sampled_numpy(values, budget: int, fields: int, uniforms):
             stages[:, i], cand[i], tops[i], _search_budget(w[i], n, ws.block_cells, fields, v.itemsize)
         )
         if partitions is None:
-            bids = _count_walk(v[i], ws, max(w), stages[:, i], counting[i], cand[i], tops[i], u)
+            chunks = planned.count_chunks(ws, i)
+            bids = _count_walk(v[i], ws, max(w), stages[:, i], chunks, cand[i], tops[i], u)
         else:
             bids = _multinomial_walk(partitions, u)
         replies.append((tops[i], bids))
@@ -679,9 +695,10 @@ def _search_budget(w: int, n: int, cells: int, fields: int, itemsize: int) -> in
 
     The price of the count DP over a one-row plan of the row's own width
     with ``cells`` of scratch (:func:`_plan_size`), whatever stack the row
-    came in, cached per argument (the prices are constants).  A tie set that outgrows it (408 partitions at round 2 of every
-    120/6 run) then costs little more than the count DP alone, while lists
-    of a few partitions still fit.
+    came in, cached per argument (the prices are constants).  A tie set that
+    outgrows it (408 partitions at round 2 of every 120/6 run) then costs
+    little more than the count DP alone, while lists of a few partitions
+    still fit.
     """
     return _count_cost(*_plan_size(w, n, cells), fields, itemsize) // 4
 
@@ -847,7 +864,8 @@ def _completion_counts(v: np.ndarray, ws: _Workspace, w: int, stages: np.ndarray
 
     ``v`` and ``stages`` are one row of a stack, ``chunks[c - 1]`` that
     row's chunks of the stack's block plan for stage ``c``, over the bids
-    ``0..w`` (:func:`_fp_plans`), which may reach above the row's own width.
+    ``0..w`` (:meth:`_FPPlan.count_chunks`), which may reach above the
+    row's own width.
     ``ws.count_dtype``: int64 on a fixed-width row, Python ints on
     ``object``.  Runs the stages' block plan again: per chunk the add, a
     comparison with the stage into the mask and one masked sum over the
