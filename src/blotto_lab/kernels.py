@@ -1,6 +1,6 @@
 """The budget DP: maximize a separable value over exact-budget splits.
 
-Every exact best response and every fictitious-play round reduces to
+Every exact best response and every fictitious-play reply reduces to
 maximizing ``sum_k tables[k][bid_k]`` over bid vectors that spend the budget
 exactly.  One engine serves both, as numpy max-plus stages, on two kinds of
 input:
@@ -35,7 +35,8 @@ exact, since each row is flat from its own width on, so a stage maximum over
 more bids is the same.  A chunk takes as many bids of every row as the
 scratch holds: ``ROW_BLOCK`` bids of each up to :data:`STACK_CELLS` cells in
 all, and from ``N = 255`` on ``ROW_BLOCK * (N + 1)`` cells in all, as one
-row takes.  Their stages stay padded with the sentinel, so each stage's
+row takes; past the chunk that holds the narrowest row's width, each row
+takes only the chunks up to its own.  Their stages stay padded with the sentinel, so each stage's
 windows read it where it was filled.  The walks back, the partition search,
 the multinomial walk and the count DP run row by row.  The three DPs share
 one cached workspace (:class:`_Workspace`), so none is reentrant (the
@@ -66,11 +67,12 @@ tie values in [0, 2] a belief row is flat above the largest bid seen.  A bid
 above ``w`` scores no more than ``w`` and leaves less budget, and every
 max-plus stage of such rows is non-decreasing too, so a stage maximum needs
 only the bids ``x <= w``; the sampler adds the completions through bids above
-``w`` (a stack's ``W``) that tie, in closed form, at the stages where any can
-tie (a flat step in the previous stage below ``n - w``).
-:func:`best_split_numpy` also fills each stage only over the budgets its walk
-forward can reach, and the flat value above them.  Any row that decreases somewhere keeps its full width and full
-range.  The FP walks back stay full width.
+``w`` (or above the last bid of the row's chunks in a stack) that tie, in
+closed form, at the stages where any can tie (a flat step in the previous
+stage below ``n - w``).  :func:`best_split_numpy` also fills each stage only
+over the budgets its walk forward can reach, and the flat value above them.
+Any row that decreases somewhere keeps its full width and full range.  The FP
+walks back stay full width.
 
 :func:`best_split_numpy` picks each stage's fill from the shape of the rows,
 by the cheapest under one cost model (next to :data:`ROW_BLOCK`, priced per
@@ -328,7 +330,13 @@ def _block_fill(plan, out) -> None:
     _, head, win, sums = plan[0]
     np.add(head, win, out=sums)
     np.maximum.reduce(sums, axis=-2, out=out)
-    for off, head, win, sums in plan[1:]:
+    if len(plan) > 1:
+        _block_max(plan[1:], out)
+
+
+def _block_max(chunks, out) -> None:
+    """Raise ``out`` to the maxima over the bids of further chunks of a plan (:func:`_block_fill`)."""
+    for off, head, win, sums in chunks:
         np.add(head, win, out=sums)
         seg = out[..., off:]
         np.maximum(seg, np.maximum.reduce(sums, axis=-2), out=seg)
@@ -525,13 +533,16 @@ def _fp_stages(values, budget: int, fields: int):
     value of the full budget with a first bid ``x`` (``None`` with one
     field, whose one bid is the budget).
 
-    Every stage of the stack takes one block fill over the bids ``0 .. W``,
+    Every stage of the stack takes one block plan over the bids ``0 .. W``,
     ``W = max(w)``, in chunks of as many bids of every row as the scratch
-    holds (:meth:`_Workspace.cells`).  That is exact: a row of width ``w_i <
-    W`` is flat from ``w_i`` on, so its bids ``w_i < x <= W`` score ``v[i,
-    w_i]`` and leave less budget, and its stage maxima over them are its
-    maxima over ``x <= w_i``.  The plans are cached per ``W``, stack height
-    and depth.
+    holds (:meth:`_Workspace.cells`).  All rows take the chunks up to the
+    narrowest row's width together, and each wider row the rest up to its
+    own width alone (:meth:`_FPPlan.reach`); where one chunk holds every bid
+    (at 120/6, say) that is one fill of the whole stack.  Either is exact: a
+    row of width ``w_i < W`` is flat from ``w_i`` on, so its bids ``w_i < x
+    <= W`` score ``v[i, w_i]`` and leave less budget, and its stage maxima
+    over them are its maxima over ``x <= w_i``.  The plans are cached per
+    ``W``, stack height and depth.
     """
     if isinstance(values, np.ndarray) and values.dtype in _FP_TYPES:
         v = values[..., : budget + 1]
@@ -556,8 +567,17 @@ def _fp_stages(values, budget: int, fields: int):
     if v.dtype == object:
         ws.padded[:depth, :m, :budget] = _sentinel(v, fields)
     stages[0] = v
+    # every row takes the chunks up to the narrowest row's width, and each
+    # wider row on its own the rest up to its width: with one chunk, none
+    shared, wider = len(planned.bounds) - 1, ()
+    if shared > 1:
+        shared = planned.reach(min(w))
+        wider = [(i, planned.reach(x)) for i, x in enumerate(w) if x >= planned.bounds[shared]]
     for plan, stage in planned.fills:
-        _block_fill(plan, stage)
+        _block_fill(plan[:shared], stage)
+        for i, end in wider:
+            _block_max([(off, head[i], win[i], sums[i]) for off, head, win, sums in plan[shared:end]],
+                       stage[i])
     cand = v + planned.last if fields > 1 else None
     return v, ws, w, stages, planned, cand
 
@@ -574,39 +594,54 @@ class _FPPlan:
     first count DP (:meth:`count_chunks`).
     """
 
-    __slots__ = ("stages", "fills", "last", "counting")
+    __slots__ = ("stages", "fills", "last", "bounds", "counting")
 
     def __init__(self, ws: _Workspace, top: int, rows: int, depth: int) -> None:
         n = ws.n
         ws.fit(depth, rows)
         self.stages = stages = ws.padded[:depth, :rows, n:]
-        self.fills = []
+        self.fills, firsts = [], [0]
         if depth > 1:
             windows = _windows(ws.padded, n)[: depth - 1, :rows]
             plan = _block_plan(stages[0, :, : top + 1], windows, 0, n, 0,
                                ws.scratch[: ws.cells(rows)])
             self.fills = [([(off, head, win[c], sums) for off, head, win, sums in plan],
                            stages[c + 1]) for c in range(depth - 1)]
+            # a full-range plan from bid 0: a chunk's first bid is its offset
+            firsts = [off for off, *_ in plan]
+        self.bounds = firsts + [top + 1]  # the chunks' first bids, then the end
         self.last = stages[-1, :, ::-1]
         self.counting = {}
 
-    def count_chunks(self, ws: _Workspace, i: int):
-        """``chunks[c - 1]``: the chunks of stage ``c``'s plan for row ``i`` alone.
+    def reach(self, w: int) -> int:
+        """How many chunks a row of width ``w`` needs: those from a bid ``x <= w``.
 
-        Each with a mask and the windows of ``ws.counts[c - 1]``, the count
-        DP's (:func:`_completion_counts`).  A full-range plan from bid 0: a
-        chunk's first bid is its offset.
+        The last of them may take bids above ``w``, which is exact as the
+        stack's ``W`` is.
         """
-        chunks = self.counting.get(i)
-        if chunks is None:
+        return bisect_right(self.bounds, w)
+
+    def count_chunks(self, ws: _Workspace, i: int, w: int):
+        """``(chunks, last)``: row ``i``'s chunks for its count DP, up to its width ``w``.
+
+        ``chunks[c - 1]`` holds the chunks of stage ``c``'s plan from a bid
+        ``x <= w`` (:meth:`reach`) for row ``i`` alone, each with a mask and
+        the windows of ``ws.counts[c - 1]``, the count DP's
+        (:func:`_completion_counts`); ``last >= w`` is their last bid.  Cached
+        per row and chunk count.
+        """
+        end = self.reach(w)
+        counting = self.counting.get((i, end))
+        if counting is None:
             count_windows = _windows(ws.counts, ws.n)
-            chunks = self.counting[i] = [
+            chunks = [
                 [(off, head[i], win[i], sums[i], ws.mask[: sums[i].size].reshape(sums[i].shape),
                   count_windows[c, off : off + head.shape[1], off:])
-                 for off, head, win, sums in plan]
+                 for off, head, win, sums in plan[:end]]
                 for c, (plan, _) in enumerate(self.fills)
             ]
-        return chunks
+            counting = self.counting[i, end] = chunks, self.bounds[end] - 1
+        return counting
 
 
 def br_lex_numpy(values, budget: int, fields: int):
@@ -681,8 +716,8 @@ def br_sampled_numpy(values, budget: int, fields: int, uniforms):
             stages[:, i], cand[i], tops[i], _search_budget(w[i], n, ws.block_cells, fields, v.itemsize)
         )
         if partitions is None:
-            chunks = planned.count_chunks(ws, i)
-            bids = _count_walk(v[i], ws, max(w), stages[:, i], chunks, cand[i], tops[i], u)
+            chunks, last = planned.count_chunks(ws, i, w[i])
+            bids = _count_walk(v[i], ws, last, stages[:, i], chunks, cand[i], tops[i], u)
         else:
             bids = _multinomial_walk(partitions, u)
         replies.append((tops[i], bids))

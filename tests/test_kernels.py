@@ -1017,33 +1017,38 @@ def row_stacks(draw, n):
 
 
 @settings(max_examples=examples(200), deadline=None)
-@given(data=st.data())
-def test_stacked_lex_replies_row_by_row(data):
+@given(data=st.data(), block=st.sampled_from([1, 3, 64]))
+def test_stacked_lex_replies_row_by_row(data, block):
     # each row of a stack gets the reply it gets alone and the oracle's, in
-    # the stack's type, whatever the other rows' widths
+    # the stack's type, whatever the other rows' widths; small row blocks
+    # split the stack's plan into several chunks, so a narrow row stops
+    # before the widest row's width
     n = data.draw(st.integers(1, 30))
     k = data.draw(st.integers(1, 6))
     rows, stack = data.draw(row_stacks(n))
-    got = br_lex_numpy(stack, n, k)
-    assert isinstance(got, list) and len(got) == len(rows)
-    for row, values, reply in zip(rows, stack, got):
-        assert reply == br_lex_numpy(values, n, k) == br_lex_python(row, n, k)
+    with mock.patch.object(kernels, "ROW_BLOCK", block):
+        got = br_lex_numpy(stack, n, k)
+        assert isinstance(got, list) and len(got) == len(rows)
+        for row, values, reply in zip(rows, stack, got):
+            assert reply == br_lex_numpy(values, n, k) == br_lex_python(row, n, k)
 
 
 @settings(max_examples=examples(200), deadline=None)
-@given(data=st.data())
-def test_stacked_sampler_draws_row_by_row(data):
+@given(data=st.data(), block=st.sampled_from([1, 3, 64]))
+def test_stacked_sampler_draws_row_by_row(data, block):
     # with the same uniforms, each row of a stack draws what it draws alone
-    # and what the oracle draws; the count DP alone draws the same
+    # and what the oracle draws; the count DP alone draws the same, also
+    # over a row's chunks that end before the stack's width
     n = data.draw(st.integers(1, 16))
     k = data.draw(st.integers(1, 5))
     rows, stack = data.draw(row_stacks(n))
     uniforms = np.array([data.draw(uniform_lists(k)) for _ in rows]).reshape(len(rows), k - 1)
-    got = br_sampled_numpy(stack, n, k, uniforms)
-    assert isinstance(got, list) and len(got) == len(rows)
-    assert count_dp_draw(stack, n, k, uniforms) == got
-    for row, values, u, reply in zip(rows, stack, uniforms, got):
-        assert reply == br_sampled_numpy(values, n, k, u) == br_sampled_python(row, n, k, u)
+    with mock.patch.object(kernels, "ROW_BLOCK", block):
+        got = br_sampled_numpy(stack, n, k, uniforms)
+        assert isinstance(got, list) and len(got) == len(rows)
+        assert count_dp_draw(stack, n, k, uniforms) == got
+        for row, values, u, reply in zip(rows, stack, uniforms, got):
+            assert reply == br_sampled_numpy(values, n, k, u) == br_sampled_python(row, n, k, u)
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])
@@ -1064,7 +1069,9 @@ def test_search_budget_prices_a_one_row_plan(n, block, monkeypatch):
 # Stacks whose widest row has a width W below the budget, stacked with
 # narrower rows whose optimal bid vectors need bids above their own widths
 # (COUNT_ROWS): the count DP sums each narrow row's ties over its bids up to
-# W, and counts those above W in closed form.
+# W, and counts those above W in closed form.  With ROW_BLOCK 1 the stack's
+# plan takes a chunk per bid or so, and a narrow row's count DP stops at the
+# chunk that holds its own width and counts the rest in closed form.
 STACKED_COUNT_ROWS = [
     [COUNT_ROWS[0], list(range(6)) + [5] * 9],  # widths 2 and 5 at n = 14
     [COUNT_ROWS[1], value_row([0] * 9 + [3] + [0] * 11, 1, 2), COUNT_ROWS[1]],  # 3, 10, 3 at n = 20
@@ -1074,7 +1081,9 @@ STACKED_COUNT_ROWS = [
 @pytest.mark.parametrize("rows", STACKED_COUNT_ROWS, ids=["n14", "n20"])
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("dtype", FP_TYPES)
-def test_stacked_count_dp_counts_each_row_as_alone(rows, k, dtype, count_dp_calls):
+@pytest.mark.parametrize("block", [1, 64])
+def test_stacked_count_dp_counts_each_row_as_alone(rows, k, dtype, block, count_dp_calls, monkeypatch):
+    monkeypatch.setattr(kernels, "ROW_BLOCK", block)
     n = len(rows[0]) - 1
     stack = np.array(rows, dtype=dtype)
     widths = [flat_width(np.array(row)) for row in rows]
