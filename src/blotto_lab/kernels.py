@@ -14,9 +14,11 @@ input:
   ``object``, and read without a copy in its own type.  That one guard alone
   picks the type, whatever the dtype: no option selects it.
 * One shared table serves fictitious play (:func:`br_lex_numpy`,
-  :func:`br_sampled_numpy`): one value row, or a stack of ``m`` rows ``(m,
-  N + 1)`` with one reply per row (``fp_run`` hands both players' rows of a
-  two-sided round as one stack, and a stack of one otherwise).  They run in
+  :func:`br_sampled_numpy`): one reply per call, to a plain value row or to
+  one row of an :class:`FPStack` of ``m`` rows ``(m, N + 1)``, whose
+  stages fill for all its rows on the first reply asked of any (``fp_run``
+  stacks both players' rows of a two-sided round, and hands a plain row
+  otherwise).  They run in
   the type of the rows the caller hands them, on the same ladder: an int32,
   int64 or ``object`` array keeps its type, and anything else runs in
   int64.  The caller keeps ``K * max|entry|`` below the type's guard
@@ -29,18 +31,21 @@ The FP kernels fill every stage, and :func:`best_split_numpy` every stage no
 cheaper exact fill serves, with one block fill (:func:`_block_plan`): bids on
 one axis, budgets on the last, one maximum over bids, in chunks of as many
 bids as a scratch of ``ROW_BLOCK * (budget + 1)`` cells holds.  The FP
-kernels fill all rows of a stack at once, stages ``(K - 1, m, N + 1)``, over
-the bids ``0 .. W`` with ``W`` the largest row width (:func:`_fp_stages`):
-exact, since each row is flat from its own width on, so a stage maximum over
-more bids is the same.  A chunk takes as many bids of every row as the
-scratch holds: ``ROW_BLOCK`` bids of each up to :data:`STACK_CELLS` cells in
-all, and from ``N = 255`` on ``ROW_BLOCK * (N + 1)`` cells in all, as one
-row takes; past the chunk that holds the narrowest row's width, each row
-takes only the chunks up to its own.  Their stages stay padded with the sentinel, so each stage's
-windows read it where it was filled.  The walks back, the partition search,
-the multinomial walk and the count DP run row by row.  The three DPs share
-one cached workspace (:class:`_Workspace`), so none is reentrant (the
-package starts no threads); each needs O(``ROW_BLOCK*N + K*m*N``) cells.
+kernels fill all rows of a stack at once (a plain row is a stack of one),
+stages ``(K - 1, m, N + 1)``, over the bids ``0 .. W`` with ``W`` the
+largest row width (:func:`_fp_stages`): exact, since each row is flat from
+its own width on, so a stage maximum over more bids is the same.  A chunk
+takes as many bids of every row as the scratch holds: ``ROW_BLOCK`` bids of
+each up to :data:`STACK_CELLS` cells in all, and from ``N = 255`` on
+``ROW_BLOCK * (N + 1)`` cells in all, as one row takes; past the chunk that
+holds the narrowest row's width, each row takes only the chunks up to its
+own.  Their stages stay padded with the sentinel, so each stage's windows
+read it where it was filled.  The walks back, the partition search, the
+multinomial walk and the count DP run row by row, in each row's own call.
+The three DPs share one cached workspace (:class:`_Workspace`), so none is
+reentrant (the package starts no threads), and a stack whose stages another
+fill has overwritten since fills again; each needs O(``ROW_BLOCK*N +
+K*m*N``) cells.
 
 The sampler builds the stage maxima as the lex kernel does, then lists each
 row's optimal partitions: a depth-first search over partitions, largest part
@@ -87,8 +92,8 @@ Every other stage (point-mass and parity rows, say) takes the block fill.
 
 The tests check every DP here against plain Python-int loops kept in the
 test oracles.  :class:`KernelSet` and :func:`get_kernels` remain only as the
-hook through which a tracer counts the FP kernel calls, by the name the
-caller asks for.
+hook through which a tracer counts the FP kernel calls, one per reply, by
+the name the caller asks for.
 """
 
 from __future__ import annotations
@@ -325,13 +330,16 @@ def _block_plan(rows, windows, lo, hi, first, scratch) -> list:
     return plan
 
 
-def _block_fill(plan, out) -> None:
-    """``out[..., r - lo] = max_x rows[..., x] + windows[..., x, r]`` over a plan's span (:func:`_block_plan`)."""
+def _block_fill(plan, out, stop=None) -> None:
+    """``out[..., r - lo] = max_x rows[..., x] + windows[..., x, r]`` over a plan's span (:func:`_block_plan`).
+
+    Over its first ``stop`` chunks, or all of them.
+    """
     _, head, win, sums = plan[0]
     np.add(head, win, out=sums)
     np.maximum.reduce(sums, axis=-2, out=out)
-    if len(plan) > 1:
-        _block_max(plan[1:], out)
+    if len(plan) > 1 and stop != 1:
+        _block_max(plan[1:stop], out)
 
 
 def _block_max(chunks, out) -> None:
@@ -461,10 +469,13 @@ class _Workspace:
     ``mask``: ``block_cells = min(block, n + 1) * (n + 1)`` cells for
     :func:`best_split_numpy` and one FP row, and :meth:`cells` for a stack.
     ``plans`` keeps the FP block plans of up to two widths and stack
-    heights: a run alternates replies and trace rows.  The first FP call
-    builds ``padded`` and ``counts`` (:meth:`fit`), and a deeper or taller
-    stack grows them and the scratch in place: the workspace stays, and so
-    does every buffer a smaller stack reads.
+    heights: a run alternates replies and trace rows.  ``fills`` counts the
+    FP fills, each of which overwrites the stages of the one before
+    (:class:`FPStack`), and ``search_budgets`` keeps the sampler's search
+    budget per row width and field count (:func:`_search_budget`).  The
+    first FP call builds ``padded`` and ``counts`` (:meth:`fit`), and a
+    deeper or taller stack grows them and the scratch in place: the
+    workspace stays, and so does every buffer a smaller stack reads.
     """
 
     def __init__(self, n: int, dtype: np.dtype, block: int) -> None:
@@ -475,7 +486,7 @@ class _Workspace:
         self.block_cells = cells = min(block, n + 1) * (n + 1)
         self.scratch, self.mask = np.empty(cells, dtype), np.empty(cells, dtype=bool)
         self.padded = self.counts = None  # built by the first FP call
-        self.plans = {}
+        self.plans, self.fills, self.search_budgets = {}, 0, {}
 
     def _padded(self, *shape: int) -> np.ndarray:
         """Padded rows of ``shape``, the pads at the sentinel in a fixed-width type."""
@@ -516,19 +527,17 @@ _FP_TYPES = (np.dtype(np.int32), np.dtype(np.int64), np.dtype(object))
 _workspace = lru_cache(maxsize=1)(_Workspace)
 
 
-def _fp_stages(values, budget: int, fields: int):
+def _fp_stages(v: np.ndarray, budget: int, fields: int):
     """``(v, ws, w, stages, planned, cand)``: the start of both FP kernels, for a stack of rows.
 
-    ``values`` is one value row or a stack of ``m`` of them, ``(m, budget +
-    1)``; ``v`` is always the stack, in the type the kernels run in (an
-    int32, int64 or ``object`` array keeps its type, and an ``object``
-    stack's sentinel, which grows with its values, goes into the pads on
-    every call; anything else runs in int64).  Then its workspace, ``w``
-    the width of each row, ``stages`` the stages ``0 .. fields - 2`` of
-    every row the walks back read, ``(fields - 1, m, budget + 1)``
-    (``stages[c, i, r]``: the best value of ``c + 1`` fields of row ``i``
-    spending ``r``), the cached plans that filled them (:class:`_FPPlan`),
-    and the first field's candidates:
+    ``v`` is a stack of ``m`` value rows ``(m, budget + 1)`` in the type the
+    kernels run in (:class:`FPStack`); an ``object`` stack's sentinel, which
+    grows with its values, goes into the pads on every call.  Returns ``v``,
+    its workspace, ``w`` the width of each row, ``stages`` the stages ``0 ..
+    fields - 2`` of every row the walks back read, ``(fields - 1, m, budget
+    + 1)`` (``stages[c, i, r]``: the best value of ``c + 1`` fields of row
+    ``i`` spending ``r``), the cached plans that filled them
+    (:class:`_FPPlan`), and the first field's candidates:
     ``cand[i, x] = v[i, x] + stages[fields - 2, i, budget - x]``, the best
     value of the full budget with a first bid ``x`` (``None`` with one
     field, whose one bid is the budget).
@@ -542,20 +551,13 @@ def _fp_stages(values, budget: int, fields: int):
     row of width ``w_i < W`` is flat from ``w_i`` on, so its bids ``w_i < x
     <= W`` score ``v[i, w_i]`` and leave less budget, and its stage maxima
     over them are its maxima over ``x <= w_i``.  The plans are cached per
-    ``W``, stack height and depth.
+    ``W``, stack height and depth.  Each call counts one more fill of the
+    workspace (``ws.fills``), which overwrites the stages of the fill before.
     """
-    if isinstance(values, np.ndarray) and values.dtype in _FP_TYPES:
-        v = values[..., : budget + 1]
-    else:
-        v = np.asarray(values, dtype=np.int64)[..., : budget + 1]
-    if v.ndim == 1:
-        v = v[None]
     m, depth = len(v), max(fields - 1, 1)
     ws = _workspace(budget, v.dtype, ROW_BLOCK)
-    if np.count_nonzero(v[:, 1:] < v[:, :-1]):  # some row decreases: flat_width per row
-        w = [budget if x is None else x for x in map(flat_width, v)]
-    else:  # each row's first maximal entry
-        w = [int(row.searchsorted(row[-1])) for row in v]
+    ws.fills += 1
+    w = [budget if x is None else x for x in map(flat_width, v)]
     top = max(w)
     planned = ws.plans.get((top, m, depth))
     if planned is None:  # full range over the bids x <= W of the rows in stages[0]
@@ -574,12 +576,91 @@ def _fp_stages(values, budget: int, fields: int):
         shared = planned.reach(min(w))
         wider = [(i, planned.reach(x)) for i, x in enumerate(w) if x >= planned.bounds[shared]]
     for plan, stage in planned.fills:
-        _block_fill(plan[:shared], stage)
+        _block_fill(plan, stage, shared)
         for i, end in wider:
             _block_max([(off, head[i], win[i], sums[i]) for off, head, win, sums in plan[shared:end]],
                        stage[i])
     cand = v + planned.last if fields > 1 else None
     return v, ws, w, stages, planned, cand
+
+
+class FPStack:
+    """Value rows ``(m, budget + 1)`` whose FP stages fill in one pass, for one reply per row.
+
+    :meth:`rows` hands each row as an :class:`FPRow`, which
+    :func:`br_lex_numpy` and :func:`br_sampled_numpy` take in place of a
+    plain value row: the first reply asked of any row fills the stages of
+    all of them (:func:`_fp_stages`), and the replies of the others read
+    them.  ``fp_run`` hands both players' rows of a two-sided round as one
+    stack.  The stages live in the shared workspace, so a fill of another
+    stack in between is seen (``ws.fills``) and this one fills again.
+    ``values`` is the stack in the type the kernels run in (:func:`_fp_rows`).
+    """
+
+    __slots__ = ("values", "budget", "fields", "_filled", "_fill")
+
+    def __init__(self, values, budget: int, fields: int) -> None:
+        self.values = _fp_rows(values, budget)
+        self.budget, self.fields = budget, fields
+        self._filled, self._fill = None, 0
+
+    def rows(self) -> "list[FPRow]":
+        """One :class:`FPRow` per row, in order."""
+        return [FPRow(self, i) for i in range(len(self.values))]
+
+    def filled(self, budget: int, fields: int):
+        """The stack's :func:`_fp_stages`, filled once, or again if another fill came between."""
+        if budget != self.budget or fields != self.fields:
+            raise ValueError(
+                f"a stack built for budget {self.budget} and {self.fields} fields"
+                f" asked for budget {budget} and {fields} fields"
+            )
+        filled = self._filled
+        if filled is None or filled[1].fills != self._fill:
+            filled = self._filled = _fp_stages(self.values, budget, fields)
+            self._fill = filled[1].fills
+        return filled
+
+
+class FPRow:
+    """Row ``index`` of an :class:`FPStack`: one value row to the FP kernels and to numpy.
+
+    The kernels read the stages its stack filled for all its rows; numpy
+    (``np.asarray``) reads the row, in the stack's type.
+    """
+
+    __slots__ = ("stack", "index")
+
+    def __init__(self, stack: FPStack, index: int) -> None:
+        self.stack, self.index = stack, index
+
+    def __len__(self) -> int:
+        return self.stack.values.shape[1]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.stack.values[self.index], dtype=dtype, copy=copy)
+
+
+def _fp_rows(values, budget: int) -> np.ndarray:
+    """A stack of value rows in the type the FP kernels run in, cut to ``budget + 1`` bids.
+
+    An int32, int64 or ``object`` array keeps its type; anything else runs
+    in int64.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype in _FP_TYPES):
+        values = np.asarray(values, dtype=np.int64)
+    return values[:, : budget + 1]
+
+
+def _filled(values, budget: int, fields: int):
+    """``(stages, i)``: :func:`_fp_stages` of the stack ``values`` is row ``i`` of.
+
+    An :class:`FPRow` reads its stack's; a plain row fills as a stack of one.
+    """
+    if isinstance(values, FPRow):
+        return values.stack.filled(budget, fields), values.index
+    stack = values[None] if isinstance(values, np.ndarray) else [values]
+    return _fp_stages(_fp_rows(stack, budget), budget, fields), 0
 
 
 class _FPPlan:
@@ -644,33 +725,28 @@ class _FPPlan:
         return counting
 
 
-def br_lex_numpy(values, budget: int, fields: int):
-    """:func:`best_split` on ``fields`` copies of one value row, or of each row of a stack.
+def br_lex_numpy(values, budget: int, fields: int) -> BestReply:
+    """:func:`best_split` on ``fields`` copies of one value row.
 
-    Returns one reply for one row, and a list of one per row for a stack
-    ``(m, budget + 1)``, whose stages fill in one pass (:func:`_fp_stages`).
-    A row's optimum is its first field's best candidate; each row walks back
-    on its own.
+    ``values`` is a plain row, or a row of an :class:`FPStack`, whose stages
+    fill with its other rows' in one pass (:func:`_fp_stages`).  The optimum
+    is the first field's best candidate; the row walks back on its own.
     """
-    v, _, _, stages, _, cand = _fp_stages(values, budget, fields)
-    single = np.ndim(values) == 1
-    replies = []
-    for i, row in enumerate(v):
-        if cand is None:
-            replies.append((int(row[budget]), (budget,)))
-            continue
-        x = int(cand[i].argmax())
-        total, bids, r = int(cand[i, x]), [x], budget - x
-        for c in range(fields - 2, 0, -1):
-            x = int((row[: r + 1] + stages[c - 1, i, r::-1]).argmax())
-            bids.append(x)
-            r -= x
-        bids.append(r)
-        replies.append((total, tuple(bids)))
-    return replies[0] if single else replies
+    (v, _, _, stages, _, cand), i = _filled(values, budget, fields)
+    row = v[i]
+    if cand is None:
+        return int(row[budget]), (budget,)
+    x = int(cand[i].argmax())
+    total, bids, r = int(cand[i, x]), [x], budget - x
+    for c in range(fields - 2, 0, -1):
+        x = int((row[: r + 1] + stages[c - 1, i, r::-1]).argmax())
+        bids.append(x)
+        r -= x
+    bids.append(r)
+    return total, tuple(bids)
 
 
-def br_sampled_numpy(values, budget: int, fields: int, uniforms):
+def br_sampled_numpy(values, budget: int, fields: int, uniforms) -> BestReply:
     """A uniform draw over every optimal bid vector, driven by ``uniforms``.
 
     Walks the fields in order, choosing each bid with probability
@@ -678,12 +754,11 @@ def br_sampled_numpy(values, budget: int, fields: int, uniforms):
     uniform over the full argmax set (up to the float resolution of the
     uniforms): ``u = uniforms[i]`` picks bid ``i`` as the first, in
     ascending order, whose running sum of completions exceeds
-    ``min(int(u * total), total - 1)``.  A stack of rows ``(m, budget +
-    1)`` takes one list of uniforms per row, ``(m, fields - 1)``, and
-    returns a list of one draw per row.
+    ``min(int(u * total), total - 1)``.  ``values`` is a plain row or a row
+    of an :class:`FPStack`, as :func:`br_lex_numpy` takes.
 
     It builds the stage maxima as :func:`br_lex_numpy` does, in the row's
-    type (:func:`_fp_stages`), then lists each row's optimal partitions
+    type (:func:`_fp_stages`), then lists the row's optimal partitions
     (:func:`_optimal_partitions`): every optimal bid vector orders one of
     them, and every ordering of one is optimal.  The walk then draws from
     their orderings in closed form, in Python ints
@@ -702,53 +777,37 @@ def br_sampled_numpy(values, budget: int, fields: int, uniforms):
     stops being uniform; on an ``object`` row they are Python ints.
     """
     n = budget
-    v, ws, w, stages, planned, cand = _fp_stages(values, n, fields)
-    single = np.ndim(values) == 1
-    if single:
-        uniforms = [uniforms]
+    (v, ws, w, stages, planned, cand), i = _filled(values, n, fields)
     if cand is None:
-        replies = [(int(row[n]), (n,)) for row in v]
-        return replies[0] if single else replies
-    tops = np.maximum.reduce(cand, axis=-1).tolist()
-    replies = []
-    for i, u in enumerate(uniforms):
-        partitions = _optimal_partitions(
-            stages[:, i], cand[i], tops[i], _search_budget(w[i], n, ws.block_cells, fields, v.itemsize)
-        )
-        if partitions is None:
-            chunks, last = planned.count_chunks(ws, i, w[i])
-            bids = _count_walk(v[i], ws, last, stages[:, i], chunks, cand[i], tops[i], u)
-        else:
-            bids = _multinomial_walk(partitions, u)
-        replies.append((tops[i], bids))
-    return replies[0] if single else replies
+        return int(v[i, n]), (n,)
+    top = int(np.maximum.reduce(cand[i]))
+    partitions = _optimal_partitions(stages[:, i], cand[i], top, _search_budget(ws, w[i], fields))
+    if partitions is None:
+        chunks, last = planned.count_chunks(ws, i, w[i])
+        bids = _count_walk(v[i], ws, last, stages[:, i], chunks, cand[i], top, uniforms)
+    else:
+        bids = _multinomial_walk(partitions, uniforms)
+    return top, bids
 
 
-@lru_cache(maxsize=256)
-def _search_budget(w: int, n: int, cells: int, fields: int, itemsize: int) -> int:
+def _search_budget(ws: _Workspace, w: int, fields: int) -> int:
     """The partition search's budget for a row of width ``w``: a quarter of its count DP's price.
 
-    The price of the count DP over a one-row plan of the row's own width
-    with ``cells`` of scratch (:func:`_plan_size`), whatever stack the row
-    came in, cached per argument (the prices are constants).  A tie set that
-    outgrows it (408 partitions at round 2 of every 120/6 run) then costs
-    little more than the count DP alone, while lists of a few partitions
-    still fit.
+    The price of the count DP over the plan :func:`_block_plan` builds for
+    one row of width ``w`` in ``ws``'s one-row scratch, whatever stack the
+    row came in; built once per width and field count, and kept in the
+    workspace (the prices are constants).  A tie set that outgrows it (408
+    partitions at round 2 of every 120/6 run) then costs little more than
+    the count DP alone, while lists of a few partitions still fit.
     """
-    return _count_cost(*_plan_size(w, n, cells), fields, itemsize) // 4
-
-
-def _plan_size(w: int, n: int, cells: int) -> "tuple[int, int]":
-    """The chunks and cells of a one-row plan over the bids ``0..w`` with ``cells`` of scratch.
-
-    The plan :func:`_block_plan` builds for one row of width ``w`` at full
-    range, counted without building it.
-    """
-    chunks = used = x0 = 0
-    while x0 <= w:
-        x1 = min(w + 1, x0 + cells // (n + 1 - x0))
-        chunks, used, x0 = chunks + 1, used + (x1 - x0) * (n + 1 - x0), x1
-    return chunks, used
+    key = w, fields
+    budget = ws.search_budgets.get(key)
+    if budget is None:
+        n = ws.n
+        plan = _block_plan(ws.pad[n : n + w + 1], ws.window, 0, n, 0, ws.scratch[: ws.block_cells])
+        cells = sum(sums.size for *_, sums in plan)
+        budget = ws.search_budgets[key] = _count_cost(len(plan), cells, fields, ws.dtype.itemsize) // 4
+    return budget
 
 
 def _count_cost(chunks: int, cells: int, fields: int, itemsize: int) -> int:

@@ -6,9 +6,10 @@ whole belief collapses into a single bid-level value function: the expected
 payoff of playing partition p is ``sum_j v(p_j)`` with
 ``v(x) = sum_b hist(b) * value(x, b) / (rounds * K)``, so a best reply is one
 budget DP over that shared table (see :mod:`blotto_lab.kernels`).  A
-two-sided round hands both players' tables to the kernels as one stack, and
-their DPs fill in one pass; a self-play round and a trace row hand a stack of
-one.
+two-sided round stacks both players' tables (:class:`~blotto_lab.kernels.FPStack`)
+and makes one kernel call per reply: the first fills both DPs' stages in one
+pass, and the second reads them.  A self-play round and a trace row hand a
+plain table, which the kernels fill as a stack of one.
 
 That table is the integer value row of the opponent's bid histogram
 (:func:`blotto_lab.core.value_row`), in units of ``1 / (q2 * rounds * K)``
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .core import GameSpec, PreconditionError, as_partition, check_count, check_seed, value_rows
-from .kernels import _INT_TYPES, KernelSet, get_kernels
+from .kernels import _INT_TYPES, FPStack, KernelSet, get_kernels
 from .space import count_ordered
 
 CHECKPOINT_MAGIC = b"BLOTTOFP"
@@ -256,13 +257,16 @@ def fp_run(
         rng = np.random.Generator(bitgen)
 
     def best_replies(hists: np.ndarray) -> "list[tuple[int, ...]]":
-        # one reply per row of the stack, in one kernel call; the first
-        # row's uniforms are drawn first
+        # one kernel call per history: one row, or each row of a stack,
+        # whose stages fill in one pass on the first call; the first row's
+        # uniforms are drawn first
         values = _belief_values(hists, p, q2, dtype)
+        rows = [values] if values.ndim == 1 else FPStack(values, n, k).rows()
         if state.tie_break == "lex":
-            replies = kern.lex(values, n, k)
+            replies = [kern.lex(row, n, k) for row in rows]
         else:
-            replies = kern.sampled(values, n, k, rng.random((len(values), k - 1)))
+            uniforms = rng.random((len(rows), k - 1))
+            replies = [kern.sampled(row, n, k, u) for row, u in zip(rows, uniforms)]
         return [as_partition(bids) for _, bids in replies]
 
     target = rounds
@@ -277,7 +281,7 @@ def fp_run(
             if r == 1:
                 play_a = play_b = state.init
             elif state.shared_history:
-                play_a = play_b = best_replies(state.hist_a[None])[0]
+                play_a = play_b = best_replies(state.hist_a)[0]
             else:  # both players' DPs in one stacked pass: A replies to B's history
                 play_a, play_b = best_replies(np.stack((state.hist_b, state.hist_a)))
             _record(state, "a", play_a, r)
@@ -314,10 +318,10 @@ def _trace_row(state: FPState, kern: KernelSet, p: int, q2: int, dtype: np.dtype
     overflow_mass = sum(ha[top + 1 :])
     tv = Fraction(deviation, 2 * rk * (top + 1)) + Fraction(overflow_mass, 2 * rk)
 
-    values_b = _belief_values(state.hist_b[None], p, q2, dtype)  # a stack of one
-    [(total, _)] = kern.lex(values_b, n, k)
+    values_b = _belief_values(state.hist_b, p, q2, dtype)
+    total, _ = kern.lex(values_b, n, k)
     br_value = Fraction(int(total), q2 * rk)
-    pay = Fraction(sum(a * v for a, v in zip(ha, values_b[0].tolist())), q2 * rk * rk)
+    pay = Fraction(sum(a * v for a, v in zip(ha, values_b.tolist())), q2 * rk * rk)
     return TraceRow(round_index=r, tv_to_uniform=tv, br_gap=br_value - pay)
 
 

@@ -166,18 +166,15 @@ def br_sampled_python(
     return suffix[fields - 1][budget], tuple(bids)
 
 
-def row_by_row(kernel):
-    """``kernel`` on one row, or on each row of a stack with its own uniforms, as the FP kernels take them."""
+def one_row(kernel):
+    """``kernel`` on the value row an FP kernel call hands: a plain row or a row of a stack."""
 
-    def run(values, budget, fields, *uniforms):
-        if np.ndim(values) == 1:
-            return kernel(values, budget, fields, *uniforms)
-        per_row = zip(*uniforms) if uniforms else ((),) * len(values)
-        return [kernel(row, budget, fields, *u) for row, u in zip(values, per_row)]
+    def run(values, *args):
+        return kernel(np.asarray(values), *args)
 
     return run
 
 
 # The FP kernels' interface on the oracles, for fp_run to run them in place of
 # the numpy kernels.
-oracle_kernels = KernelSet("python", row_by_row(br_lex_python), row_by_row(br_sampled_python))
+oracle_kernels = KernelSet("python", one_row(br_lex_python), one_row(br_sampled_python))

@@ -16,6 +16,7 @@ from conftest import examples
 from blotto_lab.kernels import (
     best_split,
     best_split_numpy,
+    FPStack,
     br_lex_numpy,
     br_sampled_numpy,
     flat_width,
@@ -665,6 +666,33 @@ def count_dp_draw(row, n, k, uniforms):
         return br_sampled_numpy(row, n, k, uniforms)
 
 
+def stack_replies(kernel, stack, n, k, uniforms=None):
+    """``kernel``'s reply to each row of one :class:`FPStack`, whose stages fill once for them all.
+
+    ``uniforms`` holds one list per row for the sampler.
+    """
+    fill, heights = kernels._fp_stages, []
+
+    def spy(v, *args):
+        heights.append(len(v))
+        return fill(v, *args)
+
+    with mock.patch.object(kernels, "_fp_stages", spy):
+        rows = FPStack(stack, n, k).rows()
+        if uniforms is None:
+            got = [kernel(row, n, k) for row in rows]
+        else:
+            got = [kernel(row, n, k, u) for row, u in zip(rows, uniforms)]
+    assert heights == [len(stack)]
+    return got
+
+
+def count_dp_stack(stack, n, k, uniforms):
+    """:func:`count_dp_draw` on each row of one :class:`FPStack`."""
+    with mock.patch.object(kernels, "_optimal_partitions", lambda *args: None):
+        return stack_replies(br_sampled_numpy, stack, n, k, uniforms)
+
+
 @pytest.mark.parametrize(
     "row, counted", [(r, False) for r in SKIP_ROWS] + [(r, True) for r in COUNT_ROWS]
 )
@@ -830,7 +858,7 @@ def test_partition_certificate_on_gapped_and_wide_rows(row, k):
     n = len(row) - 1
     firsts = optimal_first_bids(row, n, k)
     assert set(range(n + 1)) - firsts
-    *_, stages, _, cand = kernels._fp_stages(row, n, k)  # a stack of one
+    (*_, stages, _, cand), _ = kernels._filled(row, n, k)  # a stack of one
     listed = kernels._optimal_partitions(stages[:, 0], cand[0], cand.max(), 1 << 80)
     assert sorted(listed) == sorted(optimal_partitions(row, n, k))
     assert all(x in firsts for parts in listed for x in parts)
@@ -1027,8 +1055,7 @@ def test_stacked_lex_replies_row_by_row(data, block):
     k = data.draw(st.integers(1, 6))
     rows, stack = data.draw(row_stacks(n))
     with mock.patch.object(kernels, "ROW_BLOCK", block):
-        got = br_lex_numpy(stack, n, k)
-        assert isinstance(got, list) and len(got) == len(rows)
+        got = stack_replies(br_lex_numpy, stack, n, k)
         for row, values, reply in zip(rows, stack, got):
             assert reply == br_lex_numpy(values, n, k) == br_lex_python(row, n, k)
 
@@ -1044,26 +1071,10 @@ def test_stacked_sampler_draws_row_by_row(data, block):
     rows, stack = data.draw(row_stacks(n))
     uniforms = np.array([data.draw(uniform_lists(k)) for _ in rows]).reshape(len(rows), k - 1)
     with mock.patch.object(kernels, "ROW_BLOCK", block):
-        got = br_sampled_numpy(stack, n, k, uniforms)
-        assert isinstance(got, list) and len(got) == len(rows)
-        assert count_dp_draw(stack, n, k, uniforms) == got
+        got = stack_replies(br_sampled_numpy, stack, n, k, uniforms)
+        assert count_dp_stack(stack, n, k, uniforms) == got
         for row, values, u, reply in zip(rows, stack, uniforms, got):
             assert reply == br_sampled_numpy(values, n, k, u) == br_sampled_python(row, n, k, u)
-
-
-@pytest.mark.parametrize("block", [1, 3, 64])
-@pytest.mark.parametrize("n", [1, 7, 120, 600])
-def test_search_budget_prices_a_one_row_plan(n, block, monkeypatch):
-    # the search's budget comes from the count DP's price over the plan one
-    # row of its own width gets, counted without building it: a row prices
-    # alike alone and in a stack, so the count DP's share does not move
-    monkeypatch.setattr(kernels, "ROW_BLOCK", block)
-    for w in sorted({0, 1, n // 3, n // 2, n}):
-        row = np.arange(n + 1, dtype=np.int64)
-        ws = kernels._workspace(n, row.dtype, block)
-        plan = kernels._block_plan(row[: w + 1], ws.window, 0, n, 0, ws.scratch[: ws.block_cells])
-        cells = sum(sums.size for *_, sums in plan)
-        assert kernels._plan_size(w, n, ws.block_cells) == (len(plan), cells)
 
 
 # Stacks whose widest row has a width W below the budget, stacked with
@@ -1095,34 +1106,67 @@ def test_stacked_count_dp_counts_each_row_as_alone(rows, k, dtype, block, count_
         u = np.array([uniforms] * len(rows))
         want = [br_sampled_python(row, n, k, uniforms) for row in rows]
         count_dp_calls.clear()
-        assert count_dp_draw(stack, n, k, u) == want
+        assert count_dp_stack(stack, n, k, u) == want
         assert len(count_dp_calls) == len(rows)  # one count DP per row
-        assert br_sampled_numpy(stack, n, k, u) == want
+        assert stack_replies(br_sampled_numpy, stack, n, k, u) == want
         assert [br_sampled_numpy(row, n, k, uniforms) for row in stack] == want
 
 
 def test_a_stack_reuses_the_workspace():
-    # a run switches between stacks of two rows (replies) and of one (trace
-    # rows, self-play): the workspace stays, and so do its stages and its
-    # scratch once grown; best_split_numpy reads its one pad as before
+    # a run switches between stacks of two rows (replies), of one (self-play)
+    # and plain rows (trace rows): the workspace stays, and so do its stages
+    # and its scratch once grown; best_split_numpy reads its one pad as before
     n, k = 20, 4
     kernels._workspace.cache_clear()
     one, two = np.array(COUNT_ROWS[1]), np.array([COUNT_ROWS[1], list(range(n + 1))])
     br_lex_numpy(one, n, k)
     ws = kernels._workspace(n, one.dtype, kernels.ROW_BLOCK)
-    br_lex_numpy(two, n, k)
+    stack_replies(br_lex_numpy, two, n, k)
     grown = (ws.padded, ws.scratch)
     assert ws.padded.shape[:2] == (k - 1, 2)
     tables = np.array([list(range(n + 1))] * k)
+    want = [br_lex_python(row.tolist(), n, k) for row in two]
     for _ in range(3):
-        for values in (one, two):
-            assert br_lex_numpy(values, n, k) == (
-                br_lex_python(COUNT_ROWS[1], n, k) if values.ndim == 1
-                else [br_lex_python(row.tolist(), n, k) for row in values])
-            assert best_split_numpy(tables, n) == best_split_python(tables.tolist(), n)
+        assert br_lex_numpy(one, n, k) == want[0]
+        assert stack_replies(br_lex_numpy, one[None], n, k) == want[:1]
+        assert stack_replies(br_lex_numpy, two, n, k) == want
+        assert best_split_numpy(tables, n) == best_split_python(tables.tolist(), n)
     assert kernels._workspace(n, one.dtype, kernels.ROW_BLOCK) is ws
     assert ws.padded is grown[0] and ws.scratch is grown[1]
     assert len(ws.pad) == 2 * n + 1 and ws.window.shape == (n + 1, n + 1)
+
+
+@pytest.mark.parametrize("between", ["row", "stack", "type"])
+def test_a_stack_fills_again_after_another_fill(between):
+    # the stages of a stack live in the shared workspace: a reply asked of
+    # it after another fill there (a plain row or another stack) fills it
+    # again, and only then; a row of another type takes another workspace
+    # and leaves the stack's stages as they were
+    n, k = 20, 4
+    rows = [COUNT_ROWS[1], list(range(n + 1))]
+    want = [br_lex_python(row, n, k) for row in rows]
+    other = {
+        "row": lambda: br_lex_numpy(np.array(rows[1]), n, k),
+        "stack": lambda: br_lex_numpy(FPStack(np.array(rows[::-1]), n, k).rows()[0], n, k),
+        "type": lambda: br_lex_numpy(np.array(rows[1], dtype=np.int32), n, k),
+    }[between]
+    fill, heights = kernels._fp_stages, []
+
+    def spy(v, *args):
+        heights.append(len(v))
+        return fill(v, *args)
+
+    with mock.patch.object(kernels, "_fp_stages", spy):
+        first, second = FPStack(np.array(rows), n, k).rows()
+        assert br_lex_numpy(first, n, k) == want[0]
+        assert other() == want[1] == br_lex_numpy(second, n, k)
+        assert br_lex_numpy(first, n, k) == want[0]
+    assert heights == {"row": [2, 1, 2], "stack": [2, 2, 2], "type": [2, 1]}[between]
+    assert np.asarray(second).tolist() == rows[1] and len(second) == n + 1
+    with pytest.raises(ValueError):
+        br_lex_numpy(first, n + 1, k)
+    with pytest.raises(ValueError):
+        br_sampled_numpy(first, n, k + 1, [0.5] * k)
 
 
 @settings(max_examples=examples(100), deadline=None)
@@ -1185,8 +1229,11 @@ def test_fp_stages_fill_in_several_chunks(data, block, big):
         assert br_lex_numpy(values, n, k) == br_lex_python(row, n, k)
         assert br_sampled_numpy(values, n, k, uniforms) == want
         assert count_dp_draw(values, n, k, uniforms) == want
-    [(box, cells)] = ran  # the sampler and its count DP reuse the lex call's plan
+    # the sampler and its count DP reuse the lex call's plan; the search's
+    # budget is priced once on the plan one row of this width takes alone
+    (box, cells), priced = ran
     assert box == (0, n, 0, n) and len(chunks(box, cells)) > 1
+    assert priced == (box, cells)
 
 
 def test_dps_peak_in_block_memory(count_dp_calls):

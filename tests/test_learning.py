@@ -34,9 +34,10 @@ DESK = GameSpec(12, 4, Fraction(0))
 
 
 def kernel_spy(picked, calls):
-    """A ``get_kernels`` that records each name asked for, and each kernel call as ``(kind, rows, dtype)``.
+    """A ``get_kernels`` that records each name asked for, and each kernel call as ``(kind, rows, index, dtype)``.
 
-    ``rows`` is the height of the stack of value rows a call hands in.
+    Each call hands one value row: a plain row (``rows`` 1, ``index`` 0) or
+    row ``index`` of a stack of ``rows`` (:class:`kernels.FPStack`).
     """
 
     def get_kernels(name):
@@ -45,8 +46,13 @@ def kernel_spy(picked, calls):
 
         def spied(kind, kernel):
             def call(values, *args):
-                assert values.ndim == 2
-                calls.append((kind, len(values), values.dtype))
+                if isinstance(values, kernels.FPRow):
+                    rows, index = len(values.stack.values), values.index
+                else:
+                    rows, index = 1, 0
+                row = np.asarray(values)
+                assert row.ndim == 1
+                calls.append((kind, rows, index, row.dtype))
                 return kernel(values, *args)
 
             return call
@@ -56,19 +62,37 @@ def kernel_spy(picked, calls):
     return get_kernels
 
 
-def stretch_calls(rounds, trace_every, reply, dtype_of):
-    """The kernel calls of a two-sided run: one stack of both sides per reply round, one row per trace row.
+def fill_spy(monkeypatch):
+    """The height of each stack whose FP stages fill (``kernels._fp_stages``), in order."""
+    heights = []
+    fill = kernels._fp_stages
 
-    ``dtype_of(r)`` is the type of a row over ``r`` rounds; the reply of
-    round ``r`` reads ``r - 1`` rounds and a trace row after it ``r``.
+    def spy(v, *args):
+        heights.append(len(v))
+        return fill(v, *args)
+
+    monkeypatch.setattr(kernels, "_fp_stages", spy)
+    return heights
+
+
+def stretch_calls(rounds, trace_every, reply, dtype_of):
+    """The kernel calls of a two-sided run and the stacks they fill.
+
+    Per reply round, A's and B's reply as rows 0 and 1 of one stack, which
+    fills once; per trace row one plain row, filled alone.  ``dtype_of(r)``
+    is the type of a row over ``r`` rounds; the reply of round ``r`` reads
+    ``r - 1`` rounds and a trace row after it ``r``.  Returns ``(calls,
+    heights)`` as :func:`kernel_spy` and :func:`fill_spy` record them.
     """
-    want = []
+    calls, heights = [], []
     for r in range(1, rounds + 1):
         if r > 1:
-            want.append((reply, 2, dtype_of(r - 1)))
+            calls += [(reply, 2, i, dtype_of(r - 1)) for i in (0, 1)]
+            heights.append(2)
         if trace_every is not None and (r == 1 or r % trace_every == 0 or r == rounds):
-            want.append(("lex", 1, dtype_of(r)))
-    return want
+            calls.append(("lex", 1, 0, dtype_of(r)))
+            heights.append(1)
+    return calls, heights
 
 
 def state_fingerprint(state):
@@ -200,13 +224,15 @@ class TestDeterminismAndModes:
             with monkeypatch.context() as m:
                 m.setattr(learning, "_INT64_SAFE", 0)
                 m.setattr(learning, "get_kernels", kernel_spy(picked, calls))
+                heights = fill_spy(m)
                 exact = fp_run(DESK, 90, **run)
                 m.setattr(learning, "get_kernels", lambda name: oracle_kernels)
                 reference = fp_run(DESK, 90, **run)
             assert picked == ["python"]
-            # one stacked call per two-sided round, one row per trace row
+            # per two-sided round one call per row of one stack, which fills
+            # once; one plain row per trace row
             reply = "lex" if tie_break == "lex" else "sampled"
-            assert calls == stretch_calls(90, 7, reply, lambda r: np.dtype(object))
+            assert (calls, heights) == stretch_calls(90, 7, reply, lambda r: np.dtype(object))
             assert state_fingerprint(exact) == state_fingerprint(fast) == state_fingerprint(reference)
             assert exact.trace == fast.trace == reference.trace and len(exact.trace) == 14
 
@@ -231,6 +257,7 @@ class TestDeterminismAndModes:
 
         picked, calls = [], []
         monkeypatch.setattr(learning, "get_kernels", kernel_spy(picked, calls))
+        heights = fill_spy(monkeypatch)
         path = tmp_path / "run.fp"
         with pytest.raises(Stop):
             fp_run(GameSpec(120, 6, Fraction("0.123456789012")), 30164, seed=3,
@@ -238,7 +265,7 @@ class TestDeterminismAndModes:
                    progress=stop_at_100)
         assert picked == ["numpy"]
         reply = "lex" if tie_break == "lex" else "sampled"
-        assert calls == stretch_calls(100, None, reply, lambda r: np.dtype(np.int64))
+        assert (calls, heights) == stretch_calls(100, None, reply, lambda r: np.dtype(np.int64))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -253,13 +280,14 @@ class TestDeterminismAndModes:
         # int64, the rest on Python ints, with the bytes of an all-Python run
         picked, calls = [], []
         monkeypatch.setattr(learning, "get_kernels", kernel_spy(picked, calls))
+        heights = fill_spy(monkeypatch)
         spec = GameSpec(12, 4, Fraction(1, 10**15))
         run = dict(seed=3, tie_break=tie_break, trace_every=1)
         path = tmp_path / "run.fp"
         state = fp_run(spec, 40, checkpoint_path=str(path), **run)
         assert picked == ["numpy", "python"]
         reply = "lex" if tie_break == "lex" else "sampled"
-        assert calls == stretch_calls(
+        assert (calls, heights) == stretch_calls(
             40, 1, reply, lambda r: np.dtype(np.int64 if r <= 18 else object))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         monkeypatch.setattr(learning, "get_kernels", lambda name: oracle_kernels)
@@ -280,14 +308,15 @@ class TestDeterminismAndModes:
         assert last_int32 == 8
         picked, calls = [], []
         monkeypatch.setattr(learning, "get_kernels", kernel_spy(picked, calls))
+        heights = fill_spy(monkeypatch)
         run = dict(seed=3, tie_break=tie_break, trace_every=1)
         whole = tmp_path / "whole.fp"
         state = fp_run(spec, 30, checkpoint_path=str(whole), **run)
         assert picked == ["numpy"]
-        # round r: one stack of both replies over r - 1 rounds (r >= 2), then
-        # a trace row over r
+        # round r: both replies over r - 1 rounds (r >= 2) from one stack,
+        # then a trace row over r
         reply = "lex" if tie_break == "lex" else "sampled"
-        assert calls == stretch_calls(
+        assert (calls, heights) == stretch_calls(
             30, 1, reply, lambda r: np.dtype(np.int32 if r <= last_int32 else np.int64))
         for cut in (last_int32, last_int32 + 1, last_int32 + 2):
             path = tmp_path / f"cut{cut}.fp"
@@ -313,8 +342,9 @@ class TestDeterminismAndModes:
     def test_a_two_sided_random_run_crosses_every_type(
         self, tmp_path, alpha, int64_safe, int64_from, object_from, monkeypatch
     ):
-        # one stacked sampler call per round in the type of its stretch,
-        # with the checkpoint bytes and trace of the same run on the oracles
+        # one stack of both sampler calls per round in the type of its
+        # stretch, with the checkpoint bytes and trace of the same run on the
+        # oracles
         spec = GameSpec(12, 3, alpha)
         p, q2 = spec.tie_scale
         assert 9 * (q2 + p) in (18_000_000_000_000_135, 18_000_009)
@@ -322,6 +352,7 @@ class TestDeterminismAndModes:
             monkeypatch.setattr(learning, "_INT64_SAFE", int64_safe)
         picked, calls = [], []
         monkeypatch.setattr(learning, "get_kernels", kernel_spy(picked, calls))
+        heights = fill_spy(monkeypatch)
         run = dict(seed=7, tie_break="random", trace_every=1)
         fast, slow = tmp_path / "fast.fp", tmp_path / "oracle.fp"
         state = fp_run(spec, 40, checkpoint_path=str(fast), **run)
@@ -330,7 +361,7 @@ class TestDeterminismAndModes:
         def dtype_of(r):
             return np.dtype(np.int32 if r < int64_from else np.int64 if r < object_from else object)
 
-        assert calls == stretch_calls(40, 1, "sampled", dtype_of)
+        assert (calls, heights) == stretch_calls(40, 1, "sampled", dtype_of)
         monkeypatch.setattr(learning, "get_kernels", lambda name: oracle_kernels)
         reference = fp_run(spec, 40, checkpoint_path=str(slow), **run)
         assert fast.read_bytes() == slow.read_bytes()
@@ -354,18 +385,20 @@ class TestDeterminismAndModes:
             assert one.bit_generator.state == two.bit_generator.state
 
     @pytest.mark.parametrize("tie_break", learning.TIE_BREAKS)
-    def test_self_play_hands_stacks_of_one(self, tie_break, monkeypatch):
-        # one history: a self-play round asks for one reply, a stack of one
-        # row, and so does each trace row
+    def test_self_play_hands_one_row(self, tie_break, monkeypatch):
+        # one history: a self-play round asks for one reply of a plain row,
+        # as each trace row does, and each fills as a stack of one
         picked, calls = [], []
         monkeypatch.setattr(learning, "get_kernels", kernel_spy(picked, calls))
+        heights = fill_spy(monkeypatch)
         state = fp_run(DESK, 20, mode="self-play", seed=4, tie_break=tie_break, trace_every=5)
         reply = "lex" if tie_break == "lex" else "sampled"
         want = []
         for r in range(1, 21):
-            want += [(reply, 1, np.dtype(np.int32))] * (r > 1)
-            want += [("lex", 1, np.dtype(np.int32))] * (r == 1 or r % 5 == 0)
+            want += [(reply, 1, 0, np.dtype(np.int32))] * (r > 1)
+            want += [("lex", 1, 0, np.dtype(np.int32))] * (r == 1 or r % 5 == 0)
         assert picked == ["numpy"] and calls == want
+        assert heights == [1] * len(want)
         monkeypatch.setattr(learning, "get_kernels", lambda name: oracle_kernels)
         reference = fp_run(DESK, 20, mode="self-play", seed=4, tie_break=tie_break, trace_every=5)
         assert state_fingerprint(state) == state_fingerprint(reference)
