@@ -623,10 +623,11 @@ class FPStack:
 
 
 class FPRow:
-    """Row ``index`` of an :class:`FPStack`: one value row to the FP kernels and to numpy.
+    """Row ``index`` of an :class:`FPStack`: one value row to the FP kernels, numpy and ``len``.
 
     The kernels read the stages its stack filled for all its rows; numpy
-    (``np.asarray``) reads the row, in the stack's type.
+    (``np.asarray``) and ``len`` read the row, in the stack's type, as they
+    read a plain row (a tracer comparing the rows of successive calls, say).
     """
 
     __slots__ = ("stack", "index")

@@ -1,5 +1,6 @@
 """The budget DP: the Python-int oracles against brute force, numpy against the oracles."""
 
+import contextlib
 import gc
 import tracemalloc
 from itertools import accumulate, combinations_with_replacement, product
@@ -666,11 +667,9 @@ def count_dp_draw(row, n, k, uniforms):
         return br_sampled_numpy(row, n, k, uniforms)
 
 
-def stack_replies(kernel, stack, n, k, uniforms=None):
-    """``kernel``'s reply to each row of one :class:`FPStack`, whose stages fill once for them all.
-
-    ``uniforms`` holds one list per row for the sampler.
-    """
+@contextlib.contextmanager
+def stack_fills():
+    """The height of each stack whose FP stages fill (``kernels._fp_stages``) inside the block."""
     fill, heights = kernels._fp_stages, []
 
     def spy(v, *args):
@@ -678,6 +677,15 @@ def stack_replies(kernel, stack, n, k, uniforms=None):
         return fill(v, *args)
 
     with mock.patch.object(kernels, "_fp_stages", spy):
+        yield heights
+
+
+def stack_replies(kernel, stack, n, k, uniforms=None):
+    """``kernel``'s reply to each row of one :class:`FPStack`, whose stages fill once for them all.
+
+    ``uniforms`` holds one list per row for the sampler.
+    """
+    with stack_fills() as heights:
         rows = FPStack(stack, n, k).rows()
         if uniforms is None:
             got = [kernel(row, n, k) for row in rows]
@@ -1150,13 +1158,7 @@ def test_a_stack_fills_again_after_another_fill(between):
         "stack": lambda: br_lex_numpy(FPStack(np.array(rows[::-1]), n, k).rows()[0], n, k),
         "type": lambda: br_lex_numpy(np.array(rows[1], dtype=np.int32), n, k),
     }[between]
-    fill, heights = kernels._fp_stages, []
-
-    def spy(v, *args):
-        heights.append(len(v))
-        return fill(v, *args)
-
-    with mock.patch.object(kernels, "_fp_stages", spy):
+    with stack_fills() as heights:
         first, second = FPStack(np.array(rows), n, k).rows()
         assert br_lex_numpy(first, n, k) == want[0]
         assert other() == want[1] == br_lex_numpy(second, n, k)
