@@ -52,13 +52,14 @@ row's optimal partitions: a depth-first search over partitions, largest part
 first, that tests only the optimal first bids (every part of an optimal
 partition is one, by field symmetry), priced per state, candidate and part
 listed under the same cost model (next to :data:`ROW_BLOCK`).  While the list
-costs less than a quarter of the price of a count DP over a one-row plan of
-the row's own width, whatever stack it came in, it draws over the
+costs less than a quarter of the price of the count DP, it draws over the
 orderings of the listed partitions in closed form, in Python ints; past that
 the count DP counts the optimal completions of every state over the stages
-already built, and only those counts are bound to ``2**63`` in int64.  Both
-give the same integers branch by branch, so a draw never depends on which
-ran.
+already built, and only those counts are bound to ``2**63`` in int64.  The
+count DP runs the plan it is priced on: one row's block plan over the bids up
+to the row's own width, in the one-row scratch, whatever stack the row came
+in.  Both give the same integers branch by branch, so a draw never depends
+on which ran.
 
 Every DP marks unreachable states with one sentinel (:func:`_sentinel`), a
 value below every reachable sum by more than the largest entry, so a sum
@@ -72,12 +73,11 @@ tie values in [0, 2] a belief row is flat above the largest bid seen.  A bid
 above ``w`` scores no more than ``w`` and leaves less budget, and every
 max-plus stage of such rows is non-decreasing too, so a stage maximum needs
 only the bids ``x <= w``; the sampler adds the completions through bids above
-``w`` (or above the last bid of the row's chunks in a stack) that tie, in
-closed form, at the stages where any can tie (a flat step in the previous
-stage below ``n - w``).  :func:`best_split_numpy` also fills each stage only
-over the budgets its walk forward can reach, and the flat value above them.
-Any row that decreases somewhere keeps its full width and full range.  The FP
-walks back stay full width.
+``w`` that tie, in closed form, at the stages where any can tie (a flat step
+in the previous stage below ``n - w``).  :func:`best_split_numpy` also fills
+each stage only over the budgets its walk forward can reach, and the flat
+value above them.  Any row that decreases somewhere keeps its full width and
+full range.  The FP walks back stay full width.
 
 :func:`best_split_numpy` picks each stage's fill from the shape of the rows,
 by the cheapest under one cost model (next to :data:`ROW_BLOCK`, priced per
@@ -460,22 +460,24 @@ class _Workspace:
     keep their stages padded, ``padded[c, i]`` for stage ``c`` of row ``i``
     of a stack, so a stage's windows read it where it was filled.  In a
     fixed-width type every pad holds the type's sentinel for good; on
-    ``object`` each call writes its own.  The sampler's count DP keeps the
-    counts of one row padded with zeros in ``counts``, read the same way:
-    ``count_dtype``, int64 in every fixed-width type and ``object`` on
-    ``object``.
+    ``object`` each call writes its own.  The sampler's count DP keeps one
+    row's counts per stage in ``counts`` and copies each into
+    ``count_pad[n:]``, padded with zeros, whose windows it reads as it reads
+    ``window``: ``count_dtype``, int64 in every fixed-width type and
+    ``object`` on ``object``.
 
-    A block fill adds into ``scratch`` and the count DP compares into
-    ``mask``: ``block_cells = min(block, n + 1) * (n + 1)`` cells for
-    :func:`best_split_numpy` and one FP row, and :meth:`cells` for a stack.
-    ``plans`` keeps the FP block plans of up to two widths and stack
-    heights: a run alternates replies and trace rows.  ``fills`` counts the
-    FP fills, each of which overwrites the stages of the one before
-    (:class:`FPStack`), and ``search_budgets`` keeps the sampler's search
-    budget per row width and field count (:func:`_search_budget`).  The
-    first FP call builds ``padded`` and ``counts`` (:meth:`fit`), and a
-    deeper or taller stack grows them and the scratch in place: the
-    workspace stays, and so does every buffer a smaller stack reads.
+    A block fill adds into ``scratch``: ``block_cells = min(block, n + 1) *
+    (n + 1)`` cells for :func:`best_split_numpy` and one row, and
+    :meth:`cells` for a stack.  The count DP runs one row's plan and
+    compares into ``mask``, ``block_cells`` cells.  ``plans`` keeps the FP
+    block plans of up to two widths and stack heights: a run alternates
+    replies and trace rows.  ``fills`` counts the FP fills, each of which
+    overwrites the stages of the one before (:class:`FPStack`), and
+    ``count_plans`` keeps the sampler's search budget and count-DP plan per
+    row width and field count (:func:`_count_plan`).  The first FP call
+    builds ``padded`` and ``counts`` (:meth:`fit`), and a deeper or taller
+    stack grows them and the scratch in place: the workspace stays, and so
+    does every buffer a smaller stack reads.
     """
 
     def __init__(self, n: int, dtype: np.dtype, block: int) -> None:
@@ -483,10 +485,11 @@ class _Workspace:
         self.count_dtype = np.dtype(object if dtype == object else np.int64)
         self.pad = self._padded()
         self.window = _windows(self.pad, n)
+        self.count_pad = np.zeros(2 * n + 1, self.count_dtype)
         self.block_cells = cells = min(block, n + 1) * (n + 1)
         self.scratch, self.mask = np.empty(cells, dtype), np.empty(cells, dtype=bool)
         self.padded = self.counts = None  # built by the first FP call
-        self.plans, self.fills, self.search_budgets = {}, 0, {}
+        self.plans, self.fills, self.count_plans = {}, 0, {}
 
     def _padded(self, *shape: int) -> np.ndarray:
         """Padded rows of ``shape``, the pads at the sentinel in a fixed-width type."""
@@ -509,15 +512,15 @@ class _Workspace:
                    rows * (self.n + 1))
 
     def fit(self, depth: int, rows: int) -> None:
-        """Grow the stages and counts to ``depth`` stages of ``rows`` rows, and the scratch to the stack."""
+        """Grow the stages to ``depth`` stages of ``rows`` rows, the counts to ``depth``, and the scratch to the stack."""
         cells = self.cells(rows)
         if len(self.scratch) < cells:
-            self.scratch, self.mask = np.empty(cells, self.dtype), np.empty(cells, dtype=bool)
-            self.plans = {}
+            self.scratch = np.empty(cells, self.dtype)
+            self.plans, self.count_plans = {}, {}
         have_depth, have_rows, _ = (0, 0, 0) if self.padded is None else self.padded.shape
         if have_depth < depth or have_rows < rows:
             self.padded = self._padded(max(have_depth, depth), max(have_rows, rows))
-            self.counts = np.zeros((len(self.padded), 2 * self.n + 1), dtype=self.count_dtype)
+            self.counts = np.zeros((len(self.padded), self.n + 1), dtype=self.count_dtype)
             self.plans = {}
 
 
@@ -528,7 +531,7 @@ _workspace = lru_cache(maxsize=1)(_Workspace)
 
 
 def _fp_stages(v: np.ndarray, budget: int, fields: int):
-    """``(v, ws, w, stages, planned, cand)``: the start of both FP kernels, for a stack of rows.
+    """``(v, ws, w, stages, cand)``: the start of both FP kernels, for a stack of rows.
 
     ``v`` is a stack of ``m`` value rows ``(m, budget + 1)`` in the type the
     kernels run in (:class:`FPStack`); an ``object`` stack's sentinel, which
@@ -536,8 +539,7 @@ def _fp_stages(v: np.ndarray, budget: int, fields: int):
     its workspace, ``w`` the width of each row, ``stages`` the stages ``0 ..
     fields - 2`` of every row the walks back read, ``(fields - 1, m, budget
     + 1)`` (``stages[c, i, r]``: the best value of ``c + 1`` fields of row
-    ``i`` spending ``r``), the cached plans that filled them
-    (:class:`_FPPlan`), and the first field's candidates:
+    ``i`` spending ``r``), and the first field's candidates:
     ``cand[i, x] = v[i, x] + stages[fields - 2, i, budget - x]``, the best
     value of the full budget with a first bid ``x`` (``None`` with one
     field, whose one bid is the budget).
@@ -581,7 +583,7 @@ def _fp_stages(v: np.ndarray, budget: int, fields: int):
             _block_max([(off, head[i], win[i], sums[i]) for off, head, win, sums in plan[shared:end]],
                        stage[i])
     cand = v + planned.last if fields > 1 else None
-    return v, ws, w, stages, planned, cand
+    return v, ws, w, stages, cand
 
 
 class FPStack:
@@ -672,11 +674,11 @@ class _FPPlan:
     fills it from the stage before, and ``last`` is the last stage with its
     budgets reversed.  One plan over the bids ``0..top`` and the windows of
     every stage but the last, then one view of it per stage.  Built with the
-    workspace grown to fit; the count DP's chunks of a row are built by its
-    first count DP (:meth:`count_chunks`).
+    workspace grown to fit.  It only fills: the count DP runs a plan of its
+    own row (:func:`_count_plan`).
     """
 
-    __slots__ = ("stages", "fills", "last", "bounds", "counting")
+    __slots__ = ("stages", "fills", "last", "bounds")
 
     def __init__(self, ws: _Workspace, top: int, rows: int, depth: int) -> None:
         n = ws.n
@@ -693,7 +695,6 @@ class _FPPlan:
             firsts = [off for off, *_ in plan]
         self.bounds = firsts + [top + 1]  # the chunks' first bids, then the end
         self.last = stages[-1, :, ::-1]
-        self.counting = {}
 
     def reach(self, w: int) -> int:
         """How many chunks a row of width ``w`` needs: those from a bid ``x <= w``.
@@ -703,28 +704,6 @@ class _FPPlan:
         """
         return bisect_right(self.bounds, w)
 
-    def count_chunks(self, ws: _Workspace, i: int, w: int):
-        """``(chunks, last)``: row ``i``'s chunks for its count DP, up to its width ``w``.
-
-        ``chunks[c - 1]`` holds the chunks of stage ``c``'s plan from a bid
-        ``x <= w`` (:meth:`reach`) for row ``i`` alone, each with a mask and
-        the windows of ``ws.counts[c - 1]``, the count DP's
-        (:func:`_completion_counts`); ``last >= w`` is their last bid.  Cached
-        per row and chunk count.
-        """
-        end = self.reach(w)
-        counting = self.counting.get((i, end))
-        if counting is None:
-            count_windows = _windows(ws.counts, ws.n)
-            chunks = [
-                [(off, head[i], win[i], sums[i], ws.mask[: sums[i].size].reshape(sums[i].shape),
-                  count_windows[c, off : off + head.shape[1], off:])
-                 for off, head, win, sums in plan[:end]]
-                for c, (plan, _) in enumerate(self.fills)
-            ]
-            counting = self.counting[i, end] = chunks, self.bounds[end] - 1
-        return counting
-
 
 def br_lex_numpy(values, budget: int, fields: int) -> BestReply:
     """:func:`best_split` on ``fields`` copies of one value row.
@@ -733,7 +712,7 @@ def br_lex_numpy(values, budget: int, fields: int) -> BestReply:
     fill with its other rows' in one pass (:func:`_fp_stages`).  The optimum
     is the first field's best candidate; the row walks back on its own.
     """
-    (v, _, _, stages, _, cand), i = _filled(values, budget, fields)
+    (v, _, _, stages, cand), i = _filled(values, budget, fields)
     row = v[i]
     if cand is None:
         return int(row[budget]), (budget,)
@@ -765,9 +744,10 @@ def br_sampled_numpy(values, budget: int, fields: int, uniforms) -> BestReply:
     their orderings in closed form, in Python ints
     (:func:`_multinomial_walk`): the same numbers, branch by branch, as the
     counts.  Once listing costs more than a quarter of the count DP's price
-    (:func:`_count_cost`) over a one-row plan of the row's own width, the
-    search gives up and the walk reads the counts of
-    :func:`_completion_counts` instead.
+    (:func:`_count_cost`), the search gives up and the walk reads the counts
+    of :func:`_completion_counts` instead, which runs the one-row plan of the
+    row's own width that price was taken on (:func:`_count_plan`), whatever
+    stack the row came in.
 
     The counts of stage ``c`` are at most the ``C(r + c, c)`` bid vectors of
     ``c + 1`` fields spending ``r``.  A prefix sum of them is at most
@@ -778,37 +758,47 @@ def br_sampled_numpy(values, budget: int, fields: int, uniforms) -> BestReply:
     stops being uniform; on an ``object`` row they are Python ints.
     """
     n = budget
-    (v, ws, w, stages, planned, cand), i = _filled(values, n, fields)
+    (v, ws, w, stages, cand), i = _filled(values, n, fields)
     if cand is None:
         return int(v[i, n]), (n,)
     top = int(np.maximum.reduce(cand[i]))
-    partitions = _optimal_partitions(stages[:, i], cand[i], top, _search_budget(ws, w[i], fields))
+    budget, chunks = _count_plan(ws, w[i], fields)
+    partitions = _optimal_partitions(stages[:, i], cand[i], top, budget)
     if partitions is None:
-        chunks, last = planned.count_chunks(ws, i, w[i])
-        bids = _count_walk(v[i], ws, last, stages[:, i], chunks, cand[i], top, uniforms)
+        bids = _count_walk(v[i], ws, w[i], stages[:, i], chunks, cand[i], top, uniforms)
     else:
         bids = _multinomial_walk(partitions, uniforms)
     return top, bids
 
 
-def _search_budget(ws: _Workspace, w: int, fields: int) -> int:
-    """The partition search's budget for a row of width ``w``: a quarter of its count DP's price.
+def _count_plan(ws: _Workspace, w: int, fields: int):
+    """``(budget, chunks)``: the count DP of a row of width ``w``, its plan and its price.
 
-    The price of the count DP over the plan :func:`_block_plan` builds for
-    one row of width ``w`` in ``ws``'s one-row scratch, whatever stack the
-    row came in; built once per width and field count, and kept in the
-    workspace (the prices are constants).  A tie set that outgrows it (408
+    ``chunks`` is the plan :func:`_block_plan` builds for one row over the
+    bids ``0..w`` in ``ws``'s one-row scratch, whatever stack the row came
+    in: per chunk its first bid, its end, the windows of ``ws.pad``, the
+    scratch, a mask of the same shape and the windows of ``ws.count_pad``
+    (:func:`_completion_counts`).  ``budget``, the partition search's, is a
+    quarter of the count DP's price over those chunks.  Built once per width
+    and field count, and kept in the workspace: a row's width changes only
+    when a new largest bid is played, so a run meets few (9 in 1,000 rounds
+    at 120/6, alpha 1/3).  A tie set that outgrows the budget (408
     partitions at round 2 of every 120/6 run) then costs little more than
     the count DP alone, while lists of a few partitions still fit.
     """
     key = w, fields
-    budget = ws.search_budgets.get(key)
-    if budget is None:
+    planned = ws.count_plans.get(key)
+    if planned is None:
         n = ws.n
         plan = _block_plan(ws.pad[n : n + w + 1], ws.window, 0, n, 0, ws.scratch[: ws.block_cells])
+        count_windows = _windows(ws.count_pad, n)
+        # a full-range plan from bid 0: a chunk's first bid is its offset
+        chunks = [(off, off + len(head), win, sums, ws.mask[: sums.size].reshape(sums.shape),
+                   count_windows[off : off + len(head), off:]) for off, head, win, sums in plan]
         cells = sum(sums.size for *_, sums in plan)
-        budget = ws.search_budgets[key] = _count_cost(len(plan), cells, fields, ws.dtype.itemsize) // 4
-    return budget
+        budget = _count_cost(len(plan), cells, fields, ws.dtype.itemsize) // 4
+        planned = ws.count_plans[key] = budget, chunks
+    return planned
 
 
 def _count_cost(chunks: int, cells: int, fields: int, itemsize: int) -> int:
@@ -957,32 +947,36 @@ def _multinomial_walk(
 def _completion_counts(v: np.ndarray, ws: _Workspace, w: int, stages: np.ndarray, chunks):
     """``counts[c][r]``: the optimal bid vectors of ``c + 1`` fields of one row spending ``r``.
 
-    ``v`` and ``stages`` are one row of a stack, ``chunks[c - 1]`` that
-    row's chunks of the stack's block plan for stage ``c``, over the bids
-    ``0..w`` (:meth:`_FPPlan.count_chunks`), which may reach above the
-    row's own width.
-    ``ws.count_dtype``: int64 on a fixed-width row, Python ints on
-    ``object``.  Runs the stages' block plan again: per chunk the add, a
-    comparison with the stage into the mask and one masked sum over the
-    windows of the previous counts, padded with zeros in ``ws.counts`` as
-    the stages are with the sentinel.  On real 120/6 chunks that sum takes
-    about 1.2 times a plain add in int64, and less than the counts times the
-    mask and a plain sum (1.6 times faster in int64, 12 times on
-    ``object``).  The closed-form count of ties through bids above ``w``
-    runs only when the previous stage has a flat step ``prev[t - 1] ==
-    prev[t]`` for some ``t`` in ``1 .. n - w``: without one, every run of
-    equal entries it would sum is empty.  The counts stay in ``ws.counts``
-    until the next count DP.
+    ``v`` and ``stages`` are one row of a stack, of width ``w``, and
+    ``chunks`` its count plan over the bids ``0..w`` (:func:`_count_plan`).
+    The counts are ``ws.count_dtype``: int64 on a fixed-width row, Python
+    ints on ``object``.  Per stage it copies the previous stage into ``ws.pad[n:]``
+    and its counts into ``ws.count_pad[n:]``, as :func:`best_split_numpy`
+    copies its stages (on ``object`` the row's own sentinel goes into
+    ``ws.pad[:n]``), then runs the chunks: per chunk the add, a comparison
+    with the stage into the mask and one masked sum over the windows of the
+    previous counts, padded with zeros as the stages are with the sentinel.
+    On real 120/6 chunks that sum takes about 1.2 times a plain add in int64,
+    and less than the counts times the mask and a plain sum (1.6 times faster
+    in int64, 12 times on ``object``).  The closed-form count of ties
+    through bids above ``w`` runs only when the previous stage has a flat
+    step ``prev[t - 1] == prev[t]`` for some ``t`` in ``1 .. n - w``:
+    without one, every run of equal entries it would sum is empty.  The
+    counts stay in ``ws.counts`` until the next count DP.
     """
     n = len(v) - 1
-    counts = ws.counts[: len(stages), n:]
+    counts = ws.counts[: len(stages)]
     counts[0] = 1
     prefix = np.zeros(n + 2, dtype=counts.dtype)
+    if v.dtype == object:
+        ws.pad[:n] = _sentinel(v, len(stages) + 1)
     for c in range(1, len(stages)):
         prev, stage, count = stages[c - 1], stages[c], counts[c]
+        ws.pad[n:] = prev
+        ws.count_pad[n:] = counts[c - 1]
         # zero counts pad above the diagonal; on object a masked sum needs a start
-        for off, head, win, sums, mask, count_win in chunks[c - 1]:
-            np.add(head, win, out=sums)
+        for off, end, win, sums, mask, count_win in chunks:
+            np.add(v[off:end, None], win, out=sums)
             np.equal(sums, stage[off:], out=mask)
             if off:  # a later chunk adds to the budgets from its first bid
                 count[off:] += np.add.reduce(count_win, axis=0, where=mask, initial=0)

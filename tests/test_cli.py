@@ -223,6 +223,10 @@ class TestClassify:
         )
         assert json.loads(out)["verdict"] == "never_good"
 
+    def test_unparsable_bid_vector_exits_2(self, capsys):
+        code, out, err = run(capsys, "classify", "--n", "6", "--k", "3", "--s", "1,x")
+        assert (code, out, err) == (2, "", "error: cannot parse bid vector '1,x'\n")
+
 
 class TestDominate:
     def test_constant_sum_example(self, capsys):
@@ -270,6 +274,19 @@ class TestScanAlpha:
         lines = out.strip().splitlines()
         assert lines[0].startswith("alpha,")
         assert len(lines) == 1 + 3 * 4  # header + 3 tie values x 4 profiles
+
+    def test_json_is_one_list(self, capsys):
+        argv = ["scan-alpha", "--n", "8", "--k", "4", "--alphas", "0,1,2"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and out.count("\n") == 1
+        records = json.loads(out)
+        _, table, _ = run(capsys, *argv, "--format", "csv")
+        lines = table.strip().splitlines()
+        assert isinstance(records, list) and len(records) == len(lines) - 1 == 12
+        assert all(list(record) == sorted(lines[0].split(",")) for record in records)
+        assert [(r["alpha"], r["profile_a"], r["profile_b"]) for r in records] == [
+            tuple(line.split(",")[:3]) for line in lines[1:]
+        ]
 
 
 class TestPsne:
@@ -324,6 +341,16 @@ class TestFp:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+    def test_progress_goes_to_stderr(self, capsys):
+        # one line per hundredth of the rounds, before the summary line;
+        # stdout as without it
+        argv = ["fp", "--n", "6", "--k", "3", "--rounds", "250"]
+        code, out, err = run(capsys, *argv, "--progress")
+        plain = run(capsys, *argv)
+        assert code == plain[0] == 0 and out == plain[1]
+        lines = [f"round {r}/250\n" for r in range(2, 251, 2)]
+        assert err == "".join(lines) + plain[2]
 
     def test_trace_and_checkpoint_files(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"

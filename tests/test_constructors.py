@@ -18,6 +18,9 @@ from blotto_lab import (
     parity_strategy,
     uniform_marginal_solver,
 )
+from blotto_lab.constructors import FAMILIES
+from blotto_lab.mixed import SwappedPairsWitness
+from blotto_lab.space import enumerate_allocations
 from oracles import brute_marginals
 
 FULL_GAME = GameSpec(120, 6, Fraction(0))
@@ -227,3 +230,28 @@ class TestSolver:
     def test_divisibility_required(self):
         with pytest.raises(PreconditionError):
             uniform_marginal_solver(GameSpec(7, 3))
+
+
+# a witness target outside the independent-pairs support of each game, so
+# two of its atoms are swapped out
+WITNESS_TARGETS = {(8, 4): (1, 2, 3, 2), (12, 4): (2, 1, 5, 4)}
+
+
+@pytest.mark.parametrize(
+    "family, n, k",
+    [(name, n, 4) for name in FAMILIES for n in (8, 12)] + [("solver", 6, 3)],
+)
+def test_probability_is_the_atoms_weight(family, n, k):
+    # every registered family: each atom's probability is its weight, the
+    # weights sum to 1, and every other bid vector scores 0
+    sp = GameSpec(n, k)
+    sigma = FAMILIES[family](sp, WITNESS_TARGETS.get((n, k)))
+    atoms = dict(sigma.atoms())
+    assert len(atoms) == sigma.support_size()
+    assert sum(atoms.values()) == 1
+    for bids in enumerate_allocations(sp):
+        assert sigma.probability(bids) == atoms.get(bids, 0)
+    if family == "witness":
+        assert isinstance(sigma, SwappedPairsWitness)
+        for removed in (sigma.removed_a, sigma.removed_b):
+            assert removed not in atoms and sigma.probability(removed) == 0

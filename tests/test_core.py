@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +63,34 @@ class TestGameSpec:
             sp.validate_allocation([7, -1, 0])
         with pytest.raises(InvalidAllocationError):
             spec(2, 2).validate_allocation([True, True])
+
+    @pytest.mark.parametrize(
+        "budget, fields", [(np.int64(120), 6), (120, np.int32(6)), (np.uint16(120), np.int8(6))]
+    )
+    def test_numpy_integer_sizes_make_the_int_spec(self, budget, fields):
+        # numpy integers pass the one integer rule, and are kept as Python
+        # ints: the spec equals and hashes like the int one
+        sp, plain = GameSpec(budget, fields, "1/3"), GameSpec(120, 6, "1/3")
+        assert sp == plain and hash(sp) == hash(plain)
+        assert type(sp.budget) is int and type(sp.battlefields) is int
+        assert {sp: 1}[plain] == 1
+
+    @pytest.mark.parametrize("budget, fields", [(120.0, 6), (120, 6.0), (np.float64(120), 6),
+                                                (np.bool_(True), 2), (6, np.int32(1))])
+    def test_sizes_that_are_not_integers_or_too_few_fields_are_refused(self, budget, fields):
+        with pytest.raises(PreconditionError):
+            GameSpec(budget, fields)
+
+    def test_numpy_integer_bids_validate_as_ints(self):
+        sp = spec(6, 3)
+        for bids in (np.array([1, 2, 3]), [np.int32(1), np.uint8(2), 3]):
+            got = sp.validate_allocation(bids)
+            assert got == (1, 2, 3) and all(type(b) is int for b in got)
+        for bad in ([True, 2, 3], [1.0, 2, 3], [np.float64(1), 2, 3], [np.bool_(True), 2, 3]):
+            with pytest.raises(InvalidAllocationError, match="nonnegative integers"):
+                sp.validate_allocation(bad)
+        with pytest.raises(InvalidAllocationError, match="nonnegative integers"):
+            sp.validate_allocation(np.array([7, -1, 0]))
 
 
 class TestBattlefieldValue:

@@ -866,7 +866,7 @@ def test_partition_certificate_on_gapped_and_wide_rows(row, k):
     n = len(row) - 1
     firsts = optimal_first_bids(row, n, k)
     assert set(range(n + 1)) - firsts
-    (*_, stages, _, cand), _ = kernels._filled(row, n, k)  # a stack of one
+    (*_, stages, cand), _ = kernels._filled(row, n, k)  # a stack of one
     listed = kernels._optimal_partitions(stages[:, 0], cand[0], cand.max(), 1 << 80)
     assert sorted(listed) == sorted(optimal_partitions(row, n, k))
     assert all(x in firsts for parts in listed for x in parts)
@@ -1087,10 +1087,11 @@ def test_stacked_sampler_draws_row_by_row(data, block):
 
 # Stacks whose widest row has a width W below the budget, stacked with
 # narrower rows whose optimal bid vectors need bids above their own widths
-# (COUNT_ROWS): the count DP sums each narrow row's ties over its bids up to
-# W, and counts those above W in closed form.  With ROW_BLOCK 1 the stack's
-# plan takes a chunk per bid or so, and a narrow row's count DP stops at the
-# chunk that holds its own width and counts the rest in closed form.
+# (COUNT_ROWS): the stack fills over the bids up to W, and each row's count
+# DP sums its ties over its bids up to its own width, on a plan of one row,
+# and counts those above in closed form, as it does alone.  With ROW_BLOCK 1
+# the stack's plan takes a chunk per bid or so, and a narrow row's fill stops
+# at the chunk that holds its own width.
 STACKED_COUNT_ROWS = [
     [COUNT_ROWS[0], list(range(6)) + [5] * 9],  # widths 2 and 5 at n = 14
     [COUNT_ROWS[1], value_row([0] * 9 + [3] + [0] * 11, 1, 2), COUNT_ROWS[1]],  # 3, 10, 3 at n = 20
@@ -1108,7 +1109,7 @@ def test_stacked_count_dp_counts_each_row_as_alone(rows, k, dtype, block, count_
     widths = [flat_width(np.array(row)) for row in rows]
     top = max(widths)
     assert min(widths) < top < n
-    assert _tie_count_stages(rows[0], n, k, w=top)  # the closed form above W runs
+    assert _tie_count_stages(rows[0], n, k, w=top)  # ties above W, so above its own width
     grid = np.linspace(0, 1, 4, endpoint=False)
     for uniforms in product(grid, repeat=k - 1):
         u = np.array([uniforms] * len(rows))
@@ -1118,6 +1119,51 @@ def test_stacked_count_dp_counts_each_row_as_alone(rows, k, dtype, block, count_
         assert len(count_dp_calls) == len(rows)  # one count DP per row
         assert stack_replies(br_sampled_numpy, stack, n, k, u) == want
         assert [br_sampled_numpy(row, n, k, uniforms) for row in stack] == want
+
+
+@pytest.mark.parametrize("rows", STACKED_COUNT_ROWS, ids=["n14", "n20"])
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("dtype", FP_TYPES)
+@pytest.mark.parametrize("block", [1, 64])
+def test_a_stacked_rows_count_dp_runs_the_plan_it_is_priced_on(rows, k, dtype, block, monkeypatch):
+    # each row of a two-row stack of unequal widths, the count DP forced: it
+    # runs exactly the chunks its search budget was priced on, one row's
+    # plan over the bids 0..w of its own width, whatever the other row's,
+    # and draws what the oracle draws
+    monkeypatch.setattr(kernels, "ROW_BLOCK", block)
+    rows = rows[:2]
+    n = len(rows[0]) - 1
+    widths = [flat_width(np.array(row)) for row in rows]
+    assert widths[0] < widths[1] < n
+    stack = np.array(rows, dtype=dtype)
+    priced, ran = [], []
+    cost, counts = kernels._count_cost, kernels._completion_counts
+
+    def price(chunks, cells, *args):
+        priced.append((chunks, cells))
+        return cost(chunks, cells, *args)
+
+    def run(v, ws, w, stages, chunks):
+        ran.append((w, [(off, end, sums.size) for off, end, _, sums, *_ in chunks]))
+        return counts(v, ws, w, stages, chunks)
+
+    monkeypatch.setattr(kernels, "_count_cost", price)
+    monkeypatch.setattr(kernels, "_completion_counts", run)
+    monkeypatch.setattr(kernels, "_optimal_partitions", lambda *args: None)
+    grid = np.linspace(0, 1, 3, endpoint=False)
+    for i, (row, w) in enumerate(zip(rows, widths)):
+        kernels._workspace.cache_clear()  # a fresh workspace prices the width
+        priced.clear()
+        ran.clear()
+        for uniforms in product(grid, repeat=k - 1):
+            got = br_sampled_numpy(FPStack(stack, n, k).rows()[i], n, k, uniforms)
+            assert got == br_sampled_python(row, n, k, uniforms)
+        [(chunk_count, cells)] = priced
+        assert {w_ran for w_ran, _ in ran} == {w}
+        [chunks] = {tuple(chunks) for _, chunks in ran}
+        assert len(chunks) == chunk_count and sum(size for *_, size in chunks) == cells
+        offs, ends = [off for off, *_ in chunks], [end for _, end, _ in chunks]
+        assert offs == [0] + ends[:-1] and ends[-1] == w + 1
 
 
 def test_a_stack_reuses_the_workspace():
@@ -1231,8 +1277,8 @@ def test_fp_stages_fill_in_several_chunks(data, block, big):
         assert br_lex_numpy(values, n, k) == br_lex_python(row, n, k)
         assert br_sampled_numpy(values, n, k, uniforms) == want
         assert count_dp_draw(values, n, k, uniforms) == want
-    # the sampler and its count DP reuse the lex call's plan; the search's
-    # budget is priced once on the plan one row of this width takes alone
+    # the sampler reuses the lex call's stages; its count DP runs the plan
+    # its search's budget is priced on, built once for one row of this width
     (box, cells), priced = ran
     assert box == (0, n, 0, n) and len(chunks(box, cells)) > 1
     assert priced == (box, cells)

@@ -544,6 +544,62 @@ class TestCounts:
                        checkpoint_every=3)
         assert state_fingerprint(state) == state_fingerprint(plain)
 
+    def test_numpy_integer_spec_and_init_write_the_int_checkpoint(self, tmp_path):
+        # a spec of numpy integers and a numpy init run as their Python ints
+        # and write the same checkpoint bytes, and a numpy init resumes it
+        paths = [tmp_path / "numpy.fp", tmp_path / "int.fp"]
+        runs = [(GameSpec(np.int64(12), np.int32(3)), np.array([4, 4, 4])),
+                (GameSpec(12, 3), (4, 4, 4))]
+        for (spec, init), path in zip(runs, paths):
+            state = fp_run(spec, 5, init=init, checkpoint_path=str(path))
+            assert state.init == (4, 4, 4) and all(type(b) is int for b in state.init)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        resumed = fp_run(GameSpec(12, 3), 8, init=np.array([4, 4, 4], dtype=np.uint8),
+                         resume=str(paths[0]))
+        assert state_fingerprint(resumed) == state_fingerprint(fp_run(GameSpec(12, 3), 8))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "given, message",
+        [({"mode": "round-robin"}, "mode must be one of"), ({"tie_break": "coin"}, "tie_break must be one of")],
+    )
+    def test_a_fresh_run_refuses_an_unknown_mode_or_tie_break(self, tmp_path, given, message):
+        path = tmp_path / "run.fp"
+        with pytest.raises(PreconditionError, match=message):
+            fp_run(DESK, 5, checkpoint_path=str(path), **given)
+        assert not path.exists()
+
+    def test_a_resume_refuses_a_target_below_its_rounds(self, tmp_path):
+        path = tmp_path / "run.fp"
+        fp_run(DESK, 30, checkpoint_path=str(path))
+        before = path.read_bytes()
+        with pytest.raises(PreconditionError, match="already has 30 rounds > target 29"):
+            fp_run(DESK, 29, resume=str(path), checkpoint_path=str(path))
+        assert path.read_bytes() == before
+        assert fp_run(DESK, 30, resume=str(path)).rounds_played == 30
+
+    def test_a_run_that_would_overflow_the_bid_counters_is_refused(self):
+        # rounds * K >= 2**62 is refused before round 1; one round fewer
+        # starts (and stops here, at the first progress report)
+        played = []
+
+        def stop(done, total):
+            played.append((done, total))
+            raise KeyboardInterrupt
+
+        with pytest.raises(PreconditionError, match="would overflow the bid counters"):
+            fp_run(DESK, 1 << 60, progress=stop)
+        assert not played
+        with pytest.raises(KeyboardInterrupt):
+            fp_run(DESK, (1 << 60) - 1, progress=stop)
+        assert played == [(1, (1 << 60) - 1)]
+
+    def test_an_empty_run_has_no_rank_report(self):
+        state = learning._fresh_state(DESK, "two-sided", "lex", 0, None)
+        with pytest.raises(PreconditionError, match="cannot rank an empty run"):
+            rank_report(state, 5)
+
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
@@ -691,6 +747,10 @@ class TestCheckpoints:
     def _short_header(payload, side):
         return learning.CHECKPOINT_MAGIC + b"\x01\x00"
 
+    @staticmethod
+    def _version_two(payload, side):
+        return learning.CHECKPOINT_MAGIC + struct.pack("<I", 2) + json.dumps(payload).encode("ascii")
+
     @pytest.mark.parametrize("side", ["a", "b"])
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -706,6 +766,7 @@ class TestCheckpoints:
             ("_bad_rng_state", "malformed checkpoint"),
             ("_not_json", "malformed checkpoint"),
             ("_short_header", "malformed checkpoint"),
+            ("_version_two", "unsupported checkpoint version 2"),
         ],
     )
     def test_rejects_corrupted_payload(self, tmp_path, corrupt, message, side):
