@@ -317,43 +317,45 @@ def cmd_fp(args: argparse.Namespace, argv: Sequence[str]) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(
+    commands: "dict[str, argparse.ArgumentParser] | None" = None,
+) -> argparse.ArgumentParser:
+    """The ``blotto`` parser; each subcommand's own parser also goes into
+    ``commands`` under its name."""
     parser = argparse.ArgumentParser(
         prog="blotto",
         description="Exact laboratory for discrete Colonel Blotto games with flexible tie-breaking.",
     )
     parser.add_argument("--version", action="version", version=f"blotto-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {} if commands is None else commands
 
-    p = sub.add_parser("count", help="count pure strategies in both representations")
-    add_spec_arguments(p)
+    def command(name: str, help: str, func) -> argparse.ArgumentParser:
+        p = commands[name] = sub.add_parser(name, help=help)
+        add_spec_arguments(p)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("count", "count pure strategies in both representations", cmd_count)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("payoff", help="exact payoff of one pure matchup")
-    add_spec_arguments(p)
+    p = command("payoff", "exact payoff of one pure matchup", cmd_payoff)
     p.add_argument("--s", required=True, help="own bids, comma separated")
     p.add_argument("--t", required=True, help="opponent bids, comma separated")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_payoff)
 
-    p = sub.add_parser("construct", help="write a named strategy in the text format")
-    add_spec_arguments(p)
+    p = command("construct", "write a named strategy in the text format", cmd_construct)
     p.add_argument("--family", choices=constructors.FAMILIES, required=True)
     p.add_argument("--s", help="target bids for --family witness")
     p.add_argument("--output", "-o", default=None, help="file path (default stdout)")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="exact equilibrium check for a profile")
-    add_spec_arguments(p)
+    p = command("verify", "exact equilibrium check for a profile", cmd_verify)
     p.add_argument("--family", choices=constructors.FAMILIES, required=True)
     p.add_argument("--family-b", choices=constructors.FAMILIES, default=None)
     p.add_argument("--s", help="target bids when a side is the witness family")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("classify", help="good / never-good / unknown verdict")
-    add_spec_arguments(p)
+    p = command("classify", "good / never-good / unknown verdict", cmd_classify)
     p.add_argument("--s", required=True)
     p.add_argument(
         "--constant-sum",
@@ -361,35 +363,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the tie-value-1 iff characterization (binary verdict)",
     )
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("dominate", help="exact weak-dominance check")
-    add_spec_arguments(p)
+    p = command("dominate", "exact weak-dominance check", cmd_dominate)
     p.add_argument("--candidate", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_dominate)
 
-    p = sub.add_parser("scan-alpha", help="verify named profiles across tie values")
-    add_spec_arguments(p)
+    p = command("scan-alpha", "verify named profiles across tie values", cmd_scan_alpha)
     p.add_argument("--alphas", required=True, help="comma-separated tie values")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_scan_alpha)
 
-    p = sub.add_parser("psne", help="is (s, s) a pure-strategy equilibrium?")
-    add_spec_arguments(p)
+    p = command("psne", "is (s, s) a pure-strategy equilibrium?", cmd_psne)
     p.add_argument("--s", required=True)
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_psne)
 
-    p = sub.add_parser("enumerate", help="stream allocations or partitions")
-    add_spec_arguments(p)
+    p = command("enumerate", "stream allocations or partitions", cmd_enumerate)
     p.add_argument("--what", choices=("allocations", "partitions"), default="allocations")
     p.add_argument("--cap", type=int, default=10**7)
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("fp", help="fictitious play over the Lotto space")
-    add_spec_arguments(p)
+    p = command("fp", "fictitious play over the Lotto space", cmd_fp)
     p.add_argument("--rounds", type=int, required=True)
     resumed = "; with --resume, the checkpoint's"
     p.add_argument("--mode", choices=learning.MODES, help=f"default two-sided{resumed}")
@@ -406,20 +398,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, default=None)
     p.add_argument("--resume", default=None, help="resume from a checkpoint file")
     p.add_argument("--progress", action="store_true", help="report progress on stderr")
-    p.set_defaults(func=cmd_fp)
 
     return parser
 
 
 @functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` uses, built once per process."""
-    return build_parser()
+def _parsers() -> "tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]":
+    """The parser :func:`main` uses and its subcommands' parsers by name,
+    built once per process."""
+    commands: "dict[str, argparse.ArgumentParser]" = {}
+    return build_parser(commands), commands
+
+
+def parse(argv: "list[str]") -> argparse.Namespace:
+    """The arguments of ``argv``, each read once, by its subcommand's parser.
+
+    The top-level parser hands the words after a subcommand's name to that
+    subcommand's parser unchanged and only adds a check that none is left
+    unrecognized.  So it runs here only for what it alone prints: no or an
+    unknown command, ``-h`` and ``--version`` before it, words the
+    subcommand leaves unrecognized, and a word starting ``--=``, which it
+    refuses as an ambiguous abbreviation of its own ``--help`` and
+    ``--version`` before it reads the command.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None and not any(arg.startswith("--=") for arg in argv):
+        args, unrecognized = command.parse_known_args(argv[1:])
+        if not unrecognized:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _parser().parse_args(argv)
+    args = parse(argv)
     try:
         return args.func(args, argv)
     except (PreconditionError, OSError) as exc:

@@ -455,7 +455,10 @@ def load_checkpoint(path: str) -> FPState:
     Raises ``PreconditionError`` naming ``path`` unless the file parses as a
     checkpoint with a known mode and tie-break and a restorable RNG state,
     each side's counts sum to ``rounds_played``, every counted key is a
-    partition of the game, and the discovery keys equal the count keys.
+    partition of the game, and the discovery keys equal the count keys.  The
+    fields must also agree as ``fp_run`` writes them: an RNG state exactly
+    for a random tie-break, no B side in self-play, and an ``init`` that is a
+    partition of the game, which each side's discovery records at round 1.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -482,6 +485,12 @@ def _parse_checkpoint(blob: bytes) -> FPState:
     seed = check_seed(payload["seed"])
     if payload["rng_state"] is not None:  # as fp_run restores it; raises if it cannot
         np.random.PCG64(seed).state = payload["rng_state"]
+    if (payload["rng_state"] is None) != (payload["tie_break"] == "lex"):
+        saved = "no" if payload["tie_break"] == "lex" else "an"
+        raise PreconditionError(f"a {payload['tie_break']!r} run saves {saved} rng_state")
+    shared = payload["mode"] == "self-play"
+    if shared and ("counts_b" in payload or "discovery_b" in payload):
+        raise PreconditionError("a 'self-play' run saves no counts_b or discovery_b")
     spec = GameSpec(
         payload["spec"]["budget"],
         payload["spec"]["battlefields"],
@@ -498,13 +507,20 @@ def _parse_checkpoint(blob: bytes) -> FPState:
     discovery_a = parse_counts(payload["discovery_a"])
     _check_side(spec, rounds, counts_a, discovery_a, "a")
     hist_a = _hist_from_counts(counts_a, spec.budget)
-    if payload["mode"] == "self-play":
+    if shared:
         counts_b, discovery_b, hist_b = counts_a, discovery_a, hist_a
     else:
         counts_b = parse_counts(payload["counts_b"])
         discovery_b = parse_counts(payload["discovery_b"])
         _check_side(spec, rounds, counts_b, discovery_b, "b")
         hist_b = _hist_from_counts(counts_b, spec.budget)
+    try:
+        init = spec.validate_partition(payload["init"])
+    except PreconditionError as exc:
+        raise PreconditionError(f"init is not a partition of the game: {exc}") from exc
+    for side, discovery in (("a", discovery_a), ("b", discovery_b)):
+        if rounds >= 1 and discovery.get(init) != 1:
+            raise PreconditionError(f"discovery_{side} does not record init {init} at round 1")
     trace = [
         TraceRow(row[0], Fraction(row[1], row[2]), Fraction(row[3], row[4]))
         for row in payload["trace"]
@@ -514,7 +530,7 @@ def _parse_checkpoint(blob: bytes) -> FPState:
         mode=payload["mode"],
         tie_break=payload["tie_break"],
         seed=seed,
-        init=tuple(payload["init"]),
+        init=init,
         rounds_played=rounds,
         counts_a=counts_a,
         counts_b=counts_b,

@@ -1,16 +1,23 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
-import argparse
+import contextlib
+import functools
 import hashlib
 import io
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blotto_lab import GameSpec, kernels, read_strategy
+from blotto_lab import GameSpec, cli, kernels, learning, read_strategy
 from blotto_lab.cli import build_parser, main, parse_alpha
 from blotto_lab.constructors import FAMILIES
 from blotto_lab.core import PreconditionError
+from conftest import examples
 
 
 def run(capsys, *argv):
@@ -133,11 +140,10 @@ class TestFamilies:
         assert dict(back.atoms()) == dict(FAMILIES[family](GameSpec(n, k), s).atoms())
 
     def test_family_choices_are_the_registry(self):
-        sub = next(
-            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        )
+        commands = {}
+        build_parser(commands)
         for command, dests in (("construct", ("family",)), ("verify", ("family", "family_b"))):
-            actions = {a.dest: a for a in sub.choices[command]._actions}
+            actions = {a.dest: a for a in commands[command]._actions}
             for dest in dests:
                 assert list(actions[dest].choices) == list(FAMILIES)
 
@@ -529,6 +535,184 @@ BIG_VERDICTS = {
         (("30,30,20,20,10,10", "60,40,10,5,3,2"), ("40,40,40,0,0,0", "120,0,0,0,0,0")),
     ),
 }
+
+
+# argv drawn from a grammar of every subcommand and flag, at sizes that
+# allocate little: N <= 12, K <= 4, fp --rounds <= 20 and enumerate --cap <=
+# 60.  Each flag takes a valid or boundary value, and one time in twenty a
+# garbage one.  File names are relative and each run starts in a fresh
+# directory holding a saved 12/4 checkpoint and a truncated one, so runs that
+# read or write files see the same ones.
+ALPHAS = ("0", "1/3", "1/2", "1", "2", "0.5", BIG_ALPHA)
+BAD_ALPHAS = ("3", "-1", "1/0", "a/b", "0.1234567890123")
+
+
+def flag_values(n, k):
+    """Each option string of every subcommand, mapped to the strategy of its
+    valid values and a tuple of garbage ones (``None`` for a switch)."""
+    cuts = st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1).map(sorted)
+    bids = (
+        cuts.map(lambda c: ",".join(str(b - a) for a, b in zip([0, *c], [*c, n]))),
+        ("", "a,b", "1,,2", f"{n},0,0,0,0", f"-1,{n + 1}", "3,3,3,3"),
+    )
+    ints = lambda good, *bad: (st.sampled_from(good), (*bad, "x", "", "1.5"))  # noqa: E731
+    families = (st.sampled_from(list(FAMILIES)), ("bogus",))
+    spec = {
+        "--n": ints([str(n)], "0", "-1"),
+        "--k": ints([str(k)], "0", "1", "-1"),
+        "--alpha": (st.sampled_from(ALPHAS), BAD_ALPHAS),
+        "--alpha-override": None,
+    }
+    formats = lambda *good: (st.sampled_from(good), ("xml",))  # noqa: E731
+    output = (st.sampled_from(["-", "out.csv"]), ("nodir/out.csv", ""))
+    return {
+        "count": {**spec, "--format": formats("text", "json")},
+        "payoff": {**spec, "--s": bids, "--t": bids, "--format": formats("json", "text")},
+        "construct": {**spec, "--family": families, "--s": bids, "--output": output, "-o": output},
+        "verify": {**spec, "--family": families, "--family-b": families, "--s": bids,
+                   "--format": formats("json", "text")},
+        "classify": {**spec, "--s": bids, "--constant-sum": None,
+                     "--format": formats("json", "text")},
+        "dominate": {**spec, "--candidate": bids, "--target": bids,
+                     "--format": formats("json", "text")},
+        "scan-alpha": {**spec, "--format": formats("json", "csv"), "--alphas": (
+            st.lists(st.sampled_from(ALPHAS), min_size=1, max_size=3).map(",".join),
+            ("", "0,,1", "0,3", "x"),
+        )},
+        "psne": {**spec, "--s": bids, "--format": formats("json", "text")},
+        "enumerate": {**spec, "--what": formats("allocations", "partitions"),
+                      "--cap": ints(["0", "5", "60"], "-1")},
+        "fp": {
+            **spec,
+            "--rounds": (st.integers(0, 20).map(str), ("x", "", "-1", "1.5")),
+            "--mode": (st.sampled_from(learning.MODES), ("solo",)),
+            "--init": bids,
+            "--seed": ints(["0", "7", str(10**23)], "-1"),
+            "--tie-break": (st.sampled_from(learning.TIE_BREAKS), ("coin",)),
+            "--report-top": ints(["0", "3"], "-1"),
+            "--output": output,
+            "-o": output,
+            "--trace": (st.sampled_from(["-", "trace.csv"]), ("nodir/trace.csv",)),
+            "--trace-every": ints(["1", "5"], "0"),
+            "--checkpoint": (st.sampled_from(["run.fp", "saved.fp"]), ("nodir/run.fp",)),
+            "--checkpoint-every": ints(["1", "7"], "0"),
+            "--resume": (st.just("saved.fp"), ("truncated.fp", "missing.fp")),
+            "--progress": None,
+        },
+    }
+
+
+# words that the top-level parser alone handles, or that no parser knows
+NOISE = ("-h", "--help", "--version", "--", "--bogus", "--=x", "-x", "stray", "--vers")
+CHANCE = [False] * 9 + [True]  # one in ten
+RARE = [False] * 19 + [True]  # one in twenty
+REQUIRED = {"--n", "--k", "--s", "--t", "--family", "--candidate", "--target", "--alphas",
+            "--rounds"}
+
+
+@st.composite
+def argvs(draw):
+    # half the games are the one the saved checkpoint holds
+    n, k = draw(st.one_of(st.just((12, 4)), st.tuples(st.integers(1, 12), st.integers(2, 4))))
+    grammar = flag_values(n, k)
+    command = draw(st.sampled_from([*grammar, "bogus", None]))
+    flags = grammar.get(command, grammar["count"])
+    words = [] if command is None else [command]
+    for flag in draw(st.permutations(sorted(flags))):
+        if flag not in REQUIRED and draw(st.sampled_from([True, True, False])):
+            continue  # an optional flag left out
+        for _ in range(draw(st.sampled_from([1] * 18 + [0, 2]))):  # left out or repeated
+            name = flag
+            if flag.startswith("--") and draw(st.sampled_from(CHANCE)):
+                name = flag[: draw(st.integers(3, len(flag)))]  # an abbreviation
+            if flags[flag] is None:
+                words.append(name)
+                continue
+            good, bad = flags[flag]
+            value = draw(st.sampled_from(bad) if draw(st.sampled_from(RARE)) else good)
+            words += [f"{name}={value}"] if draw(st.sampled_from(CHANCE)) else [name, value]
+    for _ in range(draw(st.sampled_from([0] * 6 + [1, 2]))):
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(NOISE)))
+    return words
+
+
+@functools.lru_cache(maxsize=None)
+def saved_checkpoint():
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "saved.fp")
+        learning.fp_run(GameSpec(12, 4), 10, checkpoint_path=path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@contextlib.contextmanager
+def working_directory(path):
+    before = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
+def run_in_fresh_directory(argv, parse=None):
+    """(exit code or SystemExit code, stdout, stderr, files written) of one
+    ``main(argv)`` in a directory of its own; ``parse`` stands in for the
+    CLI's parse step when given."""
+    out, err = io.StringIO(), io.StringIO()
+    blob = saved_checkpoint()
+    with contextlib.ExitStack() as stack:
+        root = stack.enter_context(tempfile.TemporaryDirectory())
+        for name, data in (("saved.fp", blob), ("truncated.fp", blob[:-5])):
+            with open(os.path.join(root, name), "wb") as fh:
+                fh.write(data)
+        stack.enter_context(working_directory(root))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        if parse is not None:
+            stack.enter_context(mock.patch.object(cli, "parse", parse))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        files = {}
+        for name in sorted(os.listdir(root)):
+            with open(os.path.join(root, name), "rb") as fh:
+                files[name] = fh.read()
+    return code, out.getvalue(), err.getvalue(), files
+
+
+class TestArgv:
+    def test_the_grammar_covers_every_option(self):
+        commands = {}
+        build_parser(commands)
+        grammar = flag_values(12, 4)
+        assert list(grammar) == list(commands)
+        for name, parser in commands.items():
+            options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+            assert options == set(grammar[name]), name
+
+    @settings(max_examples=examples(300), deadline=None)
+    @given(argv=argvs())
+    def test_parsed_once_as_the_full_parser_parses(self, argv):
+        # the oracle builds a fresh parser for each call and reads argv with
+        # the top-level parser, which hands the words after the command on
+        def full_parse(words):
+            return build_parser().parse_args(words)
+
+        assert run_in_fresh_directory(argv) == run_in_fresh_directory(argv, full_parse)
+
+    @settings(max_examples=examples(300), deadline=None)
+    @given(argv=argvs())
+    def test_exits_0_or_2_without_a_traceback(self, argv):
+        # an exception other than SystemExit escaping main fails the example;
+        # exit 1 comes only from main's BlottoError branch, which only a
+        # SolverFailureError reaches (every PreconditionError exits 2)
+        code, _, err, _ = run_in_fresh_directory(argv)
+        assert code in (0, 2, ("SystemExit", 0), ("SystemExit", 2)) or (
+            code == 1 and err.startswith("internal error: ")
+        )
+        assert "Traceback" not in err
 
 
 def verdict_table():

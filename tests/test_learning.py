@@ -736,7 +736,32 @@ class TestCheckpoints:
     def _bad_rng_state(payload, side):
         payload["rng_state"] = {"bit_generator": "PCG64", "state": 5}
 
-    # the two below replace the whole file rather than edit the payload
+    @staticmethod
+    def _init_not_bids(payload, side):
+        payload["init"] = "abcd"
+
+    @staticmethod
+    def _init_wrong_length(payload, side):
+        payload["init"] = [12, 0]
+
+    @staticmethod
+    def _init_never_played(payload, side):
+        payload["init"] = [6, 6, 0, 0]  # a partition, but round 1 played (3, 3, 3, 3)
+
+    @staticmethod
+    def _lex_with_rng_state(payload, side):
+        # a random run's checkpoint relabelled lex has this shape
+        payload["rng_state"] = np.random.PCG64(5).state
+
+    @staticmethod
+    def _random_without_rng_state(payload, side):
+        payload["tie_break"] = "random"
+
+    @staticmethod
+    def _self_play_with_side_b(payload, side):
+        payload["mode"] = "self-play"
+
+    # the three below replace the whole file rather than edit the payload
 
     @staticmethod
     def _not_json(payload, side):
@@ -764,6 +789,12 @@ class TestCheckpoints:
             ("_unknown_tie_break", "tie_break must be one of"),
             ("_negative_seed", "seed must be a non-negative integer"),
             ("_bad_rng_state", "malformed checkpoint"),
+            ("_init_not_bids", "init is not a partition of the game"),
+            ("_init_wrong_length", "init is not a partition of the game"),
+            ("_init_never_played", r"does not record init \(6, 6, 0, 0\) at round 1"),
+            ("_lex_with_rng_state", "a 'lex' run saves no rng_state"),
+            ("_random_without_rng_state", "a 'random' run saves an rng_state"),
+            ("_self_play_with_side_b", "a 'self-play' run saves no counts_b or discovery_b"),
             ("_not_json", "malformed checkpoint"),
             ("_short_header", "malformed checkpoint"),
             ("_version_two", "unsupported checkpoint version 2"),
